@@ -2,9 +2,11 @@
 
 The figure benches share two expensive artifacts, computed once per
 session: the TIPPERS synthetic trace (Figs 1-5) and the DPBench regret
-sweep (Figs 6-10).  Every bench writes the table it regenerates to
-``benchmarks/results/<name>.txt`` (and prints it; run with ``-s`` to see
-the output inline) so paper-vs-measured comparisons are recorded.
+sweep (Figs 6-10).  Every bench writes the table it regenerates to the
+git-ignored ``benchmarks/out/<name>.txt`` (and prints it; run with
+``-s`` to see the output inline), so a test run leaves the tree clean.
+The tracked ``benchmarks/results/`` holds the last *recorded* snapshot,
+refreshed by copying from ``out/`` (docs/TESTING.md section 3).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.evaluation.experiments.fig6_10_dpbench import (
     run_dpbench_sweep,
 )
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT_DIR = Path(__file__).parent / "out"
 
 # Laptop-scale stand-in for the 585K-trajectory trace: large enough for
 # stable policy fractions and classifier signal, small enough for CI.
@@ -48,8 +50,8 @@ def dpbench_records():
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist a bench's table under benchmarks/results/ and echo it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+    """Persist a bench's table under benchmarks/out/ and echo it."""
+    OUT_DIR.mkdir(exist_ok=True)
+    path = OUT_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n=== {name} ===\n{text}")

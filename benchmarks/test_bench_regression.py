@@ -2,8 +2,8 @@
 
 ``benchmarks/baselines/BENCH_mechanisms.json`` is the committed
 previous-PR record of the mechanism throughput benches.  This check
-compares the freshly generated ``BENCH_mechanisms.json`` at the repo
-root against it and fails when any kernel got more than
+compares the freshly generated
+``benchmarks/out/BENCH_mechanisms.json`` against it and fails when any kernel got more than
 ``SLOWDOWN_TOLERANCE`` slower (min-over-rounds, the statistic robust to
 scheduler noise).
 
@@ -15,9 +15,10 @@ workflow is:
     python -m pytest -m bench_regression                       # gate
 
 (A full ``python -m pytest`` run also regenerates the JSON.)  At each
-PR that intentionally changes kernel performance, refresh the baseline:
-copy the new ``BENCH_mechanisms.json`` over
-``benchmarks/baselines/BENCH_mechanisms.json`` and commit both.
+PR that intentionally changes kernel performance, refresh the records:
+copy ``benchmarks/out/BENCH_mechanisms.json`` over both
+``benchmarks/baselines/BENCH_mechanisms.json`` and the root
+``BENCH_mechanisms.json``, and commit them.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import OUT_DIR
+
 pytestmark = pytest.mark.bench_regression
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-CURRENT_PATH = REPO_ROOT / "BENCH_mechanisms.json"
+CURRENT_PATH = OUT_DIR / "BENCH_mechanisms.json"
 BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_mechanisms.json"
 
 SLOWDOWN_TOLERANCE = 1.25  # fail on >25% slowdown in any kernel

@@ -11,8 +11,9 @@ Three benchmark families over 4096-bin histograms:
   ``release_batch`` fast path (one generator, one noise matrix).
 
 Every run exports the measured stats and the batch-over-sequential
-speedups to ``BENCH_mechanisms.json`` at the repo root, so the
-throughput trajectory is tracked across PRs.  Two datasets bound the
+speedups to the git-ignored ``benchmarks/out/BENCH_mechanisms.json``;
+the tracked copy at the repo root is the last recorded snapshot,
+refreshed by copying (docs/TESTING.md section 3).  Two datasets bound the
 sparsity range: ``adult`` (0.98 sparse — the support-restricted fast
 paths shine) and ``searchlogs`` (0.51 sparse, ~168K non-sensitive
 records — binomial-sampling bound).
@@ -21,19 +22,18 @@ records — binomial-sampling bound).
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import OUT_DIR
 from repro.data.dpbench import generate_dpbench
 from repro.data.sampling import m_sampling
 from repro.evaluation.experiments.fig6_10_dpbench import make_mechanism
 from repro.evaluation.runner import spawn_rngs
 from repro.queries.histogram import HistogramInput
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-JSON_PATH = REPO_ROOT / "BENCH_mechanisms.json"
+JSON_PATH = OUT_DIR / "BENCH_mechanisms.json"
 
 N_TRIALS = 10
 EPSILON = 1.0
@@ -92,7 +92,7 @@ def _capture(benchmark, dataset: str, algorithm: str, mode: str) -> None:
 def _export_json():
     """Write BENCH_mechanisms.json once the module's benches have run.
 
-    Only a complete run may overwrite the tracked record: a filtered
+    Only a complete run may overwrite the fresh record: a filtered
     (``-k``) or timing-disabled session leaves the existing file alone.
     """
     yield
@@ -145,6 +145,7 @@ def _export_json():
             key=lambda r: (r["dataset"], r["algorithm"], r["mode"]),
         ),
     }
+    OUT_DIR.mkdir(exist_ok=True)
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 

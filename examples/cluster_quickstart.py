@@ -114,7 +114,7 @@ def main() -> None:
                 deadline = time.monotonic() + 60
                 while True:
                     doc = supervisor.health()["hi-r0"]
-                    if doc["alive"] and doc["restarts"] >= 1:
+                    if doc["ready"] and doc["restarts"] >= 1:
                         break
                     assert time.monotonic() < deadline, "no restart"
                     time.sleep(0.05)

@@ -304,8 +304,6 @@ class RemoteBackend:
             "release_batch",
             "append_records",
             "expire_prefix",
-            "ingest",
-            "flush",
         }
     )
 
@@ -571,28 +569,6 @@ class RemoteBackend:
         return [
             int(i) for i in self._call("expire_prefix", n_records=n_records)
         ]
-
-    # ------------------------------------------------------------------
-    # Server-side group-commit ingest
-    # ------------------------------------------------------------------
-    def ingest(self, records) -> dict:
-        """Stage an append batch in the server's group-commit buffer.
-
-        The batch is validated and held server-side but **not** logged:
-        it becomes durable only when a flush acks (:meth:`flush_ingest`,
-        or the server's own ``ingest_flush_events`` watermark —
-        ``flushed: true`` in the reply means this call's flush covered
-        it).  ``accepted: false`` is backpressure: the buffer is full;
-        flush (or wait) and resend.
-        """
-        return dict(self._call("ingest", **_append_payload(records)))
-
-    def flush_ingest(self) -> dict:
-        """Group-commit every staged batch as one WAL-logged write."""
-        return dict(self._call("flush"))
-
-    def ingest_status(self) -> dict:
-        return dict(self._call("ingest_status"))
 
     # ------------------------------------------------------------------
     # The cluster commit protocol (coordinator side)

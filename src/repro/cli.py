@@ -307,8 +307,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
         max_readers=args.max_readers,
         read_timeout=args.read_timeout,
         wal=wal,
-        ingest_queue=args.ingest_queue,
-        ingest_flush_events=args.ingest_flush_events,
         admission_limit=args.max_inflight,
     )
     host, port = rpc.address
@@ -576,16 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-grace", type=float, default=5.0,
         help="seconds SIGTERM/Ctrl-C waits for in-flight requests to "
         "finish before cutting connections (default 5)",
-    )
-    p_serve.add_argument(
-        "--ingest-queue", type=int, default=4096,
-        help="server-side group-commit buffer bound in events; an "
-        "ingest batch that would overflow it is refused (backpressure)",
-    )
-    p_serve.add_argument(
-        "--ingest-flush-events", type=int, default=None,
-        help="staged-event watermark past which an ingest flushes "
-        "inline as one WAL entry (default: the queue bound)",
     )
     p_serve.add_argument(
         "--wal-dir", default=None,

@@ -11,7 +11,6 @@ same inputs.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import Callable, Mapping, Sequence
 
@@ -22,35 +21,9 @@ from repro.core.guarantees import DPGuarantee, OSDPGuarantee
 from repro.queries.histogram import HistogramInput
 
 
-# ----------------------------------------------------------------------
-# Source registry: how `HistogramMechanism.run` turns an arbitrary data
-# source into the HistogramInput every mechanism consumes.  Entries are
-# (matcher, builder) pairs tried in registration order; the builder
-# receives (source, query, policy) and returns a HistogramInput.  Row,
-# columnar and sharded databases are covered out of the box; exotic
-# substrates (a feature store, an RPC stub) join via
-# `register_release_source` instead of growing new per-mechanism entry
-# points — this is the single dispatch that replaced the old
-# release/release_batch/release_from_database/release_batch_from_database
-# four-way split.
-# ----------------------------------------------------------------------
-
-_SOURCE_BUILDERS: list[tuple[Callable, Callable]] = []
-
-
-def register_release_source(matcher: Callable, builder: Callable) -> None:
-    """Teach ``HistogramMechanism.run`` a new data-source shape.
-
-    ``matcher(source) -> bool`` decides whether ``builder(source,
-    query, policy) -> HistogramInput`` handles it.  User-registered
-    sources take precedence over the built-in database fallback (they
-    are tried first, in registration order).
-    """
-    _SOURCE_BUILDERS.append((matcher, builder))
-
-
 def resolve_histogram_source(source, query, policy) -> HistogramInput:
-    """Build the :class:`HistogramInput` for any registered source shape.
+    """Build the :class:`HistogramInput` ``HistogramMechanism.run`` feeds
+    every mechanism.
 
     A ready-made :class:`HistogramInput` passes through untouched; a
     database of any flavor (row, columnar, sharded) routes through
@@ -59,9 +32,6 @@ def resolve_histogram_source(source, query, policy) -> HistogramInput:
     """
     if isinstance(source, HistogramInput):
         return source
-    for matcher, builder in _SOURCE_BUILDERS:
-        if matcher(source):
-            return builder(source, query, policy)
     from repro.queries.histogram import histogram_input_for
 
     if hasattr(source, "histogram") or hasattr(source, "map_shards"):
@@ -73,8 +43,7 @@ def resolve_histogram_source(source, query, policy) -> HistogramInput:
         return histogram_input_for(source, query, policy)
     raise TypeError(
         f"cannot build a histogram input from {type(source).__name__}; "
-        "pass a HistogramInput or a database, or register the source "
-        "shape with register_release_source"
+        "pass a HistogramInput or a (row, columnar or sharded) database"
     )
 
 
@@ -161,13 +130,11 @@ class HistogramMechanism(ABC):
     ) -> np.ndarray:
         """Build the histogram input, charge the budget, sample a release.
 
-        The one front door that replaced the old four-way
-        ``release``/``release_batch``/``*_from_database`` split:
-        ``source`` may be a ready :class:`HistogramInput`, a row
+        The one front door: ``source`` may be a ready
+        :class:`HistogramInput`, a row
         :class:`repro.data.database.Database`, a
-        :class:`repro.data.columnar.ColumnarDatabase`, a
-        :class:`repro.data.sharding.ShardedColumnarDatabase`, or any
-        shape registered via :func:`register_release_source` — the
+        :class:`repro.data.columnar.ColumnarDatabase` or a
+        :class:`repro.data.sharding.ShardedColumnarDatabase` — the
         input is built through the matching (possibly per-shard
         parallel) path, so every mechanism gets a sharded front door
         without knowing about shards.
@@ -204,48 +171,6 @@ class HistogramMechanism(ABC):
             return self.release(hist, rng)
         # A sequence of generators is the per-trial compatibility mode:
         # one row per generator, trials inferred from the length.
-        return self.release_batch(hist, rng, n_trials)
-
-    # ------------------------------------------------------------------
-    # Deprecated shims over `run` (the pre-PR-4 entry-point split)
-    # ------------------------------------------------------------------
-    def release_from_database(
-        self,
-        db,
-        query,
-        policy,
-        rng: np.random.Generator,
-        accountant: PrivacyAccountant | None = None,
-    ) -> np.ndarray:
-        """Deprecated: use :meth:`run` (``mechanism.run(db, rng, ...)``)."""
-        warnings.warn(
-            "release_from_database is deprecated; use "
-            "mechanism.run(db, rng, query=..., policy=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        hist = resolve_histogram_source(db, query, policy)
-        self.charge_for(accountant, policy)
-        return self.release(hist, rng)
-
-    def release_batch_from_database(
-        self,
-        db,
-        query,
-        policy,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
-        accountant: PrivacyAccountant | None = None,
-    ) -> np.ndarray:
-        """Deprecated: use :meth:`run` with ``n_trials``."""
-        warnings.warn(
-            "release_batch_from_database is deprecated; use "
-            "mechanism.run(db, rng, n_trials=..., query=..., policy=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        hist = resolve_histogram_source(db, query, policy)
-        self.charge_for(accountant, policy)
         return self.release_batch(hist, rng, n_trials)
 
     @property

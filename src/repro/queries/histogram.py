@@ -508,8 +508,7 @@ def histogram_input_for(db, query: HistogramQuery, policy: Policy) -> HistogramI
 
     Routes row databases through the per-record reference path and
     columnar/sharded databases through the vectorized path — the single
-    entry point the mechanisms' ``release_from_database`` and the
-    service facade use.
+    entry point ``HistogramMechanism.run`` and the service facade use.
     """
     if hasattr(db, "map_shards") or hasattr(db, "histogram_from_indices"):
         return HistogramInput.from_columnar(db, query, policy)

@@ -6,10 +6,10 @@ in-memory :class:`repro.core.accountant.PrivacyAccountant` silently
 resets ``spent`` to zero on any restart — an unrepairable privacy
 violation (an audit can lower-bound leakage after the fact; it cannot
 un-release noise).  :class:`DurableAccountant` closes that hole with an
-append-only **charge journal** in the PR-8 WAL frame format
-(``[u32 length][u32 crc32][blob]``, snapshot compaction, torn-tail
-handling — see :mod:`repro.service.wal`), with one deliberate
-inversion:
+append-only **charge journal** over the same
+:class:`repro.service.framelog.FrameLog` the data WAL uses (frame
+format, fsync'd append, snapshot compaction and the torn-tail scan all
+live there), with one deliberate inversion:
 
 * A data WAL *truncates* its torn tail: the interrupted entry was
   never acked, so dropping it is correct.
@@ -53,8 +53,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-import zlib
 
+from repro.api.wire import encode_message
 from repro.core.accountant import (
     AnalystAccountant,
     LedgerEntry,
@@ -66,7 +66,12 @@ from repro.core.policy_language import (
     policy_from_spec,
     policy_to_spec,
 )
-from repro.service.wal import _ENTRY_PREFIX, _decode_blob, _frame
+from repro.service.framelog import (
+    FRAME_HEADER_BYTES,
+    FrameError,
+    FrameLog,
+    decode_message,
+)
 
 #: The journaled charge's epsilon, redundantly leading the blob as raw
 #: float bytes — the field a torn-tail recovery salvages.
@@ -117,13 +122,26 @@ def entry_from_doc(doc) -> LedgerEntry:
 
 
 def _entry_blob(doc: dict) -> bytes:
-    from repro.api.wire import encode_message
-
     return _EPSILON_PREFIX.pack(float(doc["epsilon"])) + encode_message(doc)
 
 
 def _blob_doc(blob: bytes) -> dict:
-    return _decode_blob(blob[_EPSILON_PREFIX.size :])
+    return decode_message(blob[_EPSILON_PREFIX.size :])
+
+
+def _salvage_epsilon(torn: bytes) -> float | None:
+    """A torn tail's epsilon, from the raw float bytes leading its blob.
+
+    Only a finite positive value is trusted; anything else returns
+    None and the caller assumes the worst (full remaining budget).
+    """
+    body = torn[FRAME_HEADER_BYTES:]
+    if len(body) < _EPSILON_PREFIX.size:
+        return None
+    (epsilon,) = _EPSILON_PREFIX.unpack_from(body, 0)
+    if not math.isfinite(epsilon) or epsilon <= 0:
+        return None
+    return float(epsilon)
 
 
 class ChargeJournal:
@@ -142,9 +160,9 @@ class ChargeJournal:
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
         self.directory = os.fspath(directory)
-        os.makedirs(self.directory, exist_ok=True)
-        self._log_path = os.path.join(self.directory, self.LOG_NAME)
-        self._snapshot_path = os.path.join(self.directory, self.SNAPSHOT_NAME)
+        self._frames = FrameLog(
+            self.directory, self.LOG_NAME, self.SNAPSHOT_NAME
+        )
         self.snapshot_every = snapshot_every
         #: The highest sequence number journaled (0 = nothing yet).
         self.last_seq = 0
@@ -155,7 +173,6 @@ class ChargeJournal:
         #: snapshot time could fail; the docs cannot).
         self._docs: list[dict] = []
         self._log_entries = 0
-        self._log_file = None
 
     # -- appending ------------------------------------------------------
     def append_entry(self, entry: LedgerEntry) -> int:
@@ -167,10 +184,7 @@ class ChargeJournal:
         """
         seq = self.last_seq + 1
         doc = entry_to_doc(seq, entry)
-        handle = self._ensure_log_open()
-        handle.write(_frame(_entry_blob(doc)))
-        handle.flush()
-        os.fsync(handle.fileno())
+        self._frames.append(_entry_blob(doc))
         self.last_seq = seq
         self._docs.append(doc)
         self._log_entries += 1
@@ -184,20 +198,13 @@ class ChargeJournal:
 
     def compact(self) -> None:
         """Snapshot the full ledger and truncate the log."""
-        doc = {"last_seq": self.last_seq, "entries": list(self._docs)}
-        from repro.api.wire import encode_message
-
-        tmp_path = self._snapshot_path + ".tmp"
-        with open(tmp_path, "wb") as handle:
-            handle.write(_frame(encode_message(doc)))
-            handle.flush()
-            os.fsync(handle.fileno())
-        # Atomic replace: a crash leaves either the old snapshot or
-        # the new one, never a half-written file under the real name.
-        os.replace(tmp_path, self._snapshot_path)
-        self._fsync_directory()
+        self._frames.write_snapshot(
+            encode_message(
+                {"last_seq": self.last_seq, "entries": list(self._docs)}
+            )
+        )
         self.snapshot_seq = self.last_seq
-        self._truncate_log()
+        self._frames.truncate()
         self._log_entries = 0
 
     # -- recovery -------------------------------------------------------
@@ -208,8 +215,9 @@ class ChargeJournal:
         tail when one was found: the owning accountant must *charge*
         it (``torn_epsilon`` is None when not even the epsilon bytes
         were salvageable — charge the whole remaining budget).  The
-        torn bytes are truncated from disk here; the caller re-journals
-        the salvaged charge as a clean frame via :meth:`append_entry`.
+        scan has already cut the torn bytes from disk; the caller
+        re-journals the salvaged charge as a clean frame via
+        :meth:`append_entry`.
         """
         report = {
             "snapshot_seq": 0,
@@ -217,12 +225,20 @@ class ChargeJournal:
             "torn_bytes": 0,
             "torn_epsilon": None,
         }
-        snapshot = self._read_snapshot()
+        try:
+            snapshot = self._frames.read_snapshot(decode_message)
+        except FrameError as exc:
+            # Serving with a reset ledger would be a privacy violation;
+            # refuse loudly instead.
+            raise BudgetJournalError(
+                f"budget {exc}; the spent budget cannot be reconstructed "
+                "from it"
+            ) from exc
         if snapshot is not None:
             self._docs = [dict(d) for d in snapshot.get("entries") or []]
             self.last_seq = self.snapshot_seq = int(snapshot["last_seq"])
             report["snapshot_seq"] = self.snapshot_seq
-        docs, good_bytes, total_bytes = self._read_log()
+        docs, torn = self._frames.scan(_blob_doc)
         for doc in docs:
             seq = int(doc["seq"])
             if seq <= self.snapshot_seq:
@@ -231,131 +247,22 @@ class ChargeJournal:
                 continue
             if seq != self.last_seq + 1:
                 raise BudgetJournalError(
-                    f"budget journal {self._log_path} has a sequence "
-                    f"gap: entry {seq} follows {self.last_seq}; charges "
-                    "are missing and the spent budget cannot be trusted"
+                    f"budget journal {self._frames.log_path} has a "
+                    f"sequence gap: entry {seq} follows {self.last_seq}; "
+                    "charges are missing and the spent budget cannot be "
+                    "trusted"
                 )
             self._docs.append(doc)
             self.last_seq = seq
             self._log_entries += 1
             report["replayed"] += 1
-        if good_bytes < total_bytes:
-            report["torn_bytes"] = total_bytes - good_bytes
-            report["torn_epsilon"] = self._salvage_epsilon(good_bytes)
-            self._close_log()
-            with open(self._log_path, "r+b") as handle:
-                handle.truncate(good_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
+        if torn:
+            report["torn_bytes"] = len(torn)
+            report["torn_epsilon"] = _salvage_epsilon(torn)
         return list(self._docs), report
 
-    def _salvage_epsilon(self, good_bytes: int) -> float | None:
-        """The torn tail's epsilon, from its raw leading float bytes.
-
-        Only a finite positive value is trusted; anything else returns
-        None and the caller assumes the worst (full remaining budget).
-        """
-        with open(self._log_path, "rb") as handle:
-            handle.seek(good_bytes)
-            tail = handle.read()
-        body = tail[_ENTRY_PREFIX.size :]
-        if len(body) < _EPSILON_PREFIX.size:
-            return None
-        (epsilon,) = _EPSILON_PREFIX.unpack_from(body, 0)
-        if not math.isfinite(epsilon) or epsilon <= 0:
-            return None
-        return float(epsilon)
-
-    def _read_snapshot(self) -> dict | None:
-        try:
-            with open(self._snapshot_path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return None
-        if len(data) < _ENTRY_PREFIX.size:
-            raise BudgetJournalError(
-                f"budget snapshot {self._snapshot_path} is truncated"
-            )
-        length, crc = _ENTRY_PREFIX.unpack_from(data, 0)
-        blob = data[_ENTRY_PREFIX.size : _ENTRY_PREFIX.size + length]
-        if len(blob) != length or zlib.crc32(blob) != crc:
-            # Serving with a reset ledger would be a privacy violation;
-            # refuse loudly instead.
-            raise BudgetJournalError(
-                f"budget snapshot {self._snapshot_path} fails its "
-                "integrity check; the spent budget cannot be "
-                "reconstructed from it"
-            )
-        from repro.api.wire import WireError
-
-        try:
-            return _decode_blob(blob)
-        except (WireError, EOFError) as exc:
-            raise BudgetJournalError(
-                f"budget snapshot {self._snapshot_path} does not "
-                f"decode: {exc}"
-            ) from exc
-
-    def _read_log(self) -> tuple[list[dict], int, int]:
-        """Parse the log; returns ``(docs, good_bytes, total_bytes)``.
-
-        Parsing stops at the first frame failing its length or CRC
-        check — everything after an interrupted write is the torn tail
-        the *accountant* must charge, not replay.
-        """
-        from repro.api.wire import WireError
-
-        try:
-            with open(self._log_path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return [], 0, 0
-        docs, pos = [], 0
-        while pos + _ENTRY_PREFIX.size <= len(data):
-            length, crc = _ENTRY_PREFIX.unpack_from(data, pos)
-            end = pos + _ENTRY_PREFIX.size + length
-            if end > len(data):
-                break  # torn tail
-            blob = data[pos + _ENTRY_PREFIX.size : end]
-            if zlib.crc32(blob) != crc:
-                break
-            try:
-                docs.append(_blob_doc(blob))
-            except (WireError, EOFError):
-                break
-            pos = end
-        return docs, pos, len(data)
-
-    # -- plumbing -------------------------------------------------------
-    def _ensure_log_open(self):
-        if self._log_file is None:
-            self._log_file = open(self._log_path, "ab")
-        return self._log_file
-
-    def _truncate_log(self) -> None:
-        self._close_log()
-        with open(self._log_path, "wb") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._fsync_directory()
-
-    def _fsync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def _close_log(self) -> None:
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
-
     def close(self) -> None:
-        self._close_log()
+        self._frames.close()
 
     def __enter__(self) -> "ChargeJournal":
         return self

@@ -295,8 +295,10 @@ def _fleet_endpoint_main(conn, table_doc: dict, spec_doc: dict) -> None:
     """One replica child: build, recover, serve, drain on SIGTERM.
 
     Module-level so it pickles under any multiprocessing start method.
-    The bound address goes back through ``conn`` once serving is
-    possible; SIGTERM routes through KeyboardInterrupt so the drain
+    The bound address goes back through ``conn`` only after the WAL
+    has replayed and the socket is bound and listening — it is the
+    supervisor's readiness signal (``health()["ready"]``), so a client
+    that waits for it can connect at once; SIGTERM routes through KeyboardInterrupt so the drain
     and WAL close run exactly as they do for Ctrl-C.
     """
     from repro.service.rpc import RpcServer
@@ -337,6 +339,7 @@ class _ChildState:
         "process",
         "conn",
         "address",
+        "ready",
         "started_at",
         "restarts",
         "attempt",
@@ -349,6 +352,8 @@ class _ChildState:
         self.process = None
         self.conn = None
         self.address = None
+        #: True once *this* incarnation has reported its bound address.
+        self.ready = False
         self.started_at = 0.0
         self.restarts = 0
         self.attempt = 0
@@ -412,6 +417,7 @@ class FleetSupervisor:
 
     def _spawn(self, state: _ChildState, wait: bool) -> None:
         spec = state.spec
+        state.ready = False
         if state.address is not None:
             # Restarts rebind the address clients already know.
             spec_doc = {
@@ -444,6 +450,7 @@ class FleetSupervisor:
                     state.address = tuple(state.conn.recv())
                 except (EOFError, OSError):
                     return False
+                state.ready = True
                 return True
             if not state.process.is_alive():
                 return False
@@ -527,12 +534,21 @@ class FleetSupervisor:
 
     # -- introspection --------------------------------------------------
     def health(self) -> dict[str, dict]:
-        """Per-endpoint liveness: the ``cluster`` subcommand's printout."""
+        """Per-endpoint liveness: the ``cluster`` subcommand's printout.
+
+        ``alive`` is only "the process exists" — a restarted child is
+        alive before it has bound its port.  ``ready`` is the state to
+        wait on before connecting: the current incarnation is alive
+        *and* has sent its address, which the child does after
+        binding, listening and replaying its WAL.
+        """
         out = {}
         for name, state in self._children.items():
             process = state.process
+            alive = bool(process is not None and process.is_alive())
             out[name] = {
-                "alive": bool(process is not None and process.is_alive()),
+                "alive": alive,
+                "ready": alive and state.ready,
                 "address": state.address,
                 "pid": process.pid if process is not None else None,
                 "restarts": state.restarts,

@@ -26,16 +26,6 @@ Protocol: each exchange is one framed request message
 ``append_records`` new rows (list of records, or a columns mapping of
                    arrays) -> tail shard index
 ``expire_prefix``  drop the n oldest records -> touched shard indices
-``ingest``         stage an append batch in the server-side group-
-                   commit buffer *without* logging it; bounded queue
-                   (``ingest_queue`` events) — a batch that would
-                   overflow is refused with ``accepted: false``
-                   (backpressure), and staging past the
-                   ``ingest_flush_events`` watermark flushes inline
-``flush``          group-commit every staged batch as **one** WAL
-                   entry (``merge_append_payloads``) -> events/seq;
-                   staged events are durable only from this ack on
-``ingest_status``  staged event/batch counts + the queue bounds
 ``prepare_write``  stage a replicated write (``write_id`` + op +
                    payload) without applying it; first half of the
                    cluster commit protocol
@@ -105,8 +95,6 @@ from repro.service.wal import (
     MemoryWal,
     apply_write,
     database_columns,
-    merge_append_payloads,
-    payload_events,
     validate_payload,
 )
 
@@ -326,8 +314,6 @@ class RpcServer:
         read_timeout: float | None = None,
         idempotency_limit: int = 1024,
         wal=None,
-        ingest_queue: int = 4096,
-        ingest_flush_events: int | None = None,
         admission_limit: int | None = None,
         admission_retry_after: float = 0.05,
     ):
@@ -335,10 +321,6 @@ class RpcServer:
             raise ValueError("read_timeout must be positive (or None)")
         if idempotency_limit < 1:
             raise ValueError("idempotency_limit must be at least 1")
-        if ingest_queue < 1:
-            raise ValueError("ingest_queue must be at least 1")
-        if ingest_flush_events is not None and ingest_flush_events < 1:
-            raise ValueError("ingest_flush_events must be at least 1")
         if admission_limit is not None and admission_limit < 1:
             raise ValueError("admission_limit must be at least 1 (or None)")
         if admission_retry_after <= 0:
@@ -354,18 +336,6 @@ class RpcServer:
         # Staged prepares: write_id -> (wop, payload), LRU-bounded.
         self._pending_lock = threading.Lock()
         self._pending: OrderedDict[str, tuple] = OrderedDict()
-        # Server-side group-commit staging: validated-but-unlogged
-        # append payloads awaiting a flush.  Mutated only under the
-        # exclusive lock (ingest/flush are write ops); staged events
-        # are NOT durable — durability begins at the flush ack.
-        self.ingest_queue = int(ingest_queue)
-        self.ingest_flush_events = (
-            self.ingest_queue
-            if ingest_flush_events is None
-            else int(ingest_flush_events)
-        )
-        self._ingest_batches: list[dict] = []
-        self._ingest_events = 0
         self._lock = ReadWriteLock(max_readers=max_readers)
         self._tcp = _ThreadedTCPServer((host, port), _Handler)
         self._tcp.rpc = self  # type: ignore[attr-defined]
@@ -655,22 +625,12 @@ class RpcServer:
             "prepare_write",
             "wal_status",
             "sync_range",
-            "ingest_status",
         }
     )
     #: Ops that mutate the data; exclusive — no release may be mid-
-    #: flight while shards extend or trim.  ``ingest`` only stages, but
-    #: its watermark may flush inline, so it takes the exclusive side
-    #: too (staging is cheap; the lock cost is the flush it amortizes).
+    #: flight while shards extend or trim.
     WRITE_OPS = frozenset(
-        {
-            "append_records",
-            "expire_prefix",
-            "commit_write",
-            "sync_apply",
-            "ingest",
-            "flush",
-        }
+        {"append_records", "expire_prefix", "commit_write", "sync_apply"}
     )
 
     def dispatch(self, message, received_at: float | None = None):
@@ -759,13 +719,6 @@ class RpcServer:
             return stats
         if op == "prepare_write":
             return self._prepare_write(message)
-        if op == "ingest_status":
-            return {
-                "pending_events": self._ingest_events,
-                "pending_batches": len(self._ingest_batches),
-                "queue": self.ingest_queue,
-                "flush_events": self.ingest_flush_events,
-            }
         if op == "wal_status":
             return self._wal_status()
         if op == "sync_range":
@@ -783,104 +736,8 @@ class RpcServer:
             return result
         if op == "commit_write":
             return self._commit_write(message)
-        if op == "ingest":
-            return self._ingest(message)
-        if op == "flush":
-            return self._flush_ingest(message)
         assert op == "sync_apply"
         return self._sync_apply(message)
-
-    # ------------------------------------------------------------------
-    # Group-commit ingest (server-side staging)
-    # ------------------------------------------------------------------
-    def _ingest(self, message):
-        """Stage one append batch; flush inline past the watermark.
-
-        Validation runs at staging time so a flush can never be
-        poisoned by a batch it already accepted.  A batch that would
-        push the staged total past ``ingest_queue`` is refused —
-        ``accepted: false`` is the backpressure signal; the client
-        flushes (or waits) and resends.
-        """
-        payload = _write_payload("append_records", message)
-        validate_payload("append_records", payload)
-        n = payload_events(payload)
-        if self._ingest_events + n > self.ingest_queue:
-            return {
-                "accepted": False,
-                "pending": self._ingest_events,
-                "queue": self.ingest_queue,
-            }
-        self._ingest_batches.append(payload)
-        self._ingest_events += n
-        doc = {
-            "accepted": True,
-            "pending": self._ingest_events,
-            "flushed": False,
-            "seq": None,
-        }
-        if self._ingest_events >= self.ingest_flush_events:
-            flushed = self._flush_ingest({})
-            doc.update(
-                pending=0, flushed=True, seq=flushed["seq"],
-                events=flushed["events"],
-            )
-        return doc
-
-    def _flush_ingest(self, message):
-        """Group-commit every staged batch as one logged write.
-
-        The batches merge into a single ``append_records`` WAL entry
-        (one fsync for the whole group — the throughput win), applied
-        under the exclusive lock already held.  Unmergeable batch sets
-        (mixed records/columns shapes) degrade to one entry per batch.
-        A failed flush restores the unlogged batches to the buffer:
-        staged events are only dropped once their entry is durable.
-        """
-        batches = self._ingest_batches
-        events = self._ingest_events
-        self._ingest_batches, self._ingest_events = [], 0
-        if not batches:
-            return {"events": 0, "batches": 0, "seq": None, "pending": 0}
-        try:
-            merged = merge_append_payloads(batches)
-        except ValueError:
-            merged = None
-        if merged is not None:
-            try:
-                seq, _result = self._apply_logged(
-                    "append_records", merged,
-                    write_id=message.get("write_id"),
-                )
-            except BaseException:
-                self._ingest_batches = batches + self._ingest_batches
-                self._ingest_events += events
-                raise
-            return {
-                "events": events,
-                "batches": len(batches),
-                "seq": seq,
-                "pending": self._ingest_events,
-            }
-        seq = None
-        done = 0
-        try:
-            for batch in batches:
-                seq, _result = self._apply_logged("append_records", batch)
-                done += 1
-        except BaseException:
-            remainder = batches[done:]
-            self._ingest_batches = remainder + self._ingest_batches
-            self._ingest_events += sum(
-                payload_events(b) for b in remainder
-            )
-            raise
-        return {
-            "events": events,
-            "batches": len(batches),
-            "seq": seq,
-            "pending": self._ingest_events,
-        }
 
     # ------------------------------------------------------------------
     # The durable write path (WAL + commit protocol)
@@ -1081,16 +938,6 @@ def _stamp_analyst(request, message):
     if analyst and not request.analyst:
         return dataclasses.replace(request, analyst=str(analyst))
     return request
-
-
-def _records_from_wire(message):
-    """An append payload: a columns mapping of arrays, or row dicts."""
-    columns = message.get("columns")
-    if columns is not None:
-        from repro.data.columnar import ColumnarDatabase
-
-        return ColumnarDatabase(dict(columns))
-    return list(message["records"])
 
 
 def _write_payload(wop: str, message) -> dict:

@@ -9,11 +9,11 @@ with the write intact.  This module is that guarantee:
 * Every write is serialized with the PR-4 wire codec
   (:func:`repro.api.wire.encode_message` — the same JSON-header +
   raw-ndarray framing the socket speaks), assigned a monotonically
-  increasing per-range **sequence number**, framed as
-  ``[u32 length][u32 crc32][blob]``, and **fsync'd before the endpoint
-  acks**.  The sequence numbers double as the replica-divergence
-  detector and the resync cursor (``sync_range`` ships "entries after
-  seq N").
+  increasing per-range **sequence number**, framed and **fsync'd
+  before the endpoint acks** (frame format and every durability flush:
+  :mod:`repro.service.framelog`).  The sequence numbers double as the
+  replica-divergence detector and the resync cursor (``sync_range``
+  ships "entries after seq N").
 * On startup :meth:`WriteAheadLog.recover` replays the log onto a
   freshly built server: load the last snapshot (if any), then apply
   every entry past it, so a SIGKILL'd endpoint comes back at exactly
@@ -45,21 +45,13 @@ serialization the sequence numbers rely on anyway.
 from __future__ import annotations
 
 import os
-import struct
 import zlib
 from collections import OrderedDict
 
 import numpy as np
 
-from repro.api.wire import (
-    WireError,
-    encode_message,
-    recv_frame_prefix,
-    recv_message_body,
-)
-
-#: On-disk entry framing: payload byte count, then CRC32 of the payload.
-_ENTRY_PREFIX = struct.Struct(">II")
+from repro.api.wire import encode_message
+from repro.service.framelog import FrameError, FrameLog, decode_message
 
 #: The write operations a WAL entry may carry.
 WAL_OPS = frozenset({"append_records", "expire_prefix"})
@@ -67,32 +59,6 @@ WAL_OPS = frozenset({"append_records", "expire_prefix"})
 
 class WalError(RuntimeError):
     """A corrupt WAL structure or a sequencing violation."""
-
-
-class _BytesReader:
-    """A ``recv``-shaped view over bytes, so the socket-frame decoder
-    (:func:`repro.api.wire.recv_message_body`) doubles as the on-disk
-    blob decoder — one codec, two transports."""
-
-    __slots__ = ("_view", "_pos")
-
-    def __init__(self, data: bytes):
-        self._view = memoryview(data)
-        self._pos = 0
-
-    def recv(self, n: int) -> bytes:
-        chunk = self._view[self._pos : self._pos + n]
-        self._pos += len(chunk)
-        return bytes(chunk)
-
-
-def _decode_blob(blob: bytes):
-    reader = _BytesReader(blob)
-    return recv_message_body(reader, recv_frame_prefix(reader))
-
-
-def _frame(blob: bytes) -> bytes:
-    return _ENTRY_PREFIX.pack(len(blob), zlib.crc32(blob)) + blob
 
 
 def records_from_payload(payload):
@@ -105,60 +71,6 @@ def records_from_payload(payload):
             {str(k): np.asarray(v) for k, v in dict(columns).items()}
         )
     return list(payload["records"])
-
-
-def payload_events(payload) -> int:
-    """The number of records an ``append_records`` payload carries."""
-    columns = payload.get("columns")
-    if columns is not None:
-        cols = dict(columns)
-        if not cols:
-            return 0
-        return len(np.asarray(next(iter(cols.values()))))
-    return len(payload["records"])
-
-
-def merge_append_payloads(payloads) -> dict:
-    """Coalesce several ``append_records`` payloads into one.
-
-    The group-commit merge: a flush of N staged ingest batches logs
-    **one** WAL entry whose apply is bit-identical to applying the
-    batches in order — column concatenation and record-list
-    concatenation both preserve arrival order, and the engine's own
-    append path concatenates the same way.  All-columns payloads merge
-    by concatenating each column (the batches must agree on the column
-    set); all-records payloads merge their record lists.  Raises
-    :class:`ValueError` on an empty or mixed set — the caller falls
-    back to logging the batches individually.
-    """
-    payloads = list(payloads)
-    if not payloads:
-        raise ValueError("nothing to merge")
-    if len(payloads) == 1:
-        return payloads[0]
-    if all(p.get("columns") is not None for p in payloads):
-        column_maps = [dict(p["columns"]) for p in payloads]
-        names = list(column_maps[0])
-        for cols in column_maps[1:]:
-            if set(cols) != set(names):
-                raise ValueError(
-                    "ingest batches disagree on column sets; cannot "
-                    "merge into one group commit"
-                )
-        return {
-            "columns": {
-                name: np.concatenate(
-                    [np.asarray(cols[name]) for cols in column_maps]
-                )
-                for name in names
-            }
-        }
-    if all(p.get("columns") is None for p in payloads):
-        merged: list = []
-        for p in payloads:
-            merged.extend(p["records"])
-        return {"records": merged}
-    raise ValueError("cannot merge columns and records payloads")
 
 
 def validate_payload(wop: str, payload, db=None) -> None:
@@ -342,7 +254,8 @@ class MemoryWal:
             (str(wid), {"seq": int(seq), "result": result})
             for wid, seq, result in (applied or [])
         )
-        self._rewrite_storage(columns)
+        self._write_snapshot(columns)
+        self._truncate_log()
 
     def status(self) -> dict:
         return {
@@ -399,9 +312,6 @@ class MemoryWal:
     def _truncate_log(self) -> None:
         pass
 
-    def _rewrite_storage(self, columns: dict) -> None:
-        pass
-
     def __enter__(self):
         return self
 
@@ -429,124 +339,33 @@ class WriteAheadLog(MemoryWal):
             snapshot_every=snapshot_every, applied_limit=applied_limit
         )
         self.directory = os.fspath(directory)
-        os.makedirs(self.directory, exist_ok=True)
-        self._log_path = os.path.join(self.directory, self.LOG_NAME)
-        self._snapshot_path = os.path.join(self.directory, self.SNAPSHOT_NAME)
-        self._log_file = None
+        self._frames = FrameLog(
+            self.directory, self.LOG_NAME, self.SNAPSHOT_NAME
+        )
 
-    # -- storage --------------------------------------------------------
-    def _ensure_log_open(self):
-        if self._log_file is None:
-            self._log_file = open(self._log_path, "ab")
-        return self._log_file
-
+    # -- storage hooks: the bytes live in the FrameLog -----------------
     def _persist(self, entry: dict) -> None:
-        handle = self._ensure_log_open()
-        handle.write(_frame(encode_message(entry)))
-        handle.flush()
-        # The ack contract: the entry is on stable storage before the
-        # caller (and ultimately the coordinator) sees success.
-        os.fsync(handle.fileno())
+        self._frames.append(encode_message(entry))
 
     def _write_snapshot(self, columns: dict) -> None:
-        doc = {
-            "last_seq": self.last_seq,
-            "chain": self.chain,
-            "applied": self.applied_export(),
-            "columns": columns,
-        }
-        tmp_path = self._snapshot_path + ".tmp"
-        with open(tmp_path, "wb") as handle:
-            handle.write(_frame(encode_message(doc)))
-            handle.flush()
-            os.fsync(handle.fileno())
-        # Atomic replace: a crash leaves either the old snapshot or the
-        # new one, never a half-written file under the real name.
-        os.replace(tmp_path, self._snapshot_path)
-        self._fsync_directory()
+        self._frames.write_snapshot(
+            encode_message(
+                {
+                    "last_seq": self.last_seq,
+                    "chain": self.chain,
+                    "applied": self.applied_export(),
+                    "columns": columns,
+                }
+            )
+        )
 
     def _truncate_log(self) -> None:
-        self._close_log()
-        with open(self._log_path, "wb") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._fsync_directory()
-
-    def _rewrite_storage(self, columns: dict) -> None:
-        self._write_snapshot(columns)
-        self._truncate_log()
-
-    def _fsync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def _close_log(self) -> None:
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
+        self._frames.truncate()
 
     def close(self) -> None:
-        self._close_log()
+        self._frames.close()
 
     # -- recovery -------------------------------------------------------
-    def _read_snapshot(self) -> dict | None:
-        try:
-            with open(self._snapshot_path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return None
-        if len(data) < _ENTRY_PREFIX.size:
-            raise WalError(f"snapshot {self._snapshot_path} is truncated")
-        length, crc = _ENTRY_PREFIX.unpack_from(data, 0)
-        blob = data[_ENTRY_PREFIX.size : _ENTRY_PREFIX.size + length]
-        if len(blob) != length or zlib.crc32(blob) != crc:
-            # Unlike a torn log tail (never acked, safe to drop), a bad
-            # snapshot means acked state may be unrecoverable — refuse
-            # loudly rather than silently serve pre-snapshot data.
-            raise WalError(
-                f"snapshot {self._snapshot_path} fails its integrity "
-                "check; acked state cannot be reconstructed from it"
-            )
-        try:
-            return _decode_blob(blob)
-        except (WireError, EOFError) as exc:
-            raise WalError(
-                f"snapshot {self._snapshot_path} does not decode: {exc}"
-            ) from exc
-
-    def _read_log(self) -> tuple[list[dict], int, int]:
-        """Parse the log; returns ``(entries, good_bytes, total_bytes)``.
-
-        Parsing stops at the first frame that fails its length or CRC
-        check — everything after an interrupted write is untrusted.
-        """
-        try:
-            with open(self._log_path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return [], 0, 0
-        entries, pos = [], 0
-        while pos + _ENTRY_PREFIX.size <= len(data):
-            length, crc = _ENTRY_PREFIX.unpack_from(data, pos)
-            end = pos + _ENTRY_PREFIX.size + length
-            if end > len(data):
-                break  # torn tail: the crash interrupted this write
-            blob = data[pos + _ENTRY_PREFIX.size : end]
-            if zlib.crc32(blob) != crc:
-                break
-            try:
-                entries.append(_decode_blob(blob))
-            except (WireError, EOFError):
-                break
-            pos = end
-        return entries, pos, len(data)
-
     def recover(self, server) -> dict:
         """Replay snapshot + log onto a freshly built server.
 
@@ -554,8 +373,8 @@ class WriteAheadLog(MemoryWal):
         data the endpoint was originally built with: a snapshot (when
         present) replaces that state wholesale, then every retained
         entry past it re-applies in sequence order.  The log's torn
-        tail (if any) is truncated on disk so subsequent appends start
-        from a clean frame boundary.
+        tail (if any) was never acked: the scan truncates it on disk
+        and it is dropped here, only its size reported.
         """
         report = {
             "snapshot_seq": 0,
@@ -563,7 +382,15 @@ class WriteAheadLog(MemoryWal):
             "skipped": 0,
             "truncated_bytes": 0,
         }
-        snapshot = self._read_snapshot()
+        try:
+            snapshot = self._frames.read_snapshot(decode_message)
+        except FrameError as exc:
+            # Unlike a torn log tail (never acked, safe to drop), a bad
+            # snapshot means acked state may be unrecoverable — refuse
+            # loudly rather than silently serve pre-snapshot data.
+            raise WalError(
+                f"{exc}; acked state cannot be reconstructed from it"
+            ) from exc
         if snapshot is not None:
             from repro.data.columnar import ColumnarDatabase
 
@@ -582,7 +409,8 @@ class WriteAheadLog(MemoryWal):
                 for wid, seq, result in snapshot.get("applied") or []
             )
             report["snapshot_seq"] = self.snapshot_seq
-        entries, good_bytes, total_bytes = self._read_log()
+        entries, torn = self._frames.scan(decode_message)
+        report["truncated_bytes"] = len(torn)
         for entry in entries:
             seq = int(entry["seq"])
             if seq <= self.last_seq:
@@ -592,8 +420,8 @@ class WriteAheadLog(MemoryWal):
                 continue
             if seq != self.last_seq + 1:
                 raise WalError(
-                    f"wal {self._log_path} has a sequence gap: entry "
-                    f"{seq} follows {self.last_seq}"
+                    f"wal {self._frames.log_path} has a sequence gap: "
+                    f"entry {seq} follows {self.last_seq}"
                 )
             # Recompute the chain rather than trusting the stored one —
             # the link structure is what certifies an unbroken history.
@@ -614,11 +442,4 @@ class WriteAheadLog(MemoryWal):
             else:
                 self.record_result(entry.get("write_id"), seq, result)
                 report["replayed"] += 1
-        if good_bytes < total_bytes:
-            report["truncated_bytes"] = total_bytes - good_bytes
-            self._close_log()
-            with open(self._log_path, "r+b") as handle:
-                handle.truncate(good_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
         return report

@@ -30,11 +30,7 @@ from repro.core.accountant import PrivacyAccountant
 from repro.core.policy import AllSensitivePolicy, OptInPolicy
 from repro.data.columnar import ColumnarDatabase
 from repro.data.database import Database
-from repro.mechanisms.base import (
-    HistogramMechanism,
-    register_release_source,
-    resolve_histogram_source,
-)
+from repro.mechanisms.base import HistogramMechanism
 from repro.mechanisms.laplace import LaplaceHistogram
 from repro.mechanisms.osdp_laplace import OsdpLaplaceL1Histogram
 from repro.queries.histogram import (
@@ -224,58 +220,8 @@ class TestMechanismRun:
             LaplaceHistogram(0.5).run(_db(100), np.random.default_rng(0))
 
     def test_run_rejects_unknown_sources(self):
-        with pytest.raises(TypeError, match="register_release_source"):
+        with pytest.raises(TypeError, match="cannot build a histogram input"):
             LaplaceHistogram(0.5).run(42, np.random.default_rng(0))
-
-    def test_register_release_source_extends_dispatch(self):
-        class PreCounted:
-            def __init__(self, x, x_ns):
-                self.x, self.x_ns = x, x_ns
-
-        register_release_source(
-            lambda source: isinstance(source, PreCounted),
-            lambda source, query, policy: HistogramInput.from_arrays(
-                source.x, source.x_ns
-            ),
-        )
-        try:
-            source = PreCounted([5, 3, 0], [2, 3, 0])
-            hist = resolve_histogram_source(source, None, None)
-            assert np.array_equal(hist.x, [5, 3, 0])
-            out = LaplaceHistogram(0.5).run(source, np.random.default_rng(0))
-            assert out.shape == (3,)
-        finally:
-            from repro.mechanisms import base as base_module
-
-            base_module._SOURCE_BUILDERS.pop()
-
-    def test_deprecated_shims_still_work_and_warn(self):
-        db = _db(400)
-        mech = OsdpLaplaceL1Histogram(0.5)
-        with pytest.warns(DeprecationWarning, match="release_from_database"):
-            single = mech.release_from_database(
-                db, HistogramQuery(BINNING), OptInPolicy(),
-                np.random.default_rng(7),
-            )
-        assert np.array_equal(
-            single,
-            mech.run(
-                db, np.random.default_rng(7),
-                binning=BINNING, policy=OptInPolicy(),
-            ),
-        )
-        with pytest.warns(DeprecationWarning, match="release_batch_from_database"):
-            batch = mech.release_batch_from_database(
-                db, HistogramQuery(BINNING), OptInPolicy(),
-                np.random.default_rng(7), 3,
-            )
-        assert np.array_equal(
-            batch,
-            mech.run(
-                db, np.random.default_rng(7), n_trials=3,
-                binning=BINNING, policy=OptInPolicy(),
-            ),
-        )
 
 
 class TestPublicApiSnapshot:
@@ -329,9 +275,9 @@ class TestPublicApiSnapshot:
         for name in repro.__all__:
             assert getattr(repro, name) is not None
 
-    def test_mechanism_surface_is_run_plus_shims(self):
-        # The dispatch contract: `run` is the entry point; the old
-        # database entry points exist only as deprecation shims.
+    def test_mechanism_surface_is_run_alone(self):
+        # The dispatch contract: `run` is the one entry point; the old
+        # per-database entry points are gone, not shimmed.
         assert hasattr(HistogramMechanism, "run")
-        for shim in ("release_from_database", "release_batch_from_database"):
-            assert "Deprecated" in getattr(HistogramMechanism, shim).__doc__
+        for gone in ("release_from_database", "release_batch_from_database"):
+            assert not hasattr(HistogramMechanism, gone)

@@ -158,7 +158,7 @@ class TestSupervisor:
             supervisor.start()
             health = supervisor.health()
             assert set(health) == {"lo-r0", "hi-r0"}
-            assert all(doc["alive"] for doc in health.values())
+            assert all(doc["ready"] for doc in health.values())
             endpoints = supervisor.endpoints()
             assert [ep.shard_range for ep in endpoints] == [
                 (0, 300), (300, 600),
@@ -171,7 +171,8 @@ class TestSupervisor:
             assert any("lo-r0 serving [0,300)" in line for line in banner)
             supervisor.drain(grace=5.0)
             assert not any(
-                doc["alive"] for doc in supervisor.health().values()
+                doc["alive"] or doc["ready"]
+                for doc in supervisor.health().values()
             )
 
     def test_sigkilled_child_restarts_on_its_port(self):
@@ -184,7 +185,7 @@ class TestSupervisor:
             while True:
                 doc = supervisor.health()["lo-r0"]
                 if (
-                    doc["alive"]
+                    doc["ready"]
                     and doc["pid"] != victim["pid"]
                     and doc["restarts"] == 1
                 ):

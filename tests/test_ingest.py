@@ -12,10 +12,9 @@ release period is an instant, exact assertion:
 * **Bit-identity** — a streamed telemetry ingest (with and without
   retention) lands the exact column state of a cold batch load of the
   same final window, on the in-process and socket paths alike.
-* **The server-side group commit** (``rpc`` lane) — ``ingest`` stages
-  without logging, backpressure refuses an overflowing batch, the
-  watermark flush coalesces every staged batch into **one** WAL entry,
-  and (``faults`` lane) SIGKILL of a replica mid-stream loses no acked
+* **The group commit over the wire** (``rpc`` lane) — each buffer flush
+  is one ``append_records`` call and one fsync'd WAL entry, and
+  (``faults`` lane) SIGKILL of a replica mid-stream loses no acked
   events: WAL replay plus resync restore the victim bit-identically.
 """
 
@@ -81,9 +80,12 @@ class RecordingTarget:
         return [0]
 
 
-def _live_columns(client) -> ColumnarDatabase:
-    db = client.backend.server.db
+def _columnar(db) -> ColumnarDatabase:
     return db.to_columnar() if hasattr(db, "to_columnar") else db
+
+
+def _live_columns(client) -> ColumnarDatabase:
+    return _columnar(client.backend.server.db)
 
 
 def _assert_same_columns(live, cold) -> None:
@@ -346,113 +348,35 @@ class TestStreamingPipeline:
 
 
 # ----------------------------------------------------------------------
-# The server-side group commit over the wire (rpc lane)
+# The group commit over the wire (rpc lane)
 # ----------------------------------------------------------------------
 
 
 @needs_sockets
 @pytest.mark.rpc
-class TestServerSideIngest:
-    def _serve(self, wal=None, **kwargs):
-        return RpcServer(
-            ReleaseServer(telemetry_database(0, CFG)), wal=wal, **kwargs
-        ).start()
-
-    def test_stage_flush_and_status_round_trip(self):
-        events = list(telemetry_events(60, CFG))
-        with self._serve() as rpc:
+class TestRemoteGroupCommit:
+    def test_each_flush_is_one_durable_wal_entry(self, tmp_path):
+        """The one group-commit layer, over a socket: every
+        `IngestBuffer` flush is one `append_records` call, hence one
+        fsync'd WAL entry — durable from its ack, replayable alone."""
+        n = 300
+        server = ReleaseServer(telemetry_database(0, CFG))
+        with RpcServer(server, wal=WriteAheadLog(tmp_path)).start() as rpc:
             with OsdpClient.connect(*rpc.address) as client:
-                backend = client.backend
-                staged = backend.ingest(events[:25])
-                assert staged == {
-                    "accepted": True, "pending": 25,
-                    "flushed": False, "seq": None,
-                }
-                status = backend.ingest_status()
-                assert status["pending_events"] == 25
-                assert status["pending_batches"] == 1
-                report = backend.flush_ingest()
-                assert report["events"] == 25 and report["batches"] == 1
-                assert report["seq"] == 1 and report["pending"] == 0
-                # An empty flush is a cheap no-op, not an error.
-                assert backend.flush_ingest()["seq"] is None
-
-    def test_watermark_flush_coalesces_to_one_wal_entry(self, tmp_path):
-        events = list(telemetry_events(300, CFG))
-        with self._serve(
-            wal=WriteAheadLog(tmp_path),
-            ingest_queue=1000,
-            ingest_flush_events=225,
-        ) as rpc:
-            with OsdpClient.connect(*rpc.address) as client:
-                backend = client.backend
-                for lo in range(0, 200, 50):  # four batches stay staged
-                    assert not backend.ingest(events[lo:lo + 50])["flushed"]
-                assert rpc.wal.last_seq == 0  # staged != durable
-                # The fifth crosses the watermark: ONE entry for all 250.
-                report = backend.ingest(events[200:250])
-                assert report["flushed"] and report["events"] == 250
-                assert rpc.wal.last_seq == 1
-                backend.ingest(events[250:300])
-                backend.flush_ingest()
-                assert rpc.wal.last_seq == 2
-                _assert_same_columns(
-                    rpc.release_server.db.to_columnar()
-                    if hasattr(rpc.release_server.db, "to_columnar")
-                    else rpc.release_server.db,
-                    telemetry_database(300, CFG),
-                )
-        # ...and the whole stream replays from the two group commits.
+                with client.open_stream(
+                    max_events=128, clock=FakeClock()
+                ) as stream:
+                    for event in telemetry_events(n, CFG):
+                        stream.submit(event)
+                assert stream.buffer.flushes == 3  # 128 + 128 + 44
+                assert client.backend.wal_status()["last_seq"] == 3
+            _assert_same_columns(
+                _columnar(server.db), telemetry_database(n, CFG)
+            )
         fresh = ReleaseServer(telemetry_database(0, CFG))
         with WriteAheadLog(tmp_path) as wal2:
-            assert wal2.recover(fresh)["replayed"] == 2
-        _assert_same_columns(
-            fresh.db.to_columnar()
-            if hasattr(fresh.db, "to_columnar")
-            else fresh.db,
-            telemetry_database(300, CFG),
-        )
-
-    def test_bounded_queue_refuses_overflow(self):
-        events = list(telemetry_events(40, CFG))
-        with self._serve(ingest_queue=10, ingest_flush_events=100) as rpc:
-            with OsdpClient.connect(*rpc.address) as client:
-                backend = client.backend
-                assert backend.ingest(events[:8])["accepted"]
-                refused = backend.ingest(events[8:13])
-                assert refused == {
-                    "accepted": False, "pending": 8, "queue": 10,
-                }
-                assert backend.ingest_status()["pending_events"] == 8
-                backend.flush_ingest()  # drain, then the batch fits
-                assert backend.ingest(events[8:13])["accepted"]
-
-    def test_remote_ingest_buffer_bit_identical_to_cold_load(self):
-        """The client-side buffer riding the server-side group commit:
-        the composed path still lands the exact cold-load state."""
-        n = 500
-        with self._serve(ingest_queue=4096, ingest_flush_events=128) as rpc:
-            with OsdpClient.connect(*rpc.address) as client:
-                backend = client.backend
-
-                class ServerIngest:
-                    def append_records(self, records):
-                        reply = backend.ingest(records)
-                        assert reply["accepted"], "queue overflow"
-                        return reply
-
-                with IngestBuffer(
-                    ServerIngest(), max_events=64, clock=FakeClock()
-                ) as buffer:
-                    buffer.extend(telemetry_events(n, CFG))
-                backend.flush_ingest()
-                live = rpc.release_server.db
-                _assert_same_columns(
-                    live.to_columnar()
-                    if hasattr(live, "to_columnar")
-                    else live,
-                    telemetry_database(n, CFG),
-                )
+            assert wal2.recover(fresh)["replayed"] == 3
+        _assert_same_columns(_columnar(fresh.db), telemetry_database(n, CFG))
 
 
 # ----------------------------------------------------------------------

@@ -20,16 +20,14 @@ import pytest
 
 from repro.api.wire import encode_message
 from repro.data.columnar import ColumnarDatabase
+from repro.service.framelog import frame
 from repro.service.server import ReleaseServer
 from repro.service.wal import (
     MemoryWal,
     WalError,
     WriteAheadLog,
-    _frame,
     apply_write,
     database_columns,
-    merge_append_payloads,
-    payload_events,
     validate_payload,
 )
 
@@ -223,7 +221,7 @@ class TestRecovery:
         # A crash mid-write: a frame header promising more bytes than
         # the file holds.  It was never acked, so dropping it is right.
         with open(log_path, "ab") as handle:
-            handle.write(_frame(b"x" * 100)[:40])
+            handle.write(frame(b"x" * 100)[:40])
         fresh = _server()
         with WriteAheadLog(tmp_path) as wal2:
             report = wal2.recover(fresh)
@@ -287,63 +285,21 @@ class TestRecovery:
 
 
 class TestGroupCommit:
-    """The streaming tier's batched ingest commit: many staged appends
-    coalesce into ONE logged entry (`merge_append_payloads`)."""
-
-    def test_payload_events_counts_both_forms(self):
-        assert payload_events(_append_payload(0, 7)) == 7
-        assert payload_events({"columns": {}}) == 0
-        assert payload_events({"records": [{"age": 1}, {"age": 2}]}) == 2
-
-    def test_merge_column_payloads_concatenates_in_order(self):
-        merged = merge_append_payloads(
-            [_append_payload(0, 3), _append_payload(3, 8)]
-        )
-        reference = _append_payload(0, 8)
-        assert sorted(merged["columns"]) == sorted(reference["columns"])
-        for name, column in reference["columns"].items():
-            got = merged["columns"][name]
-            assert np.array_equal(got, column), name
-            assert got.dtype == column.dtype, name
-        assert payload_events(merged) == 8
-
-    def test_merge_record_payloads_extends_in_order(self):
-        merged = merge_append_payloads(
-            [
-                {"records": [{"age": 1, "opt_in": True}]},
-                {"records": [{"age": 2, "opt_in": False}]},
-            ]
-        )
-        assert [r["age"] for r in merged["records"]] == [1, 2]
-
-    def test_merge_rejects_empty_and_mixed_forms(self):
-        with pytest.raises(ValueError, match="nothing to merge"):
-            merge_append_payloads([])
-        with pytest.raises(ValueError):
-            merge_append_payloads(
-                [_append_payload(0, 2), {"records": [{"age": 1}]}]
-            )
-        with pytest.raises(ValueError, match="column"):
-            merge_append_payloads(
-                [_append_payload(0, 2), {"columns": {"other": np.arange(2)}}]
-            )
+    """The streaming tier's batched ingest commit: an `IngestBuffer`
+    flush is ONE multi-row `append_records` entry — a group commit *is*
+    one append, so the WAL needs no merge step of its own."""
 
     def test_group_commit_landing_on_snapshot_boundary(self, tmp_path):
-        """A merged group commit whose entry lands exactly at the
+        """A group commit whose entry lands exactly at the
         ``snapshot_every`` boundary: compaction fires on the batched
         entry, and recovery from the snapshot is bit-identical."""
         server = _server()
         with WriteAheadLog(tmp_path, snapshot_every=2) as wal:
             for group in range(2):
-                merged = merge_append_payloads(
-                    [
-                        _append_payload(lo, lo + 5)
-                        for lo in range(group * 20, group * 20 + 20, 5)
-                    ]
-                )
-                assert payload_events(merged) == 20
                 _log_and_apply(
-                    wal, server, "append_records", merged, f"g{group}"
+                    wal, server, "append_records",
+                    _append_payload(group * 20, group * 20 + 20),
+                    f"g{group}",
                 )
                 wal.maybe_compact(server)
             # The second group commit IS the boundary entry (seq 2).
@@ -365,15 +321,10 @@ class TestGroupCommit:
         ever becomes visible."""
         server = _server()
         log_path = tmp_path / WriteAheadLog.LOG_NAME
+        first, second = _append_payload(0, 30), _append_payload(30, 70)
         with WriteAheadLog(tmp_path) as wal:
-            first = merge_append_payloads(
-                [_append_payload(0, 10), _append_payload(10, 30)]
-            )
             _log_and_apply(wal, server, "append_records", first, "g1")
             acked_size = log_path.stat().st_size
-            second = merge_append_payloads(
-                [_append_payload(30, 45), _append_payload(45, 70)]
-            )
             _log_and_apply(wal, server, "append_records", second, "g2")
             full_size = log_path.stat().st_size
         # Cut the second group's frame in half, as the crash left it.
@@ -469,7 +420,7 @@ class TestCompaction:
 
 def test_frame_is_length_then_crc():
     blob = encode_message({"seq": 1})
-    framed = _frame(blob)
+    framed = frame(blob)
     assert framed[8:] == blob
     length = int.from_bytes(framed[:4], "big")
     crc = int.from_bytes(framed[4:8], "big")
