@@ -40,8 +40,10 @@ target asks for).
 The database is no longer frozen at construction: :meth:`append_records`
 extends the tail shard and :meth:`expire_prefix` trims the oldest
 records in place, bumping per-shard **version counters** so caches
-(the release server's, the worker pool's) invalidate only the affected
-shards instead of forcing a full reslice.
+(the release server's, the worker pool's) refresh only the affected
+shards instead of forcing a full reslice; :meth:`expire_plan` names the
+rows an expiry will take from each shard, for a cache that carries its
+counts forward by them.
 """
 
 from __future__ import annotations
@@ -307,30 +309,45 @@ class ShardedColumnarDatabase:
         self._recompute_bounds()
         return index
 
-    def expire_prefix(self, n_records: int) -> list[int]:
-        """Drop the ``n_records`` oldest records in place.
+    def expire_plan(self, n_records: int) -> list[tuple[int, int]]:
+        """The ``(shard index, take)`` trims ``expire_prefix(n_records)`` makes.
 
         Records are stored in arrival order, so expiry walks shards from
-        the front, trimming each (a shard fully covered by the prefix
-        becomes an empty shard — the shard count, and hence any worker
-        assignment, never changes).  Returns the indices of the shards
-        that were touched; only their versions bump.
+        the front; shards with nothing to give are skipped.  A caller
+        that must see the expired rows (the release server carries its
+        cached counts forward by their histogram) reads
+        ``shards[index].slice_records(0, take)`` *before* expiring.
         """
         if not 0 <= n_records <= self._n:
             raise ValueError(
                 f"cannot expire {n_records} of {self._n} records"
             )
+        plan: list[tuple[int, int]] = []
+        remaining = n_records
+        for index, shard in enumerate(self._shards):
+            if remaining == 0:
+                break
+            take = min(len(shard), remaining)
+            if take:
+                plan.append((index, take))
+                remaining -= take
+        return plan
+
+    def expire_prefix(self, n_records: int) -> list[int]:
+        """Drop the ``n_records`` oldest records in place.
+
+        Trims each shard of :meth:`expire_plan` (a shard fully covered
+        by the prefix becomes an empty shard — the shard count, and
+        hence any worker assignment, never changes).  Returns the
+        indices of the shards that were touched; only their versions
+        bump.
+        """
+        plan = self.expire_plan(n_records)
         hook = getattr(self._executor, "expire_shard_prefix", None)
         affected: list[int] = []
-        remaining = n_records
         try:
-            for index in range(len(self._shards)):
-                if remaining == 0:
-                    break
+            for index, take in plan:
                 shard = self._shards[index]
-                take = min(len(shard), remaining)
-                if take == 0:
-                    continue
                 new_shard = shard.slice_records(take, len(shard))
                 if hook is not None:
                     hook(index, take, new_shard)
@@ -342,7 +359,6 @@ class ShardedColumnarDatabase:
                 self._shards = tuple(shards)
                 self._versions[index] += 1
                 affected.append(index)
-                remaining -= take
         finally:
             self._recompute_bounds()
         return affected

@@ -21,8 +21,7 @@ are the wire format a transport would serialize):
   object so CPython cannot recycle its ``id``).  The key set is
   bounded: beyond ``cache_limit`` distinct policies/binnings the
   least-recently-used key and all of its per-shard arrays are evicted,
-  so a long-lived server cannot grow without bound.  The data is
-  immutable, so live entries never invalidate.
+  so a long-lived server cannot grow without bound.
 * **Budget accounting.**  Every release charges the accountant under
   the request's policy (DP mechanisms charge under ``P_all`` per Lemma
   3.1) *before* sampling; a request that would exceed the budget raises
@@ -33,10 +32,21 @@ are the wire format a transport would serialize):
 * **Live data.**  :meth:`ReleaseServer.append_records` and
   :meth:`ReleaseServer.expire_prefix` mutate the sharded database in
   place (tail-shard extension / front-shard trim — never a full
-  reslice).  Every cache entry carries the shard versions it was
-  computed under, so a data update invalidates exactly the affected
-  shards' entries lazily: the next request recomputes the stale shards
-  and reuses the rest.
+  reslice).  Every cache entry carries the shard version it is valid
+  for, and a write touches only the shards it moved rows in or out of.
+  Their cached ``(x, x_ns)`` count pairs are **carried forward** by the
+  write itself: counts are additive over records, so
+  ``pair ± counts(moved rows)`` in int64 is exactly what a rescan would
+  find, and the entry moves to the shard's new version.  The next read
+  of a cached pair therefore re-merges O(bins × shards) numbers and
+  scans nothing — a streaming read costs O(moved rows), paid once at
+  the write, not O(shard).  The touched shards' per-record masks and
+  bin indices are freed at the write (they could never hit again);
+  untouched shards keep everything.  Write-side cost: one evaluation
+  of the moved rows per live pair of a touched shard (tens of
+  microseconds each for a few rows), under the lock the write already
+  holds, bounded by ``cache_limit``.  A pair that fails to carry is
+  dropped, never the write (see :meth:`ReleaseServer._carry_counts`).
 * **Specs at the boundary.**  A request's ``policy``/``binning`` may be
   the live objects *or* their wire specs (plain dicts, see
   :func:`repro.core.policy_language.policy_from_spec`); specs are
@@ -172,7 +182,13 @@ class ReleaseResponse:
 
 @dataclass
 class ServiceStats:
-    """Cache effectiveness counters (per shard-level computation)."""
+    """Cache effectiveness counters (per shard-level computation).
+
+    ``counts_carried`` counts the shard-level count pairs a write
+    advanced in place (:meth:`ReleaseServer._carry_counts`) — each one
+    is a shard rescan (a ``mask_misses``/``index_misses`` step) the
+    next read did not pay.
+    """
 
     mask_hits: int = 0
     mask_misses: int = 0
@@ -180,6 +196,7 @@ class ServiceStats:
     index_misses: int = 0
     hist_hits: int = 0
     hist_misses: int = 0
+    counts_carried: int = 0
     evictions: int = 0
     requests: int = 0
 
@@ -215,11 +232,13 @@ class ReleaseServer:
         self.accountant = accountant
         self.cache_limit = cache_limit
         self.stats = ServiceStats()
-        # Every cache value is paired with the shard version(s) it was
-        # computed under (see ShardedColumnarDatabase.shard_versions);
-        # an incremental append/expire bumps the touched shards'
-        # versions, so stale entries miss lazily and only those shards
-        # recompute.  (shard index, policy key) -> (version, int8 mask);
+        # Every cache value is paired with the shard version(s) it is
+        # valid for (see ShardedColumnarDatabase.shard_versions).  An
+        # append/expire bumps the touched shards' versions and, in the
+        # same call, carries their count pairs to the new version and
+        # drops their per-record arrays (_carry_counts); an entry left
+        # behind at an old version misses and that shard recomputes.
+        # (shard index, policy key) -> (version, int8 mask);
         # (shard index, binning key) -> (version, int64 bin indices);
         # (shard index, binning key, policy key) -> (version, (x, x_ns));
         # (binning key, policy key) -> (versions tuple, HistogramInput).
@@ -307,10 +326,9 @@ class ReleaseServer:
         """Fetch or refresh a key's per-shard cache entries.
 
         Entries carry the shard version they were computed under; the
-        stale subset (missing entries, or shards touched by an
-        append/expire since) refills in one ``map_shards`` pass over
-        just those shards, so an incremental update costs exactly the
-        affected shards' recomputation.
+        stale subset (missing entries — a write frees the touched
+        shards' arrays — or a version left behind) refills in one
+        ``map_shards`` pass over just those shards.
         """
         versions = self._db.shard_versions
         stale = [
@@ -360,11 +378,14 @@ class ReleaseServer:
     ) -> list[tuple]:
         """Per-shard ``(x, x_ns)`` pairs, cached and version-checked.
 
-        Two refill routes for the stale shards: with a shard-resident
-        worker pool as the executor, the partial below travels as a
-        pure spec request and only the O(bins) count pairs come back;
-        otherwise the counts derive from the cached per-shard masks and
-        bin indices (which themselves refresh only their stale shards).
+        Writes carry live pairs to the new shard version, so after the
+        first read of a ``(binning, policy)`` nothing here is stale
+        until a key is evicted.  Two refill routes for stale shards:
+        with a shard-resident worker pool as the executor, the partial
+        below travels as a pure spec request and only the O(bins) count
+        pairs come back; otherwise the counts derive from the cached
+        per-shard masks and bin indices (which themselves refresh only
+        their stale shards).
         """
         versions = self._db.shard_versions
         cache = self._counts_cache
@@ -407,7 +428,9 @@ class ReleaseServer:
         bit-identical to
         :meth:`repro.queries.histogram.HistogramInput.from_columnar` on
         the same sharded database — including after incremental
-        appends/expires, where only the touched shards recompute.
+        appends/expires, which invalidate this merged entry (the read
+        after a write is a ``hist_misses``, ``cache_hit`` False) but
+        leave every per-shard pair live, so the re-merge scans nothing.
         """
         with self._lock:
             bkey, pkey = self._key(binning), self._key(policy)
@@ -555,34 +578,114 @@ class ReleaseServer:
     # ------------------------------------------------------------------
     # Incremental data updates
     # ------------------------------------------------------------------
+    def _carry_counts(
+        self,
+        moved: Mapping[int, ColumnarDatabase],
+        before: tuple[int, ...],
+        advance,
+    ) -> None:
+        """Carry the touched shards' cached count pairs across a write.
+
+        ``moved`` maps each shard the write set out to touch to the
+        rows it gains or loses, ``before`` is the shard versions the
+        write found — a shard still at its old version did not commit
+        (a worker hook failed before it) and is left alone — and
+        ``advance`` is ``np.add`` (append) or ``np.subtract`` (expire).
+        Counts are additive over records, so every pair that was live
+        under ``before`` moves by the moved rows' own pair to exactly
+        what a rescan of the new shard would count (int64 arithmetic),
+        and is re-stamped with the shard's new version.  The rows are
+        evaluated here, in the parent, whatever the executor: a small
+        slice needs no fan-out.
+
+        The touched shards' per-record masks and bin indices are dropped
+        instead: they can never hit again under the new version, and
+        with the counts carried no refill would overwrite them.
+
+        A pair that cannot be carried (its policy or binning raises on
+        the slice, its key is gone) is dropped as well, so a refresh
+        never fails the write it follows; the next read of that pair
+        recomputes the shard and meets the error, if it persists, where
+        it always did.
+        """
+        versions = self._db.shard_versions
+        moved = {
+            index: rows
+            for index, rows in moved.items()
+            if versions[index] != before[index]
+        }
+        for cache in (self._mask_cache, self._index_cache):
+            for entry in [k for k in cache if k[0] in moved]:
+                del cache[entry]
+        for entry in [k for k in self._counts_cache if k[0] in moved]:
+            index, bkey, pkey = entry
+            version, (x, x_ns) = self._counts_cache.pop(entry)
+            if version != before[index]:
+                continue
+            try:
+                dx, dx_ns = _shard_histogram_counts(
+                    moved[index],
+                    HistogramQuery(self._keyed[bkey]),
+                    self._keyed[pkey],
+                )
+                pair = (advance(x, dx), advance(x_ns, dx_ns))
+            except Exception:
+                continue
+            self._counts_cache[entry] = (versions[index], pair)
+            self.stats.counts_carried += 1
+
     def append_records(self, records) -> int:
         """Ingest new records without a reslice; returns the tail shard index.
 
         Delegates to
         :meth:`repro.data.sharding.ShardedColumnarDatabase.append_records`
         (which forwards only the chunk to a shard-resident worker
-        pool).  No cache is cleared here: the tail shard's version bump
-        makes exactly its entries miss on the next request, while every
-        other shard's cached masks, indices and counts keep serving —
+        pool), then advances the tail shard's cached count pairs by the
+        chunk's own counts (:meth:`_carry_counts`): the next read
+        re-merges O(bins) pairs instead of rescanning the shard, and
         the merged histograms are bit-identical to a from-scratch
-        rebuild over the extended data.
+        rebuild over the extended data.  Every other shard's entries
+        keep serving untouched.
 
         Appending changes the database the privacy ledger describes;
         as in the paper's continual-observation setting, the accountant
         keeps charging cumulatively — budget never resets on ingest.
         """
         with self._lock:
-            return self._db.append_records(records)
+            before = self._db.shard_versions
+            n_before = len(self._db)
+            index = self._db.append_records(records)
+            tail = self._db.shards[index]
+            # The chunk as committed: the tail shard's last rows (on an
+            # shm pool, views of the segment the workers now serve).
+            chunk = tail.slice_records(
+                len(tail) - (len(self._db) - n_before), len(tail)
+            )
+            self._carry_counts({index: chunk}, before, np.add)
+            return index
 
     def expire_prefix(self, n_records: int) -> list[int]:
         """Drop the ``n_records`` oldest records (retention enforcement).
 
-        Only the leading shards' versions bump; their cache entries
-        miss lazily and everything else keeps serving.  Returns the
-        touched shard indices.
+        The leading shards' cached count pairs give back the expired
+        rows' own counts (:meth:`_carry_counts`); everything else keeps
+        serving untouched.  Returns the touched shard indices.
         """
         with self._lock:
-            return self._db.expire_prefix(n_records)
+            before = self._db.shard_versions
+            # Views of the rows about to go, taken before the trim and
+            # dropped with this frame: they pin the old buffers no
+            # longer than the write itself.
+            expired = {
+                index: self._db.shards[index].slice_records(0, take)
+                for index, take in self._db.expire_plan(n_records)
+            }
+            try:
+                return self._db.expire_prefix(n_records)
+            finally:
+                # A worker hook failing part-way leaves the earlier
+                # shards trimmed: those, and only those, are carried.
+                self._carry_counts(expired, before, np.subtract)
 
     def replace_database(self, db) -> None:
         """Swap in a whole new database state (WAL recovery / resync).

@@ -51,7 +51,34 @@ def server() -> ReleaseServer:
 
 
 BINNING = IntegerBinning("age", 0, 100, 10)
+WIDE_BINNING = IntegerBinning("age", 0, 100, 25)
 POLICY = OptInPolicy()
+
+
+class _ArmedPolicy(OptInPolicy):
+    """Opt-in, until armed: then evaluation raises (identity-keyed)."""
+
+    armed = False
+
+    def cache_key(self):
+        return None
+
+    def evaluate_batch(self, columns):
+        if self.armed:
+            raise RuntimeError("policy backend unavailable")
+        return super().evaluate_batch(columns)
+
+
+class _Shard1ExpireFails:
+    """A serial executor whose expire hook fails on shard 1 (a resident
+    worker that died between two shards of one expiry)."""
+
+    def map(self, fn, shards):
+        return map(fn, shards)
+
+    def expire_shard_prefix(self, index, take, new_shard):
+        if index == 1:
+            raise RuntimeError("worker 1 is gone")
 
 
 def _request(mechanism="osdp_laplace_l1", epsilon=0.25, **kw) -> ReleaseRequest:
@@ -262,9 +289,18 @@ class TestConstruction:
         )
 
 
+def _assert_equals_cold(server, hist, binning, policy):
+    """``hist`` is what a scan of the server's current rows would count."""
+    cold = HistogramInput.from_columnar(
+        server.db.to_columnar(), HistogramQuery(binning), policy
+    )
+    assert np.array_equal(hist.x, cold.x)
+    assert np.array_equal(hist.x_ns, cold.x_ns)
+
+
 class TestLiveUpdates:
-    """append_records/expire_prefix keep the server bit-exact and only
-    recompute the touched shards."""
+    """append_records/expire_prefix keep the server bit-exact, carry the
+    touched shards' cached counts forward and leave the rest alone."""
 
     def _fresh_records(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -301,23 +337,105 @@ class TestLiveUpdates:
         ).handle(_request(seed=5))
         assert np.array_equal(updated.estimates, fresh.estimates)
 
-    def test_append_recomputes_only_the_tail_shard(self, server):
+    def _warm_two_pairs(self, server):
+        """Two live pairs per shard, sharing the policy key."""
         server.handle(_request(seed=1))
-        assert server.stats.mask_misses == server.n_shards
-        server.append_records(self._fresh_records(10, 9))
+        server.handle(_request(seed=1, binning=WIDE_BINNING))
+        return server.stats.as_dict(), dict(server._counts_cache)
+
+    def _assert_only_carried(self, server, before, entries, touched):
+        """The write-then-read contract: nothing rescanned, the touched
+        shards' live pairs carried, every other entry left as it was."""
+        after = server.stats.as_dict()
+        for counter in ("mask_misses", "index_misses", "mask_hits", "index_hits"):
+            assert after[counter] == before[counter], counter
+        assert after["counts_carried"] - before["counts_carried"] == sum(
+            1 for entry in entries if entry[0] in touched
+        )
+        versions = server.db.shard_versions
+        for entry, cached in entries.items():
+            if entry[0] in touched:
+                assert server._counts_cache[entry][0] == versions[entry[0]]
+            else:
+                assert server._counts_cache[entry] is cached
+        # the touched shards' per-record arrays are freed at the write,
+        # the others still serve
+        for cache in (server._mask_cache, server._index_cache):
+            assert {k[0] for k in cache} == set(range(server.n_shards)) - touched
+
+    def test_append_recomputes_only_the_tail_shard(self, server):
+        """...and of the tail shard, nothing: its live pairs are carried."""
+        before, entries = self._warm_two_pairs(server)
+        tail = server.append_records(self._fresh_records(10, 9))
         response = server.handle(_request(seed=1))
-        assert not response.cache_hit  # histogram had to re-merge...
-        assert server.stats.mask_misses == server.n_shards + 1  # ...one shard
-        assert server.stats.mask_hits == server.n_shards - 1
-        assert server.stats.index_misses == server.n_shards + 1
+        assert not response.cache_hit  # the merged histogram re-merged...
+        assert server.stats.hist_misses == before["hist_misses"] + 1
+        # ...from count pairs that were all live: two carried, none rescanned
+        self._assert_only_carried(server, before, entries, {tail})
+        assert server.stats.counts_carried == 2
+        hist, _ = server.histogram_input(WIDE_BINNING, POLICY)
+        _assert_equals_cold(server, hist, WIDE_BINNING, POLICY)
 
     def test_expire_recomputes_only_touched_shards(self, server):
+        """...and of those, nothing: their live pairs are carried."""
+        before, entries = self._warm_two_pairs(server)
+        touched = server.expire_prefix(1001)  # all of shard 0, one row of 1
+        assert touched == [0, 1]
+        assert not server.handle(_request(seed=1)).cache_hit
+        self._assert_only_carried(server, before, entries, set(touched))
+        assert server.stats.counts_carried == 4
+        hist, _ = server.histogram_input(WIDE_BINNING, POLICY)
+        _assert_equals_cold(server, hist, WIDE_BINNING, POLICY)
+
+    def test_a_pair_that_cannot_be_carried_is_dropped_not_raised(self, server):
+        """A logged write must apply: a policy that raises on the moved
+        rows costs its cache entry, never the write."""
+        policy = _ArmedPolicy()
+        server.histogram_input(BINNING, policy)
         server.handle(_request(seed=1))
-        server.expire_prefix(1)  # trims shard 0 only
+        policy.armed = True
+        tail = server.append_records(self._fresh_records(10, 9))
+        assert server.expire_prefix(3) == [0]
+        policy.armed = False
+        # the healthy pair was carried through both writes, the failing
+        # one dropped on the touched shards only
+        assert server.stats.counts_carried == 2
+        live = {k[0] for k in server._counts_cache if k[2] == server._key(policy)}
+        assert live == set(range(server.n_shards)) - {0, tail}
+        misses = server.stats.mask_misses
+        hist, _ = server.histogram_input(BINNING, policy)
+        assert server.stats.mask_misses == misses + 2  # recomputed, as before
+        _assert_equals_cold(server, hist, BINNING, policy)
+
+    def test_an_entry_a_direct_database_write_left_stale_is_not_carried(
+        self, server
+    ):
+        """``server.db`` is public: a write made on it directly bypasses
+        the carry, and the pair it left behind must be recomputed, never
+        advanced from counts that miss that write."""
         server.handle(_request(seed=1))
+        server.db.append_records(self._fresh_records(7, 8))
+        server.append_records(self._fresh_records(5, 9))
+        assert server.stats.counts_carried == 0
+        hist, _ = server.histogram_input(BINNING, POLICY)
         assert server.stats.mask_misses == server.n_shards + 1
-        # untouched shards' cached masks still serve
-        assert server.stats.mask_hits == server.n_shards - 1
+        _assert_equals_cold(server, hist, BINNING, POLICY)
+
+    def test_partial_expire_carries_only_the_committed_shards(self):
+        """A worker hook failing on a later shard leaves the earlier
+        ones trimmed; exactly those are carried."""
+        server = ReleaseServer(_db().shard(4), executor=_Shard1ExpireFails())
+        server.handle(_request(seed=1))
+        before = server.stats.as_dict()
+        with pytest.raises(RuntimeError, match="worker 1"):
+            server.expire_prefix(1500)  # shard 0 whole, then half of shard 1
+        assert len(server.db) == 3000
+        assert server.db.shard_versions == (1, 0, 0, 0)
+        assert server.stats.counts_carried == 1
+        hist, hit = server.histogram_input(BINNING, POLICY)
+        assert not hit
+        assert server.stats.mask_misses == before["mask_misses"]
+        _assert_equals_cold(server, hist, BINNING, POLICY)
 
     def test_cache_hits_return_after_update(self, server):
         server.handle(_request(seed=1))

@@ -327,10 +327,14 @@ class TestIncrementalUpdates:
         db, _ = _flat_db(500)
         sharded = db.shard(4)
         policy = _policy()
-        touched = sharded.expire_prefix(150)
         # 125-record shards: shard 0 swallowed, shard 1 trimmed
+        assert sharded.expire_plan(150) == [(0, 125), (1, 25)]
+        touched = sharded.expire_prefix(150)
         assert touched == [0, 1]
         assert len(sharded.shards[0]) == 0
+        # the emptied shard has nothing left to give
+        assert sharded.expire_plan(101) == [(1, 100), (2, 1)]
+        assert sharded.expire_plan(0) == []
         reference = db.slice_records(150, 500)
         assert len(sharded) == len(reference)
         assert np.array_equal(
@@ -402,6 +406,8 @@ class TestIncrementalUpdates:
             sharded.expire_prefix(51)
         with pytest.raises(ValueError):
             sharded.expire_prefix(-1)
+        with pytest.raises(ValueError):
+            sharded.expire_plan(51)
 
     def test_expire_everything_leaves_empty_shards(self):
         db, _ = _flat_db(40)
