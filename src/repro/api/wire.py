@@ -35,7 +35,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -280,6 +280,33 @@ def exception_from_wire(doc: Mapping) -> Exception:
 # ----------------------------------------------------------------------
 
 
+#: Exact types ``json`` renders as they are — most nodes of a header.
+_PLAIN_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+def _strip(value, arrays: list):
+    """``value`` with its ndarrays moved into ``arrays`` (see below).
+
+    Module-level on purpose: as a closure over ``arrays`` that called
+    itself it was a reference cycle, and every message's arrays stayed
+    allocated until a generational collection came by.  Exact types
+    lead (an ABC ``isinstance`` costs ten times as much); the classes
+    are disjoint, so the order changes no result.
+    """
+    if type(value) in _PLAIN_LEAVES:
+        return value
+    if isinstance(value, (dict, Mapping)):
+        return {str(k): _strip(v, arrays) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strip(v, arrays) for v in value]
+    if isinstance(value, np.ndarray):
+        arrays.append(_check_dtype(value))
+        return {"__array__": len(arrays) - 1}
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
 def encode_message(obj) -> bytes:
     """One message as bytes: JSON header frame + raw ndarray frames.
 
@@ -290,20 +317,7 @@ def encode_message(obj) -> bytes:
     follows without a second length prefix per array.
     """
     arrays: list[np.ndarray] = []
-
-    def strip(value):
-        if isinstance(value, np.ndarray):
-            arrays.append(_check_dtype(value))
-            return {"__array__": len(arrays) - 1}
-        if isinstance(value, np.generic):
-            return value.item()
-        if isinstance(value, Mapping):
-            return {str(k): strip(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [strip(v) for v in value]
-        return value
-
-    body = strip(obj)
+    body = _strip(obj, arrays)
     header = {
         "v": WIRE_VERSION,
         "arrays": [

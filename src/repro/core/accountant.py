@@ -7,6 +7,16 @@ involved).  Mechanisms in :mod:`repro.mechanisms` accept an optional
 accountant and charge it before releasing output, so a multi-step
 analysis (e.g. DAWAz's zero-detection + DAWA stages) is budget-audited
 end to end.
+
+``spent`` is *defined* as the left-to-right fold ``((0.0 + e1) + e2) +
+...`` of the ledger's epsilons in the order the charges landed.  The
+accountant keeps that fold, globally and per analyst, as each entry is
+installed, so a charge or a ``remaining`` read costs the same at the
+first charge and at the millionth, and the totals equal the fold over
+the ledger bit for bit (the ``sum`` builtin is a compensated sum from
+Python 3.12 on, so it is not the definition).  The ledger costs a few
+words per charge: entries are slotted and share equal policies, labels
+and analysts.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ class AnalystQuotaExceededError(BudgetExceededError):
     """A charge fit the global budget but overran its analyst's quota."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     """One composed analysis: its policy, epsilon spent, and a label.
 
@@ -71,7 +81,9 @@ class PrivacyAccountant:
 
     total_epsilon: float
     quotas: "Mapping[str, float] | None" = None
-    _ledger: list[LedgerEntry] = field(default_factory=list, repr=False)
+    _ledger: list[LedgerEntry] = field(
+        default_factory=list, init=False, repr=False
+    )
     # Charging is check-then-append; concurrent analysts (the RPC tier
     # serves releases under a shared lock) must not be able to spend
     # the same remaining budget twice, so the pair is atomic.
@@ -93,10 +105,16 @@ class PrivacyAccountant:
                     f"quota for analyst {name!r} must be positive"
                 )
         self.quotas = quotas
+        # The fold of the ledger's epsilons in charge order, overall and
+        # per analyst, and the one stored copy of each distinct policy,
+        # label and analyst; all advanced only by _append_entry.
+        self._spent = 0.0
+        self._spent_by: dict[str, float] = {}
+        self._shared: dict = {}
 
     @property
     def spent(self) -> float:
-        return sum(entry.epsilon for entry in self._ledger)
+        return self._spent
 
     @property
     def remaining(self) -> float:
@@ -108,11 +126,7 @@ class PrivacyAccountant:
 
     def spent_by(self, analyst: str) -> float:
         """Total epsilon charged under one analyst credential."""
-        return sum(
-            entry.epsilon
-            for entry in self._ledger
-            if entry.analyst == analyst
-        )
+        return self._spent_by.get(analyst, 0.0)
 
     def quota_remaining(self, analyst: str) -> float | None:
         """The analyst's remaining quota, or None when unquota'd."""
@@ -175,8 +189,35 @@ class PrivacyAccountant:
         Also the recovery installer: replayed history is history, so a
         recovered ledger may legitimately stand above ``total_epsilon``
         (further charges are then refused by :meth:`_check_charge`).
+
+        The stored entry shares its policy, label and analyst with
+        every equal one before it: a request off the wire brings a fresh
+        policy graph and fresh strings, and a ledger that pinned them
+        grew by over a kilobyte per charge.  Two policies are one when
+        their type, ``name`` and ``cache_key()`` agree — the same
+        labelling of every record (the ``cache_key`` contract) under
+        the name ``view`` shows; opaque policies (no key) never merge.
+        What is stored may be a value-equal twin of what was charged
+        (``values: [1]`` for ``[1.0]``); the durable journal serializes
+        the charge's own policy *before* installing it, so the disk
+        holds what was charged.
         """
+        share = self._shared.setdefault
+        policy = entry.policy
+        key = policy.cache_key()
+        if key is not None:
+            policy = share((type(policy), policy.name, key), policy)
+        entry = LedgerEntry(
+            policy=policy,
+            epsilon=entry.epsilon,
+            label=share(entry.label, entry.label),
+            analyst=share(entry.analyst, entry.analyst),
+        )
         self._ledger.append(entry)
+        self._spent = self._spent + entry.epsilon
+        self._spent_by[entry.analyst] = (
+            self._spent_by.get(entry.analyst, 0.0) + entry.epsilon
+        )
 
     def for_analyst(self, analyst: str | None) -> "PrivacyAccountant | AnalystAccountant":
         """This accountant with charges bound to ``analyst``.
@@ -197,31 +238,37 @@ class PrivacyAccountant:
         policies, and the view is an operator surface, not a recovery
         format (that is the durable journal's job).
         """
+        # One consistent cut under the charge lock; the O(n) rendering
+        # happens outside it, so a ``budget`` op never stalls releases.
         with self._lock:
-            entries = [
+            ledger = list(self._ledger)
+            spent = self.spent
+            quotas = [
+                (name, quota, self.spent_by(name))
+                for name, quota in self.quotas.items()
+            ]
+        return {
+            "total": float(self.total_epsilon),
+            "spent": float(spent),
+            "remaining": float(self.total_epsilon - spent),
+            "entries": [
                 {
                     "label": entry.label,
                     "epsilon": float(entry.epsilon),
                     "policy": entry.policy.name,
                     "analyst": entry.analyst,
                 }
-                for entry in self._ledger
-            ]
-            quotas = {
+                for entry in ledger
+            ],
+            "quotas": {
                 name: {
                     "quota": float(quota),
-                    "spent": float(self.spent_by(name)),
-                    "remaining": float(quota - self.spent_by(name)),
+                    "spent": float(used),
+                    "remaining": float(quota - used),
                 }
-                for name, quota in self.quotas.items()
-            }
-            return {
-                "total": float(self.total_epsilon),
-                "spent": float(self.spent),
-                "remaining": float(self.remaining),
-                "entries": entries,
-                "quotas": quotas,
-            }
+                for name, quota, used in quotas
+            },
+        }
 
     def composed_guarantee(self) -> OSDPGuarantee:
         """The overall guarantee per Theorem 3.3: (P_mr, sum eps_i)-OSDP."""

@@ -42,7 +42,8 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-from typing import Callable, Mapping
+from collections.abc import Mapping
+from typing import Callable
 
 import numpy as np
 

@@ -20,9 +20,10 @@ DP mechanisms read only ``x``; OSDP mechanisms use ``x_ns`` and the mask.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

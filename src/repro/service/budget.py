@@ -43,9 +43,12 @@ Fsync contract, in charge order (all under the accountant's one lock):
 2. journal append — write, flush, ``fsync`` — **before** any caller
    sees success;
 3. in-memory ledger append;
-4. snapshot compaction every ``snapshot_every`` charges (tmp file +
-   fsync + atomic rename + directory fsync, then log truncation), so
-   recovery cost stays bounded.
+4. snapshot compaction (tmp file + fsync + atomic rename + directory
+   fsync, then log truncation) once the log holds as many entries as
+   the snapshot and at least ``snapshot_every``: a snapshot rewrites
+   the whole history, so a fixed cadence would cost O(n) per charge;
+   doubling makes it O(1) amortised and recovery reads each charge at
+   most twice.
 """
 
 from __future__ import annotations
@@ -191,7 +194,8 @@ class ChargeJournal:
         return seq
 
     def maybe_compact(self) -> bool:
-        if self._log_entries < self.snapshot_every:
+        in_snapshot = len(self._docs) - self._log_entries
+        if self._log_entries < max(self.snapshot_every, in_snapshot):
             return False
         self.compact()
         return True

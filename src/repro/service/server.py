@@ -76,8 +76,8 @@ from __future__ import annotations
 
 import functools
 import threading
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 

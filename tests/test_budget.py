@@ -26,6 +26,8 @@ admission gate's socket lane lives in ``tests/test_rpc_overload.py``.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import struct
 import threading
@@ -53,6 +55,14 @@ from repro.service.budget import (
     DurableAccountant,
     entry_from_doc,
     entry_to_doc,
+)
+from test_accountant import (
+    QUOTAS,
+    apply_step,
+    assert_totals_are_the_fold,
+    charge_steps,
+    lookalike_policies,
+    mixed_charges,
 )
 from test_spec_roundtrip import MAX_EXAMPLES, serializable_policies
 
@@ -218,6 +228,37 @@ class TestCompaction:
             assert back.recovery["snapshot_seq"] == 8
             assert back.recovery["replayed"] == 2
 
+    def test_snapshots_double_so_compaction_is_linear_in_total(
+        self, tmp_path
+    ):
+        """A snapshot rewrites the whole history; at a fixed cadence of
+        4 that is n^2/8 entries written over n charges.  Counted, not
+        timed: the snapshot grows only when it would at least double."""
+        n, written, snapshots = 5000, 0, 0
+        with DurableAccountant(
+            tmp_path, total_epsilon=1e6, snapshot_every=4
+        ) as acct:
+            for i in range(n):
+                before = acct.journal.snapshot_seq
+                acct.charge(OptInPolicy(), 0.1 + i * 2.0**-30, label=f"c{i}")
+                if acct.journal.snapshot_seq != before:
+                    # a snapshot holds every entry up to its seq
+                    written += acct.journal.snapshot_seq
+                    snapshots += 1
+            ledger, spent = acct.ledger, acct.spent
+        assert snapshots == 11  # at 4, 8, 16, ..., 4096 entries
+        assert written == 8188 <= 2 * n
+        with DurableAccountant(
+            tmp_path, total_epsilon=1e6, snapshot_every=4
+        ) as back:
+            assert back.recovery["snapshot_seq"] == 4096
+            assert back.recovery["replayed"] == n - 4096
+            assert [(e.epsilon, e.label) for e in back.ledger] == [
+                (e.epsilon, e.label) for e in ledger
+            ]
+            assert back.spent == spent
+            assert_totals_are_the_fold(back)
+
     def test_crash_between_snapshot_and_truncate_is_no_double_count(
         self, tmp_path
     ):
@@ -378,6 +419,114 @@ class TestQuotas:
             "spent": 0.5,
             "remaining": 0.5,
         }
+
+
+# ----------------------------------------------------------------------
+# Running totals == the ordered fold, through every way a ledger is built
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(steps=charge_steps)
+def test_totals_equal_the_fold_through_reopen_compaction_and_salvage(steps):
+    import tempfile
+
+    def reopen(directory):
+        return DurableAccountant(
+            directory, total_epsilon=3.0, quotas=QUOTAS, snapshot_every=4
+        )
+
+    with tempfile.TemporaryDirectory() as directory:
+        with reopen(directory) as acct:
+            for step in steps:
+                apply_step(acct, step)
+                assert_totals_are_the_fold(acct)
+            ledger = acct.ledger
+        with reopen(directory) as back:  # snapshot + log replay
+            assert [(e.epsilon, e.analyst) for e in back.ledger] == [
+                (e.epsilon, e.analyst) for e in ledger
+            ]
+            assert_totals_are_the_fold(back)
+            back.journal.compact()
+            assert_totals_are_the_fold(back)
+        with reopen(directory) as back:  # snapshot only
+            assert len(back.ledger) == len(ledger)
+            assert_totals_are_the_fold(back)
+        _append_torn_tail(directory, epsilon=0.3)
+        with reopen(directory) as back:  # salvaged charge joins the fold
+            assert len(back.ledger) == len(ledger) + 1
+            assert_totals_are_the_fold(back)
+        _append_torn_tail(directory, epsilon=None)
+        with reopen(directory) as back:  # worst case: all that remained
+            assert_totals_are_the_fold(back)
+            assert back.remaining <= 0.0
+
+
+# ----------------------------------------------------------------------
+# A compact ledger renders exactly what a fat one did
+# ----------------------------------------------------------------------
+
+
+def test_journal_writes_the_charged_policy_not_its_stored_twin(tmp_path):
+    """The in-memory ledger may keep a value-equal twin of a policy
+    (``[1, 2]`` for ``[1.0, 2.0]``); the disk keeps what was charged."""
+    policies = lookalike_policies()
+
+    def assert_docs_are_the_charged_specs(docs):
+        assert [d["policy_name"] for d in docs] == [p.name for p in policies]
+        for doc, policy in zip(docs[:-2], policies[:-2]):
+            assert json.dumps(doc["policy"]) == json.dumps(policy.to_spec())
+        assert [d["policy"] for d in docs[-2:]] == [None, None]  # opaque
+
+    with DurableAccountant(tmp_path, total_epsilon=100.0) as acct:
+        for policy in policies:
+            acct.charge(policy, 0.5)
+        assert_docs_are_the_charged_specs(acct.journal._docs)
+        acct.journal.compact()
+    with DurableAccountant(tmp_path, total_epsilon=100.0) as back:
+        assert_docs_are_the_charged_specs(back.journal._docs)
+        for entry, policy in zip(back.ledger[:-2], policies[:-2]):
+            assert entry.policy.cache_key() == policy.cache_key()
+            assert entry.policy.name == policy.name
+
+
+#: SHA-256 of what the commit before the ledger was compacted (PR 17)
+#: wrote for ``mixed_charges()``: the journal, the snapshot of it, and
+#: the ``view()`` document.
+PARENT_LOG_SHA256 = "20c24697c26a2ed4dae9733f26efa6085c5f3a75083365ab5deef4b5d7dafc73"
+PARENT_SNAPSHOT_SHA256 = "0c9e957ff9631c0046716dc71871fe5a950397ed7ae8cbbd9defd52208f70db9"
+PARENT_VIEW_SHA256 = "84d3174293a2d013c52968ead348f1690b3e8f461d926e53725a264f5fcf9251"
+
+
+def _sha256_of(path) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def test_journal_snapshot_and_view_bytes_match_the_parent_commit(tmp_path):
+    with DurableAccountant(
+        tmp_path, total_epsilon=50.0, quotas=QUOTAS
+    ) as acct:
+        for policy, epsilon, label, analyst in mixed_charges():
+            try:
+                acct.charge(policy, epsilon, label=label, analyst=analyst)
+            except AnalystQuotaExceededError:
+                pass
+        assert 150 < len(acct.ledger) < 200  # some quota refusals, no snapshot
+        view = json.dumps(acct.view(), sort_keys=True).encode()
+        assert _sha256_of(_log_path(tmp_path)) == PARENT_LOG_SHA256
+        acct.journal.compact()
+        snapshot = os.path.join(str(tmp_path), ChargeJournal.SNAPSHOT_NAME)
+        assert _sha256_of(snapshot) == PARENT_SNAPSHOT_SHA256
+    assert hashlib.sha256(view).hexdigest() == PARENT_VIEW_SHA256
+    with DurableAccountant(
+        tmp_path, total_epsilon=50.0, quotas=QUOTAS
+    ) as back:
+        recovered = json.loads(view)
+        for row in recovered["entries"]:
+            if row["policy"] == "opaque":  # comes back as the placeholder
+                row["policy"] = AllSensitivePolicy.name
+        assert back.view() == recovered
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,13 @@ faithfully.
 
 from __future__ import annotations
 
+import collections
+import gc
 import json
 import pickle
+import types
+import typing
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +244,97 @@ def test_framing_round_trip_through_fragmented_reads(message):
     data = wire.encode_message(message)
     back = wire.recv_message(_FragmentingSocket(data))
     _assert_same(message, back)
+
+
+def _encode_message_before_the_flat_codec(obj) -> bytes:
+    """``encode_message`` as it stood while ``strip`` was a closure that
+    asked ``isinstance`` of ``typing.Mapping`` at every node (PR 17) —
+    the reference the flat, exact-type-first codec must match to the
+    byte."""
+    arrays = []
+
+    def strip(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(np.ascontiguousarray(value))
+            return {"__array__": len(arrays) - 1}
+        if isinstance(value, np.generic):
+            return value.item()
+        if isinstance(value, typing.Mapping):
+            return {str(k): strip(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strip(v) for v in value]
+        return value
+
+    body = strip(obj)
+    header = {
+        "v": wire.WIRE_VERSION,
+        "arrays": [
+            {"dtype": a.dtype.str, "shape": list(a.shape), "nbytes": int(a.nbytes)}
+            for a in arrays
+        ],
+        "body": body,
+    }
+    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return b"".join(
+        [len(blob).to_bytes(4, "big"), blob, *(a.tobytes() for a in arrays)]
+    )
+
+
+@settings(max_examples=4 * MAX_EXAMPLES, deadline=None)
+@given(message=wire_messages())
+def test_encoding_is_byte_identical_to_the_closure_codec(message):
+    assert wire.encode_message(message) == (
+        _encode_message_before_the_flat_codec(message)
+    )
+
+
+def test_encoding_of_every_node_kind_is_byte_identical():
+    """What exact-type fast paths could get wrong: key order and
+    ``str(k)`` coercion, numpy scalars (also those that subclass
+    ``float``/``str``), tuples, and containers that are not exactly
+    ``dict``/``list``."""
+    message = {
+        "zeta": 1,
+        "alpha": {3: "int key", None: "none key", 2.5: "float key"},
+        "np": [np.float64(0.1), np.int32(-7), np.bool_(True), np.str_("s")],
+        "tuple": (1, (2.0, None), [True, "x"]),
+        "mappings": [
+            collections.OrderedDict(b=1, a=np.arange(3)),
+            types.MappingProxyType({"view": np.float32(1.5)}),
+            collections.defaultdict(list, k=[np.arange(2.0)]),
+        ],
+        "named": collections.namedtuple("Point", "x y")(1, np.int64(2)),
+        "arrays": [np.arange(6).reshape(2, 3)[:, ::2], np.array(3.5)],
+        "leaves": [True, False, None, 0, -0.0, 1e300, "", "\u00e9"],
+    }
+    encoded = wire.encode_message(message)
+    assert encoded == _encode_message_before_the_flat_codec(message)
+    assert isinstance(encoded, bytes)
+    header_len = int.from_bytes(encoded[:4], "big")
+    header = json.loads(encoded[4 : 4 + header_len])
+    assert list(header["body"]) == list(message)  # insertion order, unsorted
+    assert list(header["body"]["alpha"]) == ["3", "None", "2.5"]
+    assert header["body"]["np"] == [0.1, -7, True, "s"]
+    assert header["body"]["tuple"] == [1, [2.0, None], [True, "x"]]
+    assert header["body"]["named"] == [1, 2]
+    assert len(header["arrays"]) == 4
+
+
+def test_encoding_creates_no_reference_cycle():
+    """A reply's arrays must die with the reply, by reference count: as
+    cyclic garbage they wait for a generational collection, and a server
+    that allocates little else between replies holds tens of megabytes
+    of dead 327 KB estimate buffers."""
+    gc.collect()
+    gc.disable()
+    try:
+        arr = np.arange(40960, dtype=np.float64)
+        ref = weakref.ref(arr)
+        wire.encode_message({"ok": {"estimates": arr}})
+        del arr
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_recv_rejects_wrong_version_and_truncation():
