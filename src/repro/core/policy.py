@@ -202,6 +202,17 @@ class Policy(ABC):
         """
         return None
 
+    def attributes(self) -> frozenset | None:
+        """The attributes this policy reads, or ``None`` if it cannot say.
+
+        A declared set promises that a record's label depends on those
+        attributes' values alone, so a columnar database may evaluate
+        the policy once per distinct value tuple
+        (``ColumnarDatabase.distinct_summary``).  Opaque policies, and
+        subclasses that do not override this, are evaluated per record.
+        """
+        return None
+
     def to_spec(self) -> dict:
         """A JSON-serializable spec that reconstructs this policy.
 
@@ -387,6 +398,9 @@ class SensitiveValuePolicy(Policy):
     def cache_key(self) -> tuple:
         return ("values", self.attribute, self.sensitive_values)
 
+    def attributes(self) -> frozenset:
+        return frozenset({self.attribute})
+
     def to_spec(self) -> dict:
         return {
             "kind": "values",
@@ -421,6 +435,9 @@ class OptInPolicy(Policy):
     def cache_key(self) -> tuple:
         return ("opt_in", self.attribute)
 
+    def attributes(self) -> frozenset:
+        return frozenset({self.attribute})
+
     def to_spec(self) -> dict:
         return {"kind": "opt_in", "attr": self.attribute, "name": self.name}
 
@@ -443,6 +460,9 @@ class AllSensitivePolicy(Policy):
 
     def cache_key(self) -> tuple:
         return ("all_sensitive",)
+
+    def attributes(self) -> frozenset:
+        return frozenset()
 
     def to_spec(self) -> dict:
         return {"kind": "all_sensitive"}
@@ -467,6 +487,9 @@ class AllNonSensitivePolicy(Policy):
 
     def cache_key(self) -> tuple:
         return ("all_non_sensitive",)
+
+    def attributes(self) -> frozenset:
+        return frozenset()
 
     def to_spec(self) -> dict:
         return {"kind": "all_non_sensitive"}
@@ -494,6 +517,9 @@ class MinimumRelaxationPolicy(Policy):
 
     def cache_key(self) -> tuple | None:
         return _combined_cache_key("mr", self.policies)
+
+    def attributes(self) -> frozenset | None:
+        return _combined_attributes(self.policies)
 
     def to_spec(self) -> dict:
         return {"kind": "mr", "policies": [p.to_spec() for p in self.policies]}
@@ -524,6 +550,9 @@ class IntersectionPolicy(Policy):
     def cache_key(self) -> tuple | None:
         return _combined_cache_key("and", self.policies)
 
+    def attributes(self) -> frozenset | None:
+        return _combined_attributes(self.policies)
+
     def to_spec(self) -> dict:
         return {"kind": "and", "policies": [p.to_spec() for p in self.policies]}
 
@@ -539,6 +568,14 @@ def _combined_cache_key(tag: str, policies: Sequence[Policy]) -> tuple | None:
     if any(k is None for k in keys):
         return None
     return (tag, keys)
+
+
+def _combined_attributes(policies: Sequence[Policy]) -> frozenset | None:
+    """Union of the children's attributes; None if any child is opaque."""
+    declared = [p.attributes() for p in policies]
+    if any(d is None for d in declared):
+        return None
+    return frozenset().union(*declared)
 
 
 def minimum_relaxation(*policies: Policy) -> Policy:

@@ -158,6 +158,18 @@ def _compile_predicate_batch(spec) -> Callable[[object], np.ndarray]:
     return _compile_leaf_batch(spec)
 
 
+def _spec_attributes(spec: Mapping) -> frozenset:
+    """Every attribute a (validated) predicate spec compares."""
+    for combinator in ("any", "all"):
+        if combinator in spec:
+            return frozenset().union(
+                *(_spec_attributes(sub) for sub in spec[combinator])
+            )
+    if "not" in spec:
+        return _spec_attributes(spec["not"])
+    return frozenset({spec["attr"]})
+
+
 def _require_list(value, keyword: str) -> list:
     if not isinstance(value, (list, tuple)) or not value:
         raise PolicySpecError(f"{keyword!r} requires a non-empty list")
@@ -199,6 +211,9 @@ class CompiledSpecPolicy(LambdaPolicy):
 
     def cache_key(self) -> tuple:
         return ("spec", _canonical(self.spec))
+
+    def attributes(self) -> frozenset:
+        return _spec_attributes(self.spec)
 
     def to_spec(self) -> dict:
         return {"kind": "predicate", "when": self.spec, "name": self.name}

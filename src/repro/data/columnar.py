@@ -27,6 +27,7 @@ an optimization, never a semantic fork.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -112,6 +113,34 @@ class RaggedColumn:
 
 
 Column = "np.ndarray | RaggedColumn"
+
+# Where a distinct-row summary (``ColumnarDatabase.distinct_summary``) is
+# much smaller than the rows it stands for.  Facts about the data, not
+# settings: past them the answer is the same and only the route differs.
+SUMMARY_MIN_ROWS = 4096  # a smaller shard is cheaper to scan
+SUMMARY_MAX_VALUES = 4096  # candidate values one column may contribute
+SUMMARY_MIN_ROWS_PER_CELL = 8  # joint cells of the kept columns <= n / 8
+
+
+def _value_codes(column) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(codes, values)`` with ``values[codes] == column``, or None.
+
+    Integers and booleans code by offset from their minimum (a range
+    test, no sort), fixed-width strings by one ``np.unique``; ragged,
+    float, object and wider columns have no small code.
+    """
+    if not isinstance(column, np.ndarray):
+        return None
+    if column.dtype.kind in "US":
+        values, codes = np.unique(column, return_inverse=True)
+        return (codes, values) if len(values) <= SUMMARY_MAX_VALUES else None
+    if column.dtype.kind not in "biu":
+        return None
+    low, high = int(column.min()), int(column.max())
+    if high - low >= SUMMARY_MAX_VALUES or high >= 2**63:
+        return None
+    values = (np.arange(high - low + 1) + low).astype(column.dtype)
+    return column.astype(np.int64) - low, values
 
 
 class ColumnarDatabase:
@@ -248,6 +277,7 @@ class ColumnarDatabase:
         # zero-copy transport (repro.data.store).
         state = self.__dict__.copy()
         state["_store"] = None
+        state.pop("distinct_summary", None)  # derived: rebuilt on arrival
         return state
 
     # ------------------------------------------------------------------
@@ -419,6 +449,58 @@ class ColumnarDatabase:
         n_bins = binning.n_bins if n_bins is None else n_bins
         return self.histogram_from_indices(binning.bin_indices(self), n_bins)
 
+    @cached_property
+    def distinct_summary(
+        self,
+    ) -> tuple["ColumnarDatabase", np.ndarray] | None:
+        """The distinct rows of the low-cardinality plain columns.
+
+        ``(rows, weights)``: each value tuple the kept columns take in
+        this database, once (same names and dtypes), and the int64
+        number of records carrying it.  A policy is a function on the
+        record domain (Definition 3.1), so whatever reads only kept
+        columns can be evaluated on ``rows`` and counted with
+        ``weights`` — O(distinct), not O(records), to the same integers
+        (``repro.queries.histogram._summary_counts``).  None when the
+        ``SUMMARY_*`` constants rule it out; columns are kept smallest
+        domain first while the joint cells stay within budget.
+
+        Built on first use (about two scans) and cached on the object:
+        a database is immutable — appends, expires and shared-memory
+        remaps all make a new one — so the summary can never go stale,
+        and it dies with the object.
+        """
+        if self._n < SUMMARY_MIN_ROWS:
+            return None
+        coded = []
+        for name, column in self._columns.items():
+            pair = _value_codes(column)
+            if pair is not None:
+                coded.append((name, *pair))
+        coded.sort(key=lambda entry: len(entry[2]))
+        cells, n_cells, kept = 0, 1, []
+        for name, codes, values in coded:
+            if n_cells * len(values) * SUMMARY_MIN_ROWS_PER_CELL > self._n:
+                break
+            cells = cells * len(values) + codes
+            n_cells *= len(values)
+            kept.append((name, values))
+        if not kept:
+            return None
+        weights = np.bincount(cells, minlength=n_cells)
+        rest = np.flatnonzero(weights)
+        weights = weights[rest].astype(np.int64)
+        columns = {}
+        for name, values in reversed(kept):
+            rest, code = np.divmod(rest, len(values))
+            columns[name] = values[code]
+        return _DistinctRows(columns), weights
+
+    @property
+    def summary_built(self) -> bool:
+        """Has :attr:`distinct_summary` been asked for (and so cached)?"""
+        return "distinct_summary" in self.__dict__
+
     def fused_counts(
         self, binning, ns_mask: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -464,3 +546,14 @@ class ColumnarDatabase:
             f"ColumnarDatabase(n={self._n}, "
             f"columns={list(self._columns)!r})"
         )
+
+
+class _DistinctRows(ColumnarDatabase):
+    """A summary's rows: columns for vectorized evaluation only.
+
+    A policy that gives up on its vectorized form must fall back over
+    the real records, so the fallback fails here (and the caller scans).
+    """
+
+    def iter_records(self):
+        raise TypeError("distinct rows serve vectorized evaluation only")

@@ -33,17 +33,21 @@ inverts the data flow:
   kernel once per shard and repeated histogram traffic is O(1) per
   worker — the worker-side mirror of the release server's caches
   (``worker_cache_stats()`` reports exact hit/miss counts, plus the
-  kernel backend the worker resolved).  Cold count pairs are built by
-  the fused counting kernel of :mod:`repro.mechanisms.kernels` on the
-  resident shard (one pass producing both histograms; the compiled
-  backend releases the GIL); workers inherit ``REPRO_KERNEL`` from the
-  parent environment, so parent and workers always count on the same
-  backend — and the pairs are byte-identical on every backend anyway.  Appends
-  extend cached arrays by evaluating only the new chunk and advance
-  count pairs by the chunk's own pair (policies and binnings are
-  per-record and counts are additive, so both are bit-identical to
-  recomputation); expires slice arrays and subtract the expired
-  prefix's pair.
+  kernel backend the worker resolved).  A cold count pair is counted
+  from the resident shard's distinct rows when the policy and binning
+  declare what they read and the shard's summary holds it
+  (:func:`repro.queries.histogram._summary_counts`: O(distinct value
+  tuples), no per-record array built or cached; ``summary_answers`` /
+  ``summary_builds`` in the stats say so), and otherwise from the
+  cached mask and bin indices on the counting kernel of
+  :mod:`repro.mechanisms.kernels`; workers inherit ``REPRO_KERNEL``
+  from the parent environment, so parent and workers always count on
+  the same backend — and the pairs are byte-identical on every backend
+  and either route anyway.  Appends extend cached arrays by evaluating
+  only the new chunk and advance count pairs by the chunk's own pair
+  (policies and binnings are per-record and counts are additive, so
+  both are bit-identical to recomputation); expires slice arrays and
+  subtract the expired prefix's pair, counted from the expired rows.
 * **Failover, not failure.**  The parent keeps the authoritative
   resident-shard copies; a worker that dies mid-request is respawned
   from its copy and the request resent, so a killed process degrades
@@ -113,13 +117,11 @@ class _WorkerState:
         self.masks: dict[str, tuple[dict, np.ndarray]] = {}
         self.indices: dict[str, tuple[dict, np.ndarray]] = {}
         # (canonical binning spec, canonical policy spec) ->
-        # (binning spec, policy spec, n_bins, (x, x_ns)); maintained
-        # through appends/expires by the same delta discipline as the
+        # (binning spec, policy spec, (x, x_ns)); maintained through
+        # appends/expires by the same delta discipline as the
         # per-record caches, so repeated histogram traffic over a warm
         # key costs O(1) per worker, not a bincount pass.
-        self.counts: dict[
-            tuple[str, str], tuple[dict, dict, int, tuple]
-        ] = {}
+        self.counts: dict[tuple[str, str], tuple[dict, dict, tuple]] = {}
         self.cache_stats = {
             "mask_hits": 0,
             "mask_misses": 0,
@@ -127,6 +129,10 @@ class _WorkerState:
             "index_misses": 0,
             "counts_hits": 0,
             "counts_misses": 0,
+            # counts misses answered from the shard's distinct rows,
+            # not a scan; summaries built (one per shard version)
+            "summary_answers": 0,
+            "summary_builds": 0,
         }
 
     def _store(self, cache: dict, key, value) -> None:
@@ -167,23 +173,61 @@ class _WorkerState:
     def hist_counts(
         self, binning_spec: dict, policy_spec: dict
     ) -> tuple[np.ndarray, np.ndarray]:
-        from repro.queries.histogram import binning_from_spec, counts_from_mask
+        from repro.queries.histogram import (
+            HistogramQuery,
+            _summary_counts,
+            binning_from_spec,
+            counts_from_mask,
+        )
 
         key = (canonical_spec(binning_spec), canonical_spec(policy_spec))
         if key in self.counts:
             self.cache_stats["counts_hits"] += 1
-            return self._touch(self.counts, key)[3]
+            return self._touch(self.counts, key)[2]
         self.cache_stats["counts_misses"] += 1
-        n_bins = binning_from_spec(binning_spec).n_bins
-        pair = counts_from_mask(
-            self.bin_indices(binning_spec),
-            self.mask(policy_spec) == NON_SENSITIVE,
-            n_bins,
+        query = HistogramQuery(binning_from_spec(binning_spec))
+        # Answered from the distinct rows, a miss builds (and caches)
+        # no per-record array; only a scan does.
+        built = self.shard.summary_built
+        pair = _summary_counts(
+            self.shard, query, policy_from_spec(policy_spec)
         )
-        self._store(
-            self.counts, key, (binning_spec, policy_spec, n_bins, pair)
-        )
+        if self.shard.summary_built != built:
+            self.cache_stats["summary_builds"] += 1
+        if pair is not None:
+            self.cache_stats["summary_answers"] += 1
+        else:
+            pair = counts_from_mask(
+                self.bin_indices(binning_spec),
+                self.mask(policy_spec) == NON_SENSITIVE,
+                query.n_bins,
+            )
+        self._store(self.counts, key, (binning_spec, policy_spec, pair))
         return pair
+
+    def _moved_counts(self, moved: ColumnarDatabase, advance) -> None:
+        """Carry every cached pair across a write by the moved rows' pair.
+
+        Counts are additive over any record partition: ``np.add`` of an
+        appended chunk's pair, ``np.subtract`` of an expired prefix's,
+        is bit-identical to a recount and needs no per-record array.
+        """
+        from repro.queries.histogram import (
+            HistogramQuery,
+            _shard_histogram_counts,
+            binning_from_spec,
+        )
+
+        carried = {}
+        for key, (bspec, pspec, (x, x_ns)) in self.counts.items():
+            dx, dx_ns = _shard_histogram_counts(
+                moved,
+                HistogramQuery(binning_from_spec(bspec)),
+                policy_from_spec(pspec),
+            )
+            pair = (advance(x, dx), advance(x_ns, dx_ns))
+            carried[key] = (bspec, pspec, pair)
+        self.counts = carried
 
     def histogram(self, binning_spec: dict, n_bins: int) -> np.ndarray:
         return self.shard.histogram_from_indices(
@@ -207,7 +251,7 @@ class _WorkerState:
         values equal ``concat(shard, chunk)`` — for the local
         concatenation; the cache advance is the same either way.
         """
-        from repro.queries.histogram import binning_from_spec, counts_from_mask
+        from repro.queries.histogram import binning_from_spec
 
         self.shard = (
             ColumnarDatabase.concat([self.shard, chunk])
@@ -220,37 +264,17 @@ class _WorkerState:
         for key, (spec, arr) in list(self.indices.items()):
             extra = binning_from_spec(spec).bin_indices(chunk)
             self.indices[key] = (spec, np.concatenate([arr, extra]))
-        for key, (bspec, pspec, n_bins, (x, x_ns)) in list(self.counts.items()):
-            dx, dx_ns = counts_from_mask(
-                binning_from_spec(bspec).bin_indices(chunk),
-                policy_from_spec(pspec).evaluate_batch(chunk) == NON_SENSITIVE,
-                n_bins,
-            )
-            self.counts[key] = (bspec, pspec, n_bins, (x + dx, x_ns + dx_ns))
+        self._moved_counts(chunk, np.add)
         return len(self.shard)
 
     def expire(self, n: int) -> int:
         """Drop the first ``n`` resident records; slice cached arrays.
 
-        Cached count pairs subtract the expired prefix's own pair —
-        computed from the cached per-record arrays *before* they are
-        sliced — so they stay exact without a recount.  A count entry
-        whose per-record arrays are somehow absent is dropped instead
-        (the next request recomputes it).
+        Cached count pairs subtract the expired prefix's own pair,
+        counted from the expired rows themselves before they go, so
+        every pair survives the expire exactly.
         """
-        from repro.queries.histogram import counts_from_mask
-
-        for key, (bspec, pspec, n_bins, (x, x_ns)) in list(self.counts.items()):
-            bkey, pkey = key
-            index_hit = self.indices.get(bkey)
-            mask_hit = self.masks.get(pkey)
-            if index_hit is None or mask_hit is None:
-                del self.counts[key]
-                continue
-            dx, dx_ns = counts_from_mask(
-                index_hit[1][:n], mask_hit[1][:n] == NON_SENSITIVE, n_bins
-            )
-            self.counts[key] = (bspec, pspec, n_bins, (x - dx, x_ns - dx_ns))
+        self._moved_counts(self.shard.slice_records(0, n), np.subtract)
         self.shard = self.shard.slice_records(n, len(self.shard))
         self.masks = {
             key: (spec, arr[n:]) for key, (spec, arr) in self.masks.items()

@@ -15,8 +15,8 @@ primitives a swappable compiled backend:
 
 Selection happens once at import time:
 
-* ``REPRO_KERNEL=numpy`` forces the fallback (the tier-1 lane that
-  keeps it from rotting);
+* ``REPRO_KERNEL=numpy`` forces the fallback (what every CI lane runs
+  anyway: numba installs nowhere they do);
 * ``REPRO_KERNEL=numba`` *requires* the compiled backend and raises a
   clear error when numba is not importable (install the ``[compiled]``
   extra);

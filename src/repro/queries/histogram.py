@@ -27,8 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.policy import Policy, plain_value
+from repro.core.policy import NON_SENSITIVE, Policy, plain_value
 from repro.core.policy_language import PolicySpecError
+from repro.data.columnar import SUMMARY_MIN_ROWS
 from repro.data.database import Database
 
 HISTOGRAM_L1_SENSITIVITY = 2.0
@@ -134,6 +135,10 @@ class CategoricalBinning:
         """Hashable value identity (see ``Policy.cache_key``)."""
         return ("cat", self.attribute, self.domain)
 
+    def attributes(self) -> frozenset:
+        """The attributes read (see ``Policy.attributes``)."""
+        return frozenset({self.attribute})
+
     def to_spec(self) -> dict:
         """Wire form (see :func:`binning_from_spec`); order is the bin order."""
         return {
@@ -207,6 +212,9 @@ class IntegerBinning:
         """Hashable value identity (see ``Policy.cache_key``)."""
         return ("int", self.attribute, self.low, self.high, self.width)
 
+    def attributes(self) -> frozenset:
+        return frozenset({self.attribute})
+
     def to_spec(self) -> dict:
         return {
             "kind": "int",
@@ -261,6 +269,13 @@ class Product2DBinning:
             return None
         return ("prod", first, second)
 
+    def attributes(self) -> frozenset | None:
+        """Both factors' attributes when both declare them, else None."""
+        first, second = _attributes(self.first), _attributes(self.second)
+        if first is None or second is None:
+            return None
+        return first | second
+
     def to_spec(self) -> dict:
         return {
             "kind": "prod",
@@ -281,6 +296,12 @@ class Product2DBinning:
             self.first.bin_indices(columns) * self.second.n_bins
             + self.second.bin_indices(columns)
         )
+
+
+def _attributes(reader) -> frozenset | None:
+    """What a policy or binning declares it reads; None when it does not."""
+    declare = getattr(reader, "attributes", None)
+    return None if declare is None else declare()
 
 
 class HistogramQuery:
@@ -487,13 +508,23 @@ def _shard_histogram_counts(
 
     A module-level function (not a closure) so process-pool executors
     can ship it to workers alongside a picklable shard and policy.
+    From the shard's distinct rows when :func:`_summary_counts` can,
+    from every record (:func:`_scan_counts`) otherwise: the same bytes.
+    """
+    pair = _summary_counts(db, query, policy)
+    return _scan_counts(db, query, policy) if pair is None else pair
+
+
+def _scan_counts(
+    db, query: HistogramQuery, policy: Policy
+) -> tuple[np.ndarray, np.ndarray]:
+    """The count pair from one pass over every record.
+
     Eligible shard layouts (see ``ColumnarDatabase.fused_counts``) run
     the fully fused mask→bin→count kernel — one pass per shard, no
     index materialization — and every layout produces byte-identical
     pairs either way.
     """
-    from repro.core.policy import NON_SENSITIVE
-
     ns = policy.evaluate_batch(db) == NON_SENSITIVE
     fused = getattr(db, "fused_counts", None)
     if fused is not None:
@@ -502,6 +533,48 @@ def _shard_histogram_counts(
             return pair
     indices = query.binning.bin_indices(db)
     return counts_from_mask(indices, ns, query.n_bins)
+
+
+def _summary_counts(
+    db, query: HistogramQuery, policy: Policy
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The count pair from the shard's distinct rows, or None (scan).
+
+    The unchanged ``policy.evaluate_batch`` and ``binning.bin_indices``
+    run on ``db.distinct_summary``'s rows and the bins are counted with
+    its weights: O(distinct), not O(records), and exact (integer sums
+    far below 2**53), so the pair equals the scan's in dtype and bytes.
+    The policy and the binning must *declare* what they read and the
+    summary must hold it.  The size test comes first — a write-carry's
+    small slices stop there — and whatever fails on the way (a value
+    outside the binning's domain) is left for the scan to meet and
+    report in record order, as it always did.
+    """
+    if len(db) < SUMMARY_MIN_ROWS:
+        return None
+    reads, bins = _attributes(policy), _attributes(query.binning)
+    if reads is None or bins is None:
+        return None
+    summary = getattr(db, "distinct_summary", None)
+    if summary is None or not reads | bins <= set(summary[0].column_names):
+        return None
+    rows, weights = summary
+    try:
+        ns = policy.evaluate_batch(rows) == NON_SENSITIVE
+        indices = query.binning.bin_indices(rows)
+        n_bins = query.n_bins
+        if not (
+            ns.shape == indices.shape == weights.shape
+            and 0 <= indices.min()
+            and indices.max() < n_bins
+        ):
+            return None
+        return (
+            np.bincount(indices, weights, n_bins).astype(np.int64),
+            np.bincount(indices[ns], weights[ns], n_bins).astype(np.int64),
+        )
+    except Exception:
+        return None
 
 
 def histogram_input_for(db, query: HistogramQuery, policy: Policy) -> HistogramInput:
