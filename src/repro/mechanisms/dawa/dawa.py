@@ -23,14 +23,15 @@ from repro.core.guarantees import DPGuarantee
 from repro.mechanisms.base import HistogramMechanism
 from repro.mechanisms.dawa.estimate import (
     uniform_bucket_estimate,
-    uniform_bucket_estimate_batch,
+    uniform_bucket_estimate_trials,
 )
 from repro.mechanisms.dawa.partition import (
     Bucket,
     DyadicScaffold,
-    clip_buckets_array,
+    TrialBuckets,
     dyadic_partition_array,
     optimal_partition_batch,
+    scaffold_for,
 )
 from repro.queries.histogram import HistogramInput
 
@@ -46,6 +47,26 @@ class DawaResult:
 
     estimate: np.ndarray
     buckets: "np.ndarray | list[Bucket]"
+
+
+@dataclass(frozen=True)
+class DawaBatchResult:
+    """The trials of one batched release; ``self[t]`` is trial ``t``.
+
+    Row ``t`` of ``estimates`` was expanded over ``partitions[t]``; the
+    per-trial :class:`DawaResult` items hold views of both.
+    """
+
+    estimates: np.ndarray
+    partitions: TrialBuckets
+
+    def __len__(self) -> int:
+        return len(self.partitions)
+
+    def __getitem__(self, trial: int) -> DawaResult:
+        return DawaResult(
+            estimate=self.estimates[trial], buckets=self.partitions[trial]
+        )
 
 
 class Dawa(HistogramMechanism):
@@ -84,14 +105,14 @@ class Dawa(HistogramMechanism):
         rng: np.random.Generator,
         scaffold: DyadicScaffold | None = None,
     ) -> DawaResult:
-        """One release; pass a scaffold to reuse stage 1's exact costs."""
+        """One release over the histogram's memoised stage-1 scaffold."""
         x = np.asarray(hist.x, dtype=float)
         buckets = dyadic_partition_array(
             x,
             self.epsilon1,
             rng,
             bucket_penalty=self.bucket_penalty,
-            scaffold=scaffold,
+            scaffold=scaffold if scaffold is not None else scaffold_for(hist),
         )
         estimate = uniform_bucket_estimate(x, buckets, self.epsilon2, rng)
         return DawaResult(estimate=estimate, buckets=buckets)
@@ -105,47 +126,32 @@ class Dawa(HistogramMechanism):
         rng: np.random.Generator,
         n_trials: int,
         scaffold: DyadicScaffold | None = None,
-    ) -> list[DawaResult]:
-        """``n_trials`` independent releases with both stages batched.
+    ) -> DawaBatchResult:
+        """``n_trials`` independent releases, every stage one flat pass.
 
         Stage 1: the exact dyadic deviation costs are data-dependent but
-        trial-independent (one scaffold); all trials' noisy cost levels
-        are sampled as ``(n_trials, n_intervals)`` matrices and the
-        partition Bellman recursion runs once across trials
+        request-independent (the histogram's memoised scaffold); all
+        trials' noisy cost levels come from one sampler call, and the
+        Bellman recursion and the top-down selection each run once
+        across trials
         (:func:`repro.mechanisms.dawa.partition.optimal_partition_batch`).
 
-        Stage 2: trials are grouped by their chosen partition — stage 1
-        is strongly data-driven, so distinct trials frequently land on
-        the same bucket set — and each group expands in one
-        reduceat/Laplace-matrix/repeat pass
-        (:func:`repro.mechanisms.dawa.estimate.uniform_bucket_estimate_batch`).
-        Trial order is preserved in the returned list; only the noise
-        stream order differs from the per-trial loop (batch-mode
-        contract).
+        Stage 2: every trial's bucket totals, noise and uniform
+        expansion in the concatenated domain
+        (:func:`repro.mechanisms.dawa.estimate.uniform_bucket_estimate_trials`).
+        Only the noise stream order differs from the per-trial loop
+        (batch-mode contract).
         """
-        x = np.asarray(hist.x, dtype=float)
         if scaffold is None:
-            scaffold = DyadicScaffold(x)
+            scaffold = scaffold_for(hist)
         costs = scaffold.noisy_costs_batch(self.epsilon1, rng, n_trials)
-        partitions = optimal_partition_batch(costs, self.bucket_penalty)
-        buckets_by_trial = [
-            clip_buckets_array(padded, scaffold.n_original)
-            for padded in partitions
-        ]
-        groups: dict[bytes, list[int]] = {}
-        for trial, buckets in enumerate(buckets_by_trial):
-            groups.setdefault(buckets.tobytes(), []).append(trial)
-        results: list[DawaResult | None] = [None] * n_trials
-        for trials in groups.values():
-            buckets = buckets_by_trial[trials[0]]
-            rows = uniform_bucket_estimate_batch(
-                x, buckets, self.epsilon2, rng, len(trials)
-            )
-            for row, trial in enumerate(trials):
-                results[trial] = DawaResult(
-                    estimate=rows[row], buckets=buckets
-                )
-        return results
+        partitions = optimal_partition_batch(
+            costs, self.bucket_penalty
+        ).clipped(scaffold.n_original)
+        estimates = uniform_bucket_estimate_trials(
+            hist.x, partitions, self.epsilon2, rng
+        )
+        return DawaBatchResult(estimates=estimates, partitions=partitions)
 
     def release_batch(
         self,
@@ -157,11 +163,4 @@ class Dawa(HistogramMechanism):
             return self._sequential_release_batch(hist, rng, n_trials)
         if n_trials is None:
             raise ValueError("n_trials is required with a single generator")
-        return np.stack(
-            [
-                result.estimate
-                for result in self.release_with_partition_batch(
-                    hist, rng, n_trials
-                )
-            ]
-        )
+        return self.release_with_partition_batch(hist, rng, n_trials).estimates

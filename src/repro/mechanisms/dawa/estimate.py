@@ -17,11 +17,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distributions.laplace import sample_laplace
-from repro.mechanisms.dawa.partition import buckets_tile_domain
+from repro.mechanisms.dawa.partition import TrialBuckets, buckets_tile_domain
 
 Bucket = tuple[int, int]
 
 BUCKET_TOTAL_SENSITIVITY = 2.0
+
+
+def _expand_noisy_totals(
+    x: np.ndarray,
+    starts: np.ndarray,
+    widths: np.ndarray,
+    scale: float,
+    rng: np.random.Generator,
+    clip_negative_totals: bool,
+) -> np.ndarray:
+    """Noisy totals of the buckets tiling ``x``, spread over their bins."""
+    totals = np.add.reduceat(x, starts)
+    totals += sample_laplace(rng, scale, size=len(totals))
+    if clip_negative_totals:
+        np.maximum(totals, 0.0, out=totals)
+    return np.repeat(totals / widths, widths)
 
 
 def uniform_bucket_estimate(
@@ -47,13 +63,10 @@ def uniform_bucket_estimate(
     scale = BUCKET_TOTAL_SENSITIVITY / epsilon2
     arr = np.asarray(buckets, dtype=np.int64).reshape(-1, 2)
     starts, ends = arr[:, 0], arr[:, 1]
-    widths = ends - starts
     if buckets_tile_domain(starts, ends, len(x)):
-        totals = np.add.reduceat(x, starts)
-        totals += sample_laplace(rng, scale, size=len(totals))
-        if clip_negative_totals:
-            np.maximum(totals, 0.0, out=totals)
-        return np.repeat(totals / widths, widths)
+        return _expand_noisy_totals(
+            x, starts, ends - starts, scale, rng, clip_negative_totals
+        )
     # Gapped or overlapping buckets (not produced by stage 1, but the
     # public API allows them): per-slice assignment as before.
     estimate = np.zeros_like(x)
@@ -66,51 +79,41 @@ def uniform_bucket_estimate(
     return estimate
 
 
-def uniform_bucket_estimate_batch(
+def uniform_bucket_estimate_trials(
     x: np.ndarray,
-    buckets: list[Bucket],
+    partitions: TrialBuckets,
     epsilon2: float,
     rng: np.random.Generator,
-    n_rows: int,
     clip_negative_totals: bool = True,
 ) -> np.ndarray:
-    """``n_rows`` independent stage-2 releases over one shared partition.
+    """One stage-2 release per trial of ``partitions``, in one flat pass.
 
-    The bucket totals are data, not noise — one ``np.add.reduceat``
-    serves every trial — so the whole group costs a single
-    ``(n_rows, n_buckets)`` Laplace matrix and one axis-1 ``np.repeat``
-    expansion.  This is the kernel behind grouped stage 2: trials whose
-    stage-1 partitions coincide (common at paper-scale epsilon, where
-    stage 1 is strongly data-driven) share everything but their noise.
-    Each row is distributed exactly as one :func:`uniform_bucket_estimate`
-    draw; the streams differ (batch-mode contract).
+    The trials' buckets tile the concatenated domain, so the whole
+    batch is one ``np.add.reduceat`` over the tiled counts, one Laplace
+    vector with an entry per bucket of every trial, and one
+    ``np.repeat`` — O(sum of bucket counts), whether the trials chose
+    the same partition or all different ones.  Row ``t`` is, draw for
+    draw, what :func:`uniform_bucket_estimate` returns for
+    ``partitions[t]`` when the calls share ``rng`` in trial order.
     """
-    if n_rows < 1:
-        raise ValueError("need at least one row")
     if epsilon2 <= 0:
         raise ValueError("epsilon2 must be positive")
     x = np.asarray(x, dtype=float)
-    if len(buckets) == 0:
-        return np.zeros((n_rows, len(x)))
-    arr = np.asarray(buckets, dtype=np.int64).reshape(-1, 2)
-    starts, ends = arr[:, 0], arr[:, 1]
-    widths = ends - starts
-    if not buckets_tile_domain(starts, ends, len(x)):
-        return np.stack(
-            [
-                uniform_bucket_estimate(
-                    x, buckets, epsilon2, rng, clip_negative_totals
-                )
-                for _ in range(n_rows)
-            ]
-        )
-    scale = BUCKET_TOTAL_SENSITIVITY / epsilon2
-    totals = np.add.reduceat(x, starts)
-    noisy = totals + sample_laplace(rng, scale, size=(n_rows, len(totals)))
-    if clip_negative_totals:
-        np.maximum(noisy, 0.0, out=noisy)
-    noisy /= widths
-    return np.repeat(noisy, widths, axis=1)
+    n_trials = len(partitions)
+    if len(x) == 0:
+        return np.zeros((n_trials, 0))
+    starts, widths = partitions.flat_starts(), partitions.widths
+    if not buckets_tile_domain(starts, starts + widths, n_trials * len(x)):
+        raise ValueError("each trial's buckets must tile the histogram")
+    flat = _expand_noisy_totals(
+        np.tile(x, n_trials),
+        starts,
+        widths,
+        BUCKET_TOTAL_SENSITIVITY / epsilon2,
+        rng,
+        clip_negative_totals,
+    )
+    return flat.reshape(n_trials, len(x))
 
 
 class HierarchicalHistogram:

@@ -18,23 +18,28 @@ choice is post-processing: an exact bottom-up dynamic program chooses
 split-vs-merge at every node.
 
 Performance notes.  The exact deviation costs are data-dependent but
-*trial-independent*, so :class:`DyadicScaffold` computes them once
-(shared zero-padding, prefix sums for interval totals, and
-``np.partition`` lower-half sums instead of per-row medians: for an
+*request-independent*, so :class:`DyadicScaffold` computes them once
+per histogram (shared zero-padding, prefix sums for interval totals,
+and ``np.partition`` lower-half sums instead of per-row medians: for an
 even-width sorted interval, ``dev = total - 2 * sum(lower half)``) and
-multi-trial callers reuse the scaffold, paying only fresh noise per
-trial.  The partition walk is an iterative stack descent, and the
-bucket clipping/validation helpers are vectorized.
+:func:`scaffold_for` keeps the scaffold with the histogram it
+describes, so a release pays only fresh noise.  A batch draws every
+trial's noise in one kernel call, runs the Bellman recursion and the
+top-down selection once across trials, and hands stage 2 all trials'
+buckets as one flat array (:class:`TrialBuckets`).
 """
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.distributions.laplace import sample_laplace
+from repro.mechanisms.batch_sampling import laplace_rows
+from repro.queries.histogram import HistogramInput
 
 Bucket = tuple[int, int]  # half-open [start, end)
 
@@ -106,6 +111,12 @@ class DyadicScaffold:
     ``np.partition`` delivers the lower half without a full sort, and
     the interval totals at every level come from one shared prefix-sum
     array over the padded domain.
+
+    Instances are shared across requests and threads
+    (:func:`scaffold_for`), so every attribute — ``n_original``,
+    ``n_padded``, ``n_levels``, ``exact_levels`` and the arrays in it —
+    is immutable after ``__init__``: the arrays are marked read-only
+    and the sampling methods only read them.
     """
 
     def __init__(self, x: np.ndarray):
@@ -115,10 +126,14 @@ class DyadicScaffold:
         padded = np.zeros(n)
         padded[: self.n_original] = x
         self.n_padded = n
-        self.n_levels = int(np.log2(n)) + 1
+        self.n_levels = n.bit_length()
 
         prefix = np.concatenate([[0.0], np.cumsum(padded)])
+        # Levels 1.. live side by side in one array — the base of the
+        # one-call batch draw — and ``exact_levels[1:]`` are its slices.
+        flat = np.empty(n - 1)
         levels: list[np.ndarray] = [np.zeros(n)]
+        start = 0
         for level in range(1, self.n_levels):
             width = 1 << level
             half = width >> 1
@@ -126,7 +141,13 @@ class DyadicScaffold:
             part = np.partition(rows, half - 1, axis=1)
             lower = part[:, :half].sum(axis=1)
             totals = np.diff(prefix[::width])
-            levels.append(totals - 2.0 * lower)
+            exact = flat[start : start + len(totals)]
+            np.subtract(totals, 2.0 * lower, out=exact)
+            levels.append(exact)
+            start += len(totals)
+        for array in (*levels, flat):
+            array.setflags(write=False)
+        self._exact_flat = flat
         self.exact_levels: tuple[np.ndarray, ...] = tuple(levels)
 
     def noisy_costs(
@@ -154,9 +175,12 @@ class DyadicScaffold:
     ) -> BatchDyadicCosts:
         """``n_trials`` independent noisy cost sets in one sampling pass.
 
-        One ``(n_trials, n_intervals)`` Laplace matrix per level instead
-        of ``n_trials`` per-level sampler calls; each row is distributed
-        exactly as one :meth:`noisy_costs` draw (the streams differ —
+        One :func:`repro.mechanisms.batch_sampling.laplace_rows` call
+        draws every level of every trial — the raw-bits kernel, its
+        thread-local bit generator and scratch, as for the ``laplace``
+        mechanism — and the levels are column views of that one matrix.
+        Each row is distributed as one :meth:`noisy_costs` draw up to
+        the kernel's float32-uniform granularity (the streams differ —
         batch mode's documented contract).
         """
         if epsilon1 <= 0:
@@ -165,16 +189,44 @@ class DyadicScaffold:
             raise ValueError("need at least one trial")
         noisy_levels = self.n_levels - 1
         scale = 2.0 * max(noisy_levels, 1) / epsilon1
+        noisy = laplace_rows(rng, scale, self._exact_flat, n_trials)
+        np.maximum(noisy, 0.0, out=noisy)
         levels: list[np.ndarray] = [
             np.broadcast_to(self.exact_levels[0], (n_trials, self.n_padded))
         ]
+        start = 0
         for exact in self.exact_levels[1:]:
-            costs = exact + sample_laplace(
-                rng, scale, size=(n_trials, len(exact))
-            )
-            np.maximum(costs, 0.0, out=costs)
-            levels.append(costs)
+            levels.append(noisy[:, start : start + len(exact)])
+            start += len(exact)
         return BatchDyadicCosts(levels=tuple(levels))
+
+
+# Scaffolds of live histograms, keyed by ``id`` and dropped by a
+# finalizer when the histogram dies.  Not an attribute of the histogram:
+# ``HistogramInput`` pickles its ``__dict__``, and the memo must not
+# travel with it.
+_scaffolds: dict[int, DyadicScaffold] = {}
+
+
+def scaffold_for(hist) -> DyadicScaffold:
+    """The scaffold of ``hist.x``, built once per histogram instance.
+
+    Only frozen :class:`~repro.queries.histogram.HistogramInput`
+    instances are memoised: their counts cannot change, and every
+    append/expire/carry builds a new instance, so the memo dies with
+    the counts it describes.  Two readers racing on a fresh histogram
+    build two identical immutable scaffolds and one wins (the
+    ``_binom_table_pool`` rule).  Any other ``hist`` builds afresh.
+    """
+    if not isinstance(hist, HistogramInput):
+        return DyadicScaffold(hist.x)
+    key = id(hist)
+    scaffold = _scaffolds.get(key)
+    if scaffold is None:
+        scaffold = DyadicScaffold(hist.x)
+        weakref.finalize(hist, _scaffolds.pop, key, None).atexit = False
+        _scaffolds[key] = scaffold
+    return scaffold
 
 
 def noisy_dyadic_costs(
@@ -184,17 +236,19 @@ def noisy_dyadic_costs(
     return DyadicScaffold(x).noisy_costs(epsilon1, rng)
 
 
-def _select_buckets(keep: Sequence[np.ndarray]) -> np.ndarray:
+def _select_buckets(keep: Sequence[np.ndarray], n_roots: int = 1) -> np.ndarray:
     """Top-down bucket selection from per-level keep/split decisions.
 
     One vectorized pass per level: nodes whose subtree optimum keeps
     them whole emit buckets, the rest expand into their children for
     the next level down.  ``keep[level][i]`` is True when interval ``i``
-    of that level stays a single bucket.
+    of that level stays a single bucket.  The top level holds
+    ``n_roots`` intervals: one tree, or a batch's trials side by side
+    (node ``i``'s children are ``2i`` and ``2i + 1`` either way).
     """
     n_levels = len(keep)
     pieces: list[np.ndarray] = []
-    active = np.zeros(1, dtype=np.int64)
+    active = np.arange(n_roots, dtype=np.int64)
     for level in range(n_levels - 1, -1, -1):
         if active.size == 0:
             break
@@ -232,51 +286,90 @@ def optimal_partition_array(
     n = costs.n
     n_levels = len(costs.levels)
 
-    # best[level][i] = optimal cost for the subtree rooted at interval i
-    # of the given level; keep[level][i] = True when the node stays whole.
-    best: list[np.ndarray] = [
-        np.asarray(costs.levels[0]) + bucket_penalty
-    ]
+    # best[i] = optimal cost for the subtree rooted at interval i of the
+    # level below; keep[level][i] = True when the node stays whole.
+    best = np.asarray(costs.levels[0]) + bucket_penalty
     keep: list[np.ndarray] = [np.ones(n, dtype=bool)]
     for level in range(1, n_levels):
         whole = np.asarray(costs.levels[level]) + bucket_penalty
-        split = best[level - 1][0::2] + best[level - 1][1::2]
-        level_keep = whole <= split
-        level_best = np.where(level_keep, whole, split)
-        best.append(level_best)
-        keep.append(level_keep)
+        split = best[0::2] + best[1::2]
+        keep.append(whole <= split)
+        best = np.minimum(whole, split, out=split)
 
     return _select_buckets(keep)
 
 
+class TrialBuckets(Sequence):
+    """Every trial's buckets of one batch, stored flat.
+
+    ``rows`` is one ``(K, 2)`` int64 array of ``[start, end)`` rows in
+    per-trial coordinates, trial-major and left to right; trial ``t``
+    owns ``rows[offsets[t]:offsets[t + 1]]``, and ``self[t]`` is that
+    view.  Each trial's rows tile ``[0, n)``, so in the concatenated
+    ``n_trials * n`` domain all ``K`` rows tile it too — which is what
+    lets stage 2 and DAWAz's post-processing run one ``reduceat`` over
+    every trial (:meth:`flat_starts`).
+    """
+
+    def __init__(self, rows: np.ndarray, offsets: np.ndarray, n: int):
+        self.rows = rows
+        self.offsets = offsets
+        self.n = n
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, trial: int) -> np.ndarray:
+        trial = range(len(self))[trial]
+        return self.rows[self.offsets[trial] : self.offsets[trial + 1]]
+
+    @property
+    def widths(self) -> np.ndarray:
+        return self.rows[:, 1] - self.rows[:, 0]
+
+    def flat_starts(self) -> np.ndarray:
+        """Bucket starts in the concatenated ``n_trials * n`` domain."""
+        shift = np.arange(len(self), dtype=np.int64) * self.n
+        return self.rows[:, 0] + np.repeat(shift, np.diff(self.offsets))
+
+    def clipped(self, n: int) -> "TrialBuckets":
+        """Every trial restricted to ``[0, n)`` (:func:`clip_buckets_array`)."""
+        if n == self.n:
+            return self
+        kept_before = np.concatenate([[0], np.cumsum(self.rows[:, 0] < n)])
+        return TrialBuckets(
+            clip_buckets_array(self.rows, n), kept_before[self.offsets], n
+        )
+
+
 def optimal_partition_batch(
     costs: BatchDyadicCosts, bucket_penalty: float
-) -> list[np.ndarray]:
-    """The partition DP for every trial in one bottom-up sweep.
+) -> TrialBuckets:
+    """The partition DP for every trial in one sweep up and one down.
 
     The Bellman recursion runs on ``(n_trials, n_intervals)`` matrices —
     the per-trial float operations are elementwise-identical to
-    :func:`optimal_partition_array` on that trial's cost rows, so the
-    chosen buckets match the per-trial path exactly.  Only the final
-    top-down selection (whose shape is data-dependent) walks per trial.
-    Returns one ``(k_t, 2)`` bucket array per trial, over the padded
-    domain.
+    :func:`optimal_partition_array` on that trial's cost rows — and the
+    top-down selection walks the ravelled keep masks with every trial's
+    root active, so each level is one step for the whole batch and the
+    chosen buckets match the per-trial path exactly.  Returns the
+    trials' buckets over the padded domain.
     """
     if bucket_penalty < 0:
         raise ValueError("bucket_penalty must be non-negative")
-    n_levels = len(costs.levels)
+    n_trials, n = costs.n_trials, costs.n
     best = costs.levels[0] + bucket_penalty  # (n_trials, n)
-    keep: list[np.ndarray] = [np.ones_like(best, dtype=bool)]
-    for level in range(1, n_levels):
+    keep: list[np.ndarray] = [np.ones(best.size, dtype=bool)]
+    for level in range(1, len(costs.levels)):
         whole = costs.levels[level] + bucket_penalty
         split = best[:, 0::2] + best[:, 1::2]
-        level_keep = whole <= split
-        best = np.where(level_keep, whole, split)
-        keep.append(level_keep)
-    return [
-        _select_buckets([level_keep[t] for level_keep in keep])
-        for t in range(costs.n_trials)
-    ]
+        keep.append((whole <= split).ravel())
+        best = np.minimum(whole, split, out=split)
+    rows = _select_buckets(keep, n_roots=n_trials)
+    bounds = np.arange(n_trials + 1, dtype=np.int64) * n
+    offsets = np.searchsorted(rows[:, 0], bounds)
+    rows -= np.repeat(bounds[:-1], np.diff(offsets))[:, np.newaxis]
+    return TrialBuckets(rows, offsets, n)
 
 
 def optimal_dyadic_partition(
@@ -297,20 +390,6 @@ def clip_buckets_array(arr: np.ndarray, n: int) -> np.ndarray:
     return kept
 
 
-# Backwards-compatible private alias (pre-batch-path name).
-_clip_buckets_array = clip_buckets_array
-
-
-def _clip_buckets(buckets: list[Bucket], n: int) -> list[Bucket]:
-    """List-of-tuples form of :func:`_clip_buckets_array`."""
-    if not buckets:
-        return []
-    return [
-        tuple(pair)
-        for pair in _clip_buckets_array(np.asarray(buckets), n).tolist()
-    ]
-
-
 def dyadic_partition_array(
     x: np.ndarray,
     epsilon1: float,
@@ -327,7 +406,7 @@ def dyadic_partition_array(
         scaffold = DyadicScaffold(x)
     costs = scaffold.noisy_costs(epsilon1, rng)
     buckets = optimal_partition_array(costs, bucket_penalty)
-    return _clip_buckets_array(buckets, scaffold.n_original)
+    return clip_buckets_array(buckets, scaffold.n_original)
 
 
 def dyadic_partition(

@@ -34,7 +34,7 @@ from repro.mechanisms.batch_sampling import (
     binomial_support_rows,
     one_sided_rows,
 )
-from repro.mechanisms.dawa.dawa import Dawa, DawaResult
+from repro.mechanisms.dawa.dawa import Dawa, DawaBatchResult, DawaResult
 from repro.mechanisms.dawa.partition import buckets_tile_domain
 from repro.mechanisms.osdp_rr import release_probability
 from repro.queries.histogram import HistogramInput, ns_support_sorted
@@ -98,18 +98,37 @@ def detect_zero_bins_batch(
     raise ValueError(f"unknown zero detector {detector!r}")
 
 
+def _redistribute_removed_mass(
+    estimate: np.ndarray,
+    zero_mask: np.ndarray,
+    starts: np.ndarray,
+    widths: np.ndarray,
+) -> np.ndarray:
+    """Zero ``zero_mask`` and spread each tiling bucket's removed mass.
+
+    Per-bucket zeroed counts and removed mass come from
+    ``np.add.reduceat`` over the bucket starts, and the redistribution
+    is one ``np.repeat`` + ``np.where`` pass.  Redistributing the
+    removed mass uniformly over the surviving bins keeps each bucket
+    total invariant (the ``|B| / (|B| - |Z∩B|)`` rescaling of the
+    uniform expansion).
+    """
+    n_zeroed = np.add.reduceat(zero_mask.astype(np.int64), starts)
+    removed = np.add.reduceat(np.where(zero_mask, estimate, 0.0), starts)
+    survivors = widths - n_zeroed
+    per_survivor = np.divide(
+        removed,
+        survivors,
+        out=np.zeros(len(starts)),
+        where=survivors > 0,
+    )
+    return np.where(zero_mask, 0.0, estimate + np.repeat(per_survivor, widths))
+
+
 def apply_zero_postprocessing(
     result: DawaResult, zero_mask: np.ndarray
 ) -> np.ndarray:
-    """Algorithm 3 lines 5-11: zero out Z and rescale within partitions.
-
-    Vectorized over buckets: per-bucket zeroed counts and removed mass
-    come from ``np.add.reduceat`` over the bucket starts (stage 1's
-    partition tiles the domain), and the redistribution is one
-    ``np.repeat`` + ``np.where`` pass.  Redistributing the removed mass
-    uniformly over the surviving bins keeps each bucket total invariant
-    (the ``|B| / (|B| - |Z∩B|)`` rescaling of the uniform expansion).
-    """
+    """Algorithm 3 lines 5-11: zero out Z and rescale within partitions."""
     estimate = np.asarray(result.estimate, dtype=float)
     zero_mask = np.asarray(zero_mask, dtype=bool)
     if zero_mask.shape != estimate.shape:
@@ -118,21 +137,36 @@ def apply_zero_postprocessing(
         return estimate.copy()
     arr = np.asarray(result.buckets, dtype=np.int64).reshape(-1, 2)
     starts, ends = arr[:, 0], arr[:, 1]
-    widths = ends - starts
     if not buckets_tile_domain(starts, ends, len(estimate)):
         return _apply_zero_postprocessing_slices(
             estimate.copy(), zero_mask, result.buckets
         )
-    n_zeroed = np.add.reduceat(zero_mask.astype(np.int64), starts)
-    removed = np.add.reduceat(np.where(zero_mask, estimate, 0.0), starts)
-    survivors = widths - n_zeroed
-    per_survivor = np.divide(
-        removed,
-        survivors,
-        out=np.zeros(len(arr)),
-        where=survivors > 0,
+    return _redistribute_removed_mass(estimate, zero_mask, starts, ends - starts)
+
+
+def apply_zero_postprocessing_trials(
+    batch: DawaBatchResult, zero_masks: np.ndarray
+) -> np.ndarray:
+    """:func:`apply_zero_postprocessing` for every trial in one flat pass.
+
+    The trials' buckets tile the concatenated domain, so the batch is
+    the single-trial pass over ``estimates.ravel()`` — row ``t`` equals
+    ``apply_zero_postprocessing(batch[t], zero_masks[t])`` bit for bit.
+    """
+    estimates = np.asarray(batch.estimates, dtype=float)
+    zero_masks = np.asarray(zero_masks, dtype=bool)
+    if zero_masks.shape != estimates.shape:
+        raise ValueError("zero masks must match the estimates' shape")
+    if estimates.size == 0:
+        return estimates.copy()
+    partitions = batch.partitions
+    flat = _redistribute_removed_mass(
+        estimates.ravel(),
+        zero_masks.ravel(),
+        partitions.flat_starts(),
+        partitions.widths,
     )
-    return np.where(zero_mask, 0.0, estimate + np.repeat(per_survivor, widths))
+    return flat.reshape(estimates.shape)
 
 
 def _apply_zero_postprocessing_slices(
@@ -211,22 +245,21 @@ class TwoPhaseOsdpRecipe(HistogramMechanism):
             hist, self.epsilon_zero, rng, n_trials, detector=self.zero_detector
         )
         if isinstance(self.dp_algorithm, Dawa):
-            # Fully batched stage 1: one scaffold, all trials' noisy
-            # cost levels as (n_trials, level) matrices, one vectorized
-            # partition DP across trials.
-            results = self.dp_algorithm.release_with_partition_batch(
-                hist, rng, n_trials
+            return apply_zero_postprocessing_trials(
+                self.dp_algorithm.release_with_partition_batch(
+                    hist, rng, n_trials
+                ),
+                masks,
             )
-        else:
-            results = [
-                self.dp_algorithm.release_with_partition(hist, rng)
-                for _ in range(n_trials)
+        return np.stack(
+            [
+                apply_zero_postprocessing(
+                    self.dp_algorithm.release_with_partition(hist, rng),
+                    masks[trial],
+                )
+                for trial in range(n_trials)
             ]
-        rows = [
-            apply_zero_postprocessing(result, masks[trial])
-            for trial, result in enumerate(results)
-        ]
-        return np.stack(rows)
+        )
 
 
 class DawaZ(TwoPhaseOsdpRecipe):

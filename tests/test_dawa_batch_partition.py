@@ -2,7 +2,8 @@
 
 ``noisy_costs_batch`` samples all trials' noisy cost levels as
 ``(n_trials, level)`` matrices and ``optimal_partition_batch`` runs the
-partition Bellman recursion once across trials.  Given the *same* noisy
+partition Bellman recursion and the top-down selection once across
+trials.  Given the *same* noisy
 costs, the batched DP must choose exactly the buckets the per-trial
 :func:`optimal_partition_array` chooses — float-op-for-float-op — which
 is what these tests pin down (the only difference between the paths is
@@ -18,6 +19,7 @@ from repro.data.dpbench import generate_dpbench
 from repro.mechanisms.dawa.dawa import Dawa
 from repro.mechanisms.dawa.partition import (
     DyadicScaffold,
+    TrialBuckets,
     optimal_partition_array,
     optimal_partition_batch,
     validate_partition,
@@ -127,19 +129,26 @@ class TestBatchedReleases:
         assert (out[:, empty] == 0.0).all()
 
 
-class TestGroupedStage2:
-    """Stage 2 batched over trials that share a stage-1 partition."""
+def _repeated(buckets, n_rows: int, n: int) -> TrialBuckets:
+    """``n_rows`` trials that all chose ``buckets`` (offsets repeat)."""
+    rows = np.tile(np.asarray(buckets, dtype=np.int64), (n_rows, 1))
+    return TrialBuckets(rows, np.arange(n_rows + 1) * len(buckets), n)
 
-    def test_uniform_bucket_estimate_batch_rows(self):
+
+class TestGroupedStage2:
+    """Stage 2 over every trial's buckets in one flat pass — trials
+    that share a stage-1 partition are the case where offsets repeat."""
+
+    def test_uniform_bucket_estimate_trials_rows(self):
         from repro.mechanisms.dawa.estimate import (
             uniform_bucket_estimate,
-            uniform_bucket_estimate_batch,
+            uniform_bucket_estimate_trials,
         )
 
         x = np.array([4.0, 9.0, 0.0, 0.0, 25.0, 1.0, 1.0, 1.0])
         buckets = [(0, 2), (2, 5), (5, 8)]
-        rows = uniform_bucket_estimate_batch(
-            x, buckets, 2.0, np.random.default_rng(0), 400
+        rows = uniform_bucket_estimate_trials(
+            x, _repeated(buckets, 400, len(x)), 2.0, np.random.default_rng(0)
         )
         assert rows.shape == (400, len(x))
         # uniform expansion: constant within each bucket, every trial
@@ -162,23 +171,17 @@ class TestGroupedStage2:
             rows.std(axis=0), reference.std(axis=0), rtol=0.25
         )
 
-    def test_gapped_buckets_fall_back_per_trial(self):
+    def test_gapped_buckets_are_rejected(self):
         from repro.mechanisms.dawa.estimate import (
-            uniform_bucket_estimate,
-            uniform_bucket_estimate_batch,
+            uniform_bucket_estimate_trials,
         )
 
         x = np.arange(6, dtype=float)
         gapped = [(0, 2), (4, 6)]  # does not tile the domain
-        batch = uniform_bucket_estimate_batch(
-            x, gapped, 1.0, np.random.default_rng(3), 2
-        )
-        # shared-stream equivalence: the fallback loops the same rng
-        rng = np.random.default_rng(3)
-        expected = np.stack(
-            [uniform_bucket_estimate(x, gapped, 1.0, rng) for _ in range(2)]
-        )
-        assert np.array_equal(batch, expected)
+        with pytest.raises(ValueError):
+            uniform_bucket_estimate_trials(
+                x, _repeated(gapped, 2, len(x)), 1.0, np.random.default_rng(3)
+            )
 
     def test_grouped_release_preserves_trial_order_and_independence(
         self, adult_x

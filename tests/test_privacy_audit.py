@@ -34,6 +34,8 @@ from repro.evaluation.audit import (
     empirical_odds_ratio_audit,
     joint_zero_estimate_codes,
 )
+from repro.mechanisms.dawa.dawa import Dawa
+from repro.mechanisms.dawa.partition import DyadicScaffold
 from repro.mechanisms.dawaz import DawaZ
 from repro.mechanisms.osdp_laplace import (
     OsdpLaplaceHistogram,
@@ -256,6 +258,132 @@ class TestComposedMechanismAudit:
             12,
             1,
         ]
+
+
+# ----------------------------------------------------------------------
+# DAWA stage 1: worlds whose *x* differs (bounded DP)
+# ----------------------------------------------------------------------
+
+# The composed pair above holds x fixed, so it never reaches DAWA's
+# stage 1 — the noisy dyadic costs, their batch sampler, the flat
+# partition selection.  Here a record moves between the two bins that
+# straddle the root's midpoint.  On a flat histogram every dyadic
+# interval holding either bin has deviation cost 0 in D and > 0 in D'
+# (1 at levels 1-2, 2 at the root): all five changes point the same
+# way and sum to 6 = 2 * noisy_levels, the sensitivity stage 1's noise
+# is calibrated for, so partition events can reach stage 1's whole
+# eps1 share.  At eps = 6 that share is 3, large against the
+# estimator's noise.
+DAWA_EPSILON = 6.0
+N_STAGE1 = 400_000
+
+
+def _boundary_neighbor_pair() -> tuple[HistogramInput, HistogramInput]:
+    """A bounded-DP pair: one sensitive record moves from bin 3 to bin 4.
+
+    ``x_ns`` is the same in both worlds (the record is sensitive before
+    and after), so DAWAz's zero phase sees no difference and whatever
+    the audit finds comes from the DAWA phase.
+    """
+    x = np.full(8, 20.0)
+    moved = x.copy()
+    moved[3] -= 1.0
+    moved[4] += 1.0
+    x_ns = np.full(8, 10.0)
+    return HistogramInput(x=x, x_ns=x_ns), HistogramInput(x=moved, x_ns=x_ns)
+
+
+class _HalfScaleScaffold(DyadicScaffold):
+    """Stage-1 noise at half the calibrated scale (spends 2 * eps1)."""
+
+    def noisy_costs_batch(self, epsilon1, rng, n_trials):
+        return super().noisy_costs_batch(2.0 * epsilon1, rng, n_trials)
+
+
+class _LeakyStage1Dawa(Dawa):
+    """DAWA whose batch path draws its costs from the half-scale mutant."""
+
+    def release_with_partition_batch(self, hist, rng, n_trials, scaffold=None):
+        return super().release_with_partition_batch(
+            hist, rng, n_trials, scaffold=_HalfScaleScaffold(hist.x)
+        )
+
+
+def _partition_codes(mechanism, hist, seed) -> np.ndarray:
+    """One integer per trial naming the partition stage 1 chose.
+
+    Bit ``i`` is set when a bucket starts at bin ``i``.  The partition
+    is stage 1's whole output, so these events audit it against its own
+    ``eps1`` share, without stage 2's noise in the way.
+    """
+    partitions = mechanism.release_with_partition_batch(
+        hist, np.random.default_rng(seed), N_STAGE1
+    ).partitions
+    trial = np.repeat(np.arange(N_STAGE1), np.diff(partitions.offsets))
+    return np.bincount(
+        trial, weights=2.0 ** partitions.rows[:, 0], minlength=N_STAGE1
+    ).astype(np.int64)
+
+
+def _stage1_audit(mechanism, seed: int):
+    d, d_prime = _boundary_neighbor_pair()
+    # The flat world is the denominator: a partition that splits
+    # around the moved record is what D' makes likelier.
+    return empirical_odds_ratio_audit(
+        _partition_codes(mechanism, d_prime, [seed, 1]),
+        _partition_codes(mechanism, d, [seed, 0]),
+        min_count=1000,
+    )
+
+
+class TestDawaStage1Audit:
+    """The batch path's stage 1 (sampler, flat selection) under audit."""
+
+    @pytest.mark.parametrize("bin_index", [3, 4])
+    def test_dawa_release_respects_epsilon_in_both_directions(self, bin_index):
+        d, d_prime = _boundary_neighbor_pair()
+        bounds = [
+            audit_release_mechanism(
+                Dawa(DAWA_EPSILON), a, b, N_TRIALS, seed=21,
+                bin_index=bin_index, width=0.5, min_count=200,
+            ).epsilon_lower_bound
+            for a, b in ((d, d_prime), (d_prime, d))  # DP is symmetric
+        ]
+        assert max(bounds) <= DAWA_EPSILON + MARGIN
+        # ...and the audit is not blind: it recovers about eps / 2.
+        assert max(bounds) >= DAWA_EPSILON / 2 - MARGIN
+
+    def test_dawaz_release_respects_epsilon(self):
+        d, d_prime = _boundary_neighbor_pair()
+        for a, b in ((d, d_prime), (d_prime, d)):
+            audit = audit_composed_release(
+                DawaZ(DAWA_EPSILON), a, b, N_TRIALS, seed=22,
+                bin_index=3, min_count=200,
+            )
+            assert audit.epsilon_lower_bound <= DAWA_EPSILON + MARGIN
+
+    def test_stage1_partition_audits_near_its_share(self):
+        mech = Dawa(DAWA_EPSILON)
+        audit = _stage1_audit(mech, seed=23)
+        assert audit.epsilon_lower_bound <= mech.epsilon1 + MARGIN
+        assert audit.epsilon_lower_bound >= mech.epsilon1 - MARGIN  # power
+
+    def test_half_scale_stage1_is_flagged_by_the_partition_audit(self):
+        mech = _LeakyStage1Dawa(DAWA_EPSILON)
+        audit = _stage1_audit(mech, seed=23)
+        assert audit.violates(mech.epsilon1, slack=MARGIN)
+        assert audit.epsilon_lower_bound > 1.5 * mech.epsilon1
+        # The release-level estimator cannot see this mutant: it audits
+        # one bin's estimate against eps = eps1 + eps2, and that
+        # marginal mixes the partition in only through the bin's bucket
+        # width, blurred by stage 2's own noise — the doubled stage-1
+        # loss stays well under the sum.  Hence the partition events.
+        d, d_prime = _boundary_neighbor_pair()
+        marginal = audit_release_mechanism(
+            mech, d_prime, d, N_TRIALS, seed=21,
+            bin_index=3, width=0.5, min_count=200,
+        )
+        assert not marginal.violates(DAWA_EPSILON, slack=MARGIN)
 
 
 class TestAuditEstimator:
