@@ -8,12 +8,10 @@ against the :class:`~repro.service.budget.DurableAccountant` on the
 same charge stream, and records the slowdown factor — the dollar cost
 of crash-safety operators are buying.
 
-The tier-1 assertion is correctness-only (both ledgers identical).
-The wall-clock bar lives in the ``bench_regression`` lane and is
-deliberately generous: an fsync per charge is storage-speed-bound
-(journaled filesystems, VM disks), so the bar catches a pathological
-regression (e.g. an accidental journal rewrite per charge, compaction
-in the hot loop), not device variance.
+The assertion is correctness-only (both ledgers identical); the rates
+are a record.  The bounded measurement of the durable charge is
+``bench/``'s ``budget.durable_charge_us`` probe and the ``stream_mixed``
+workload.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import tempfile
 import time
 
-import pytest
 from conftest import write_result
 
 from repro.core.accountant import PrivacyAccountant
@@ -31,10 +28,6 @@ from repro.service.budget import DurableAccountant
 
 N_CHARGES = 400
 TOTAL = 1e9
-# fsync latency spans ~0.05ms (NVMe) to ~10ms (spinning/virtualized
-# disks): even the slow end leaves >100 charges/sec absolute; the
-# relative bar only has to catch work that is not one-fsync-per-charge.
-MIN_DURABLE_CHARGES_PER_SEC = 25.0
 
 
 def _charge_stream(accountant) -> float:
@@ -84,15 +77,3 @@ def test_durable_ledger_matches_in_memory_ledger():
     memory_s, durable_s, n_memory, n_durable = _measure()
     _report(memory_s, durable_s)
     assert n_memory == n_durable == N_CHARGES + 1
-
-
-@pytest.mark.bench_regression
-def test_durable_charge_rate_above_floor():
-    memory_s, durable_s, _, _ = _measure()
-    _report(memory_s, durable_s)
-    rate = N_CHARGES / durable_s
-    assert rate >= MIN_DURABLE_CHARGES_PER_SEC, (
-        f"durable accountant served {rate:.1f} charges/sec, below the "
-        f"{MIN_DURABLE_CHARGES_PER_SEC}/sec floor — is something "
-        "heavier than one fsync'd frame append on the charge path?"
-    )

@@ -6,10 +6,9 @@ bit-identical to one server holding all the shards.  This bench prices
 the coordinator's work — one ``hist_counts`` round trip per shard
 range plus the merge — against the in-process path on the same data.
 
-The tier-1 assertion is correctness-only (bit-identical estimates).
-The wall-clock *bar* — cluster overhead within ``MAX_OVERHEAD_RATIO``
-of in-process on a warm stream — lives in the ``bench_regression``
-lane, and skips with a reason where loopback sockets are unavailable.
+The assertion is correctness-only (bit-identical estimates); the
+ratio is a record.  The bounded measurement of this path is
+``bench/``'s ``cluster_warm`` workload.
 """
 
 from __future__ import annotations
@@ -30,12 +29,6 @@ from repro.service.rpc import RpcServer
 
 N_RECORDS = 200_000
 N_REQUESTS = 50
-# Each clustered release pays one hist_counts round trip per shard
-# range (two here) on top of the remote-release tax the rpc_overhead
-# bench prices.  The bar is generous on purpose: it catches a
-# pathological coordinator regression (per-call reconnects, a merge
-# that recomputes endpoints serially from cold), not a ratio drift.
-MAX_OVERHEAD_RATIO = 60.0
 
 BINNING_SPEC = IntegerBinning("age", 0, 100, 10).to_spec()
 POLICY_SPEC = {"kind": "opt_in", "attr": "opt_in"}
@@ -151,16 +144,3 @@ def test_cluster_responses_bit_identical_warm_stream():
         pytest.skip(reason)
     for got, want in zip(cluster_responses, local_responses):
         assert np.array_equal(got.estimates, want.estimates)
-
-
-@pytest.mark.bench_regression
-def test_cluster_overhead_within_bar():
-    local_s, _, cluster_s, _, reason = _measure()
-    if reason:
-        pytest.skip(reason)
-    ratio = cluster_s / local_s
-    _report(local_s * 1e6, cluster_s * 1e6)
-    assert ratio <= MAX_OVERHEAD_RATIO, (
-        f"cluster/in-process latency ratio {ratio:.1f} exceeds "
-        f"{MAX_OVERHEAD_RATIO} on a warm stream"
-    )

@@ -12,9 +12,8 @@ plus the speedup.
 The tier-1 assertions are correctness-only: the reader never observes
 a torn batch (every histogram totals a whole number of flushed
 events), and the final column state is bit-identical to a cold batch
-load of the same stream.  The wall-clock *bar* — batched ingest at
-least ``MIN_SPEEDUP`` times the singleton path's events/sec — lives in
-the ``bench_regression`` lane with the other timing gates.
+load of the same stream.  The bounded measurement of group commit is
+``bench/``'s ``stream_mixed`` workload and its ``wal.*`` probes.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ from repro.service.server import ReleaseServer
 from repro.service.wal import WriteAheadLog
 
 CFG = TelemetryConfig(seed=5)
-#: Acceptance bar: group commit must beat per-event appends by 5x.
-MIN_SPEEDUP = 5.0
 N_SINGLETON = 300  # per-event fsyncs are slow; keep the slow lane short
 N_BATCHED = 3000
 BATCH_EVENTS = 256
@@ -172,7 +169,7 @@ def test_report_ingest_throughput(tmp_path_factory):
             "speedup",
             "",
             "",
-            f"{speedup:.1f}x (bar: >={MIN_SPEEDUP:.0f}x)",
+            f"{speedup:.1f}x",
         ],
     ]
     write_result(
@@ -180,16 +177,3 @@ def test_report_ingest_throughput(tmp_path_factory):
         format_table(["mode", "events", "wal entries", "events/s"], rows),
     )
     assert speedup > 1.0  # the generous tier-1 sanity floor
-
-
-@pytest.mark.bench_regression
-def test_group_commit_meets_the_speedup_bar(tmp_path_factory):
-    results = _measured(tmp_path_factory)
-    speedup = (
-        results["batched"]["events_per_s"]
-        / results["singleton"]["events_per_s"]
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"group-commit ingest only {speedup:.1f}x the singleton append "
-        f"path (bar: {MIN_SPEEDUP}x)"
-    )

@@ -6,12 +6,11 @@ the value column in one pass (``ColumnarDatabase.fused_counts`` →
 (bin indices materialized, then two ``np.bincount`` calls with a mask
 gather in between).  The table — per config: records, bin width,
 unfused ms, fused ms, speedup — lands in
-``benchmarks/results/kernel_fused.txt`` together with the backend that
-served the run (``REPRO_KERNEL`` selects it; numba when available).
+``benchmarks/results/kernel_fused.txt``.
 
-Tier-1 keeps only the load-insensitive assertion: both constructions
-agree bit for bit on every bench config.  The wall-clock speedup bar is
-a ``bench_regression`` test.
+The only assertion is load-insensitive: both constructions agree bit
+for bit on every bench config.  The bounded measurement of the fused
+pass is ``bench/``'s ``columnar.fused_counts_ms`` / ``kernels.*_ms``.
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 from conftest import write_result
 
 from repro.data.columnar import ColumnarDatabase
 from repro.evaluation.runner import format_table
-from repro.mechanisms import kernels
 from repro.queries.histogram import IntegerBinning
 
 N_BINS = 4_096
@@ -84,18 +81,8 @@ def _measure() -> list[list]:
     return rows
 
 
-_ROWS: list[list] | None = None
-
-
-def _measured() -> list[list]:
-    global _ROWS
-    if _ROWS is None:
-        _ROWS = _measure()
-    return _ROWS
-
-
 def test_fused_counts_bench(benchmark):
-    rows = benchmark.pedantic(_measured, rounds=1, iterations=1)
+    rows = benchmark.pedantic(_measure, rounds=1, iterations=1)
     table = format_table(
         ["records", "width", "unfused ms", "fused ms", "speedup"],
         rows,
@@ -104,29 +91,7 @@ def test_fused_counts_bench(benchmark):
     header = (
         f"fused (x, x_ns) kernel vs unfused bincount construction "
         f"({N_BINS} bins)\n"
-        f"kernel backend: {kernels.active_backend()}\n"
     )
     write_result("kernel_fused", header + "\n" + table)
     # Bit-identity was asserted per config inside _measure(); nothing
     # wall-clock-sensitive is allowed to fail tier-1.
-
-
-@pytest.mark.bench_regression
-def test_fused_counts_speedup_bar():
-    """The fused pass must hold >=1.2x over the unfused construction.
-
-    Measured ~2x on the numpy backend (one bincount over interleaved
-    codes vs index materialization + mask gather + two bincounts); the
-    bar sits at 1.2x so machine noise does not flake it, while a
-    silently de-fused path (falling back to three passes) still trips.
-    Judged on the largest config, where the per-pass cost dominates.
-    """
-    rows = _measured()
-    largest = max(rows, key=lambda r: r[0])
-    assert largest[4] >= 1.2, {
-        "records": largest[0],
-        "width": largest[1],
-        "unfused_ms": largest[2],
-        "fused_ms": largest[3],
-        "speedup": largest[4],
-    }

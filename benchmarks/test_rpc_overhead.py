@@ -8,11 +8,10 @@ request stream, and the table reports per-request latency plus the
 remote/in-process ratio (the socket tax: framing, two syscalls, one
 JSON header and one raw estimate buffer each way).
 
-The tier-1 assertions are correctness-only (bit-identical responses,
-sane magnitudes).  The wall-clock *bar* — remote overhead within
-``MAX_OVERHEAD_RATIO`` of in-process on a warm cache — lives in the
-``bench_regression`` lane with the other timing gates, and skips with
-a reason where loopback sockets are unavailable.
+The assertions are correctness-only (bit-identical responses); the
+ratio is a record.  The bounded measurement of this path is ``bench/``'s
+``warm_small`` workload and its ``backends.remote_handle_us`` /
+``backends.inprocess_handle_us`` probes.
 """
 
 from __future__ import annotations
@@ -33,11 +32,6 @@ from repro.service.rpc import RpcServer
 
 N_RECORDS = 200_000
 N_REQUESTS = 50
-# A warm-cache release is ~1ms of mechanism work; the socket adds
-# framing + loopback round trip.  The bar is deliberately generous —
-# it exists to catch a pathological transport regression (accidental
-# per-request reconnects, base64 in the hot path), not to pin a ratio.
-MAX_OVERHEAD_RATIO = 25.0
 
 BINNING_SPEC = IntegerBinning("age", 0, 100, 10).to_spec()
 POLICY_SPEC = {"kind": "opt_in", "attr": "opt_in"}
@@ -127,16 +121,3 @@ def test_remote_responses_bit_identical_warm_stream():
     for got, want in zip(remote_responses, local_responses):
         assert np.array_equal(got.estimates, want.estimates)
         assert got.cache_hit == want.cache_hit
-
-
-@pytest.mark.bench_regression
-def test_remote_overhead_within_bar():
-    local_s, _, remote_s, _, reason = _measure()
-    if reason:
-        pytest.skip(reason)
-    ratio = remote_s / local_s
-    _report(local_s * 1e6, remote_s * 1e6)
-    assert ratio <= MAX_OVERHEAD_RATIO, (
-        f"remote/in-process latency ratio {ratio:.1f} exceeds "
-        f"{MAX_OVERHEAD_RATIO} on a warm cache"
-    )

@@ -509,11 +509,10 @@ class ColumnarDatabase:
         The raw-speed count path (:mod:`repro.mechanisms.kernels`):
         for an equal-width integer binning over a plain integer column,
         bin-index computation, range validation and both bincounts run
-        as a single pass per shard — no per-record index array is
-        materialized on the compiled backend, and the loop releases the
-        GIL there.  ``ns_mask`` is the boolean non-sensitive flags (the
-        policy mask is the one stage that stays separate — the policy
-        algebra is arbitrary).  Ineligible layouts (ragged or
+        as a single pass per shard.  ``ns_mask`` is the boolean
+        non-sensitive flags (the policy mask is the one stage that
+        stays separate — the policy algebra is arbitrary).  Ineligible
+        layouts (ragged or
         non-integer columns, other binning kinds) return None and the
         caller falls back to the unfused path; when a pair is returned
         it is byte-identical to ``bin_indices`` + two bincounts.

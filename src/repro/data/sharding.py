@@ -28,8 +28,9 @@ semantics; it only changes where the work runs.
 Execution is pluggable: with no executor, shards run serially in-process
 (still a win on large inputs — per-shard temporaries fit hot cache);
 with a :class:`concurrent.futures.Executor` the per-shard closures are
-submitted to the pool.  Thread pools work out of the box (numpy kernels
-release the GIL); process pools additionally require picklable shards
+submitted to the pool.  Thread pools work out of the box (nothing is
+pickled; how far the numpy kernels overlap depends on the host's
+cores); process pools additionally require picklable shards
 and policies, so lambda-based policies must stay on threads.  The
 third executor shape is :class:`repro.data.workers.ShardWorkerPool` —
 persistent worker processes holding the shards resident, answering

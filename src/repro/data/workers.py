@@ -32,19 +32,16 @@ inverts the data flow:
   rendering, so a burst of requests over the same policy pays the
   kernel once per shard and repeated histogram traffic is O(1) per
   worker — the worker-side mirror of the release server's caches
-  (``worker_cache_stats()`` reports exact hit/miss counts, plus the
-  kernel backend the worker resolved).  A cold count pair is counted
-  from the resident shard's distinct rows when the policy and binning
-  declare what they read and the shard's summary holds it
+  (``worker_cache_stats()`` reports exact hit/miss counts).  A cold
+  count pair is counted from the resident shard's distinct rows when
+  the policy and binning declare what they read and the summary holds it
   (:func:`repro.queries.histogram._summary_counts`: O(distinct value
   tuples), no per-record array built or cached; ``summary_answers`` /
   ``summary_builds`` in the stats say so), and otherwise from the
   cached mask and bin indices on the counting kernel of
-  :mod:`repro.mechanisms.kernels`; workers inherit ``REPRO_KERNEL``
-  from the parent environment, so parent and workers always count on
-  the same backend — and the pairs are byte-identical on every backend
-  and either route anyway.  Appends extend cached arrays by evaluating
-  only the new chunk and advance count pairs by the chunk's own pair
+  :mod:`repro.mechanisms.kernels` — the pairs are byte-identical on
+  either route.  Appends extend cached arrays by evaluating only the
+  new chunk and advance count pairs by the chunk's own pair
   (policies and binnings are per-record and counts are additive, so
   both are bit-identical to recomputation); expires slice arrays and
   subtract the expired prefix's pair, counted from the expired rows.
@@ -365,17 +362,11 @@ def _worker_main(conn) -> None:
             elif op == "expire":
                 result = state.expire(msg[1])
             elif op == "cache_stats":
-                from repro.mechanisms import kernels
-
                 result = dict(
                     state.cache_stats,
                     mask_entries=len(state.masks),
                     index_entries=len(state.indices),
                     counts_entries=len(state.counts),
-                    # which kernel backend this worker's fused counts
-                    # run on (workers inherit REPRO_KERNEL, so it must
-                    # match the parent's — checkable from stats)
-                    kernel_backend=kernels.active_backend(),
                 )
             else:
                 raise ValueError(f"unknown worker op {op!r}")

@@ -33,14 +33,10 @@ to the per-trial ``release`` loop.  For bitwise reproduction of the
 paper's spawned-rng protocol, pass ``release_batch`` a *sequence* of
 generators — that mode delegates to ``release`` row by row.
 
-The transforms themselves execute on the active kernel backend
-(:mod:`repro.mechanisms.kernels`): the pure-numpy ufunc pipelines by
-default, or fused ``@njit(nogil=True)`` loops when numba is installed
-(``REPRO_KERNEL`` overrides).  All randomness is drawn here, from the
-caller's generator, on every backend — the backend only transforms
-already-drawn uniforms — so a seeded release is reproducible per
-backend and the counts feeding the samplers are byte-identical across
-backends.
+The transforms themselves are the numpy ufunc pipelines of
+:mod:`repro.mechanisms.kernels`.  All randomness is drawn here, from
+the caller's generator — the kernels only transform already-drawn
+uniforms — so a seeded release is reproducible.
 
 Thread safety: the scratch buffers **and the bulk-bits generator** are
 thread-local (each thread reuses its own pool and its own SFC64), so
@@ -56,21 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mechanisms import kernels as _kernels
-from repro.mechanisms.kernels import (  # re-exported for callers/tests
-    _MAX_SCRATCH_ENTRIES,
-    _scratch_local,
-    scratch as _scratch,
-)
-from repro.mechanisms.kernels._constants import (
-    _BINOM_U_EDGE,
-    _EXP_ONE32,
-    _HALF32,
-    _LN4_32,
-    _MANTISSA_SHIFT,
-    _MIN_TSQ32,
-    _MIN_U32,
-    _SIGN32,
-)
+from repro.mechanisms.kernels import _scratch_local, scratch as _scratch
 
 
 def _bulk_bits_generator(rng: np.random.Generator) -> np.random.BitGenerator:
@@ -126,7 +108,7 @@ def laplace_rows(
     n = n_rows * base.shape[-1]
     # Two 32-bit lanes per raw word; the slice view stays contiguous.
     # The draw happens here, on the caller's (thread-local) generator;
-    # the backend only transforms the already-drawn bits.
+    # the kernel only transforms the already-drawn bits.
     raw = _bulk_bits_generator(rng).random_raw((n + 1) // 2)
     bits = raw.view(np.uint32)[:n].reshape(shape)
     return _kernels.laplace_transform(bits, scale, base)
@@ -165,7 +147,7 @@ _BINOM_WINDOW_SIGMAS = 12.0
 # numpy's per-draw loop wins outright.
 _BINOM_TABLE_DRAW_RATIO = 16.0
 # (_BINOM_U_EDGE — the uniform edge clamp — lives in
-# repro.mechanisms.kernels._constants, shared with the backends.)
+# repro.mechanisms.kernels, beside the lookup that applies it.)
 
 _MAX_BINOM_TABLES = 8
 _binom_table_pool: dict[tuple, tuple] = {}

@@ -682,10 +682,8 @@ class RpcServer:
                 "server": "repro.service.rpc",
                 "n_shards": server.n_shards,
                 "n_records": len(server.db),
-                # which kernel backend serves this process's releases;
-                # "numba" means the noise/count kernels drop the GIL,
-                # so max_readers concurrency scales on real cores
-                # (docs/PERFORMANCE.md §13)
+                # always "numpy"; kept because bench/ and
+                # scripts/bench_record.py record it with the host
                 "kernel_backend": kernels.active_backend(),
             }
         if op == "mechanisms":

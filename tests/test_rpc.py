@@ -278,10 +278,9 @@ class TestRemoteLiveData:
 class TestConcurrentReadPath:
     """PR-5: many analysts, one server — shared-lock reads stay exact.
 
-    Load-insensitive correctness only (the ≥2× aggregate-throughput bar
-    lives in ``benchmarks/test_pool_startup.py`` under
-    ``-m bench_regression``): concurrent seeded releases through one
-    *shared* client must be bit-identical to their serial twins, and a
+    Load-insensitive correctness only (throughput is ``bench/``'s
+    job): concurrent seeded releases through one *shared* client must
+    be bit-identical to their serial twins, and a
     metered server must never over-subscribe its budget under
     concurrent charging.
     """
