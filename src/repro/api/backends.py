@@ -162,7 +162,6 @@ class ShardedBackend(_ServerBackend):
         db,
         n_shards: int | None = None,
         workers: bool = False,
-        executor=None,
         registry=None,
         accountant=None,
         cache_limit: int = 128,
@@ -172,8 +171,6 @@ class ShardedBackend(_ServerBackend):
         from repro.data.columnar import ColumnarDatabase
         from repro.data.sharding import ShardedColumnarDatabase
 
-        if workers and executor is not None:
-            raise ValueError("pass workers=True or an executor, not both")
         if shm is not None and not workers:
             raise ValueError(
                 "shm backing only applies to the worker pool; pass "
@@ -190,39 +187,46 @@ class ShardedBackend(_ServerBackend):
             )
         self.pool = None
         self._shared_stores: list = []
-        if workers:
-            from repro.data.workers import ShardWorkerPool, shard_shm_eligible
+        try:
+            if workers:
+                from repro.data.workers import (
+                    ShardWorkerPool,
+                    shard_shm_eligible,
+                )
 
-            # Share eligible shards *before* building the pool (the
-            # same per-shard eligibility rule the pool applies): the
-            # parent-side engine then reads the exact segments the
-            # workers attach — one physical copy — instead of keeping
-            # heap originals next to pool-placed shm copies.  The
-            # backend owns these stores; close() unlinks them.
-            shared_shards = []
-            for shard in db.shards:
-                if shard_shm_eligible(shard, shm) and shard.store is None:
-                    shard = shard.share()
-                    # only stores created *here* are the backend's to
-                    # unlink — shards that arrived shm-backed belong to
-                    # their creator
-                    self._shared_stores.append(shard.store)
-                shared_shards.append(shard)
-            if self._shared_stores:
-                db = ShardedColumnarDatabase(shared_shards)
-            self.pool = ShardWorkerPool(
-                db.shards, mp_context=mp_context, shm=shm
-            )
-            executor = self.pool
-        super().__init__(
-            ReleaseServer(
+                # Share eligible shards *before* building the pool (the
+                # same per-shard eligibility rule the pool applies): the
+                # parent-side engine then reads the exact segments the
+                # workers attach — one physical copy — instead of
+                # keeping heap originals next to pool-placed shm copies.
+                # The backend owns these stores; close() unlinks them.
+                shared_shards = []
+                for shard in db.shards:
+                    if shard_shm_eligible(shard, shm) and shard.store is None:
+                        shard = shard.share()
+                        # only stores created *here* are the backend's
+                        # to unlink — shards that arrived shm-backed
+                        # belong to their creator
+                        self._shared_stores.append(shard.store)
+                    shared_shards.append(shard)
+                if self._shared_stores:
+                    db = ShardedColumnarDatabase(shared_shards)
+                self.pool = ShardWorkerPool(
+                    db.shards, mp_context=mp_context, shm=shm
+                )
+            server = ReleaseServer(
                 db,
                 registry=registry,
                 accountant=accountant,
-                executor=executor,
+                executor=self.pool,
                 cache_limit=cache_limit,
             )
-        )
+        except BaseException:
+            # Nothing else names the segments shared above: unlink them
+            # now, not whenever the cyclic GC gets to them.
+            self.close()
+            raise
+        super().__init__(server)
 
     @property
     def store_mode(self) -> str:

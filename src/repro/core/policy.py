@@ -72,7 +72,7 @@ def _shard_aware(impl: Callable) -> Callable:
 
     A sharded column bundle (anything exposing ``map_shards``, i.e.
     :class:`repro.data.sharding.ShardedColumnarDatabase`) is evaluated
-    shard by shard — serially or on the bundle's executor — and the
+    shard by shard — serially or on the bundle's worker pool — and the
     per-shard masks are concatenated in record order, which is
     bit-identical to single-node evaluation.  Non-sharded bundles fall
     straight through to the wrapped implementation, so the dispatch

@@ -222,8 +222,8 @@ class CompiledSpecPolicy(LambdaPolicy):
         # The compiled closures cannot pickle, but the spec can — so a
         # compiled policy crosses process boundaries by recompiling,
         # which the round-trip contract guarantees is lossless.  This
-        # is what lets process executors ship e.g. a non_sensitive()
-        # filter built from a compiled policy.
+        # is what lets a worker pool's pickled-callable request carry
+        # e.g. a non_sensitive() filter built from a compiled policy.
         return (CompiledSpecPolicy, (self.spec, self.name))
 
 

@@ -369,13 +369,11 @@ class ColumnarDatabase:
         )
         return ColumnarDatabase(columns, records=records)
 
-    def shard(self, n_shards: int, executor=None):
+    def shard(self, n_shards: int):
         """Split into a :class:`repro.data.sharding.ShardedColumnarDatabase`."""
         from repro.data.sharding import ShardedColumnarDatabase
 
-        return ShardedColumnarDatabase.from_columnar(
-            self, n_shards, executor=executor
-        )
+        return ShardedColumnarDatabase.from_columnar(self, n_shards)
 
     # ------------------------------------------------------------------
     # Shared-memory backing (see repro.data.store)

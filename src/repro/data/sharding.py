@@ -25,24 +25,22 @@ semantics are preserved record by record, and bincount merging is exact
 integer addition.  Sharding therefore never forks the privacy
 semantics; it only changes where the work runs.
 
-Execution is pluggable: with no executor, shards run serially in-process
-(still a win on large inputs — per-shard temporaries fit hot cache);
-with a :class:`concurrent.futures.Executor` the per-shard closures are
-submitted to the pool.  Thread pools work out of the box (nothing is
-pickled; how far the numpy kernels overlap depends on the host's
-cores); process pools additionally require picklable shards
-and policies, so lambda-based policies must stay on threads.  The
-third executor shape is :class:`repro.data.workers.ShardWorkerPool` —
-persistent worker processes holding the shards resident, answering
+Execution has two modes: with no executor, shards run serially
+in-process; with a shard-resident executor — anything exposing
+``map_resident``, i.e. :class:`repro.data.workers.ShardWorkerPool`:
+persistent worker processes holding the shards, answering
 ``map_shards`` requests with policy/binning *specs* on the wire instead
-of re-shipped columns (the deployment shape the ROADMAP's million-user
-target asks for).
+of re-shipped columns — the per-shard work runs where the shards live.
+A resident executor is built *from* the shard objects, so it is
+installed with :meth:`ShardedColumnarDatabase.with_executor` after
+sharding; databases derived from this one's shards (``non_sensitive``,
+``sensitive``, ``share``) hold new objects and are always serial.
 
 The database is no longer frozen at construction: :meth:`append_records`
 extends the tail shard and :meth:`expire_prefix` trims the oldest
-records in place, bumping per-shard **version counters** so caches
-(the release server's, the worker pool's) refresh only the affected
-shards instead of forcing a full reslice; :meth:`expire_plan` names the
+records in place, bumping per-shard **version counters** so the
+release server's caches refresh only the affected shards instead of
+forcing a full reslice; :meth:`expire_plan` names the
 rows an expiry will take from each shard, for a cache that carries its
 counts forward by them.
 """
@@ -63,12 +61,13 @@ ShardSlice = tuple[int, int]
 
 
 def _shard_histogram(shard: ColumnarDatabase, binning, n_bins: int) -> np.ndarray:
-    """Module-level (picklable) per-shard histogram for process pools."""
+    """Module-level per-shard histogram (a worker pool sends it as a spec)."""
     return shard.histogram(binning, n_bins)
 
 
 def _shard_non_sensitive(shard: ColumnarDatabase, policy: Policy) -> ColumnarDatabase:
-    """Module-level (picklable) per-shard non-sensitive selection."""
+    """Module-level (picklable) per-shard non-sensitive selection: a
+    worker pool ships it as a pickled callable, never the shard."""
     return shard.non_sensitive(policy)
 
 
@@ -117,6 +116,11 @@ class ShardedColumnarDatabase:
         for shard in shards[1:]:
             if shard.column_names != names:
                 raise ValueError("all shards must share a column schema")
+        if executor is not None and not hasattr(executor, "map_resident"):
+            raise TypeError(
+                "executor must be shard-resident (expose map_resident, "
+                f"like ShardWorkerPool); got {type(executor).__name__}"
+            )
         self._shards = shards
         self._executor = executor
         self._versions = [0] * len(shards)
@@ -136,24 +140,21 @@ class ShardedColumnarDatabase:
     # ------------------------------------------------------------------
     @classmethod
     def from_columnar(
-        cls, db: ColumnarDatabase, n_shards: int, executor=None
+        cls, db: ColumnarDatabase, n_shards: int
     ) -> "ShardedColumnarDatabase":
         """Split a columnar database into balanced contiguous shards."""
         return cls(
-            [db.slice_records(s, e) for s, e in shard_slices(len(db), n_shards)],
-            executor=executor,
+            [db.slice_records(s, e) for s, e in shard_slices(len(db), n_shards)]
         )
 
     @classmethod
     def from_records(
-        cls, records: Iterable[object], n_shards: int, executor=None
+        cls, records: Iterable[object], n_shards: int
     ) -> "ShardedColumnarDatabase":
-        return cls.from_columnar(
-            ColumnarDatabase.from_records(records), n_shards, executor=executor
-        )
+        return cls.from_columnar(ColumnarDatabase.from_records(records), n_shards)
 
     def with_executor(self, executor) -> "ShardedColumnarDatabase":
-        """The same shards, mapped through a different executor."""
+        """The same shards, mapped on a shard-resident executor (or None)."""
         return ShardedColumnarDatabase(self._shards, executor=executor)
 
     def share(self) -> "ShardedColumnarDatabase":
@@ -235,24 +236,18 @@ class ShardedColumnarDatabase:
         the pass to a subset of shards (cache refills after an
         incremental update touch only the stale shards).
 
-        Executor dispatch: a plain :class:`concurrent.futures.Executor`
-        receives ``(fn, shard)`` pairs (shipping the shard each call on
-        process pools); an executor exposing ``map_resident`` — the
-        :class:`repro.data.workers.ShardWorkerPool` — receives only
-        ``fn``, translated to a spec request against its resident copy
-        of the shards.
+        The executor — :class:`repro.data.workers.ShardWorkerPool` —
+        receives only ``fn``, translated to a spec request against its
+        resident copy of the shards.
         """
+        if self._executor is not None:
+            return self._executor.map_resident(self._shards, fn, indices)
         shards = (
             self._shards
             if indices is None
             else [self._shards[i] for i in indices]
         )
-        if self._executor is None:
-            return [fn(shard) for shard in shards]
-        map_resident = getattr(self._executor, "map_resident", None)
-        if map_resident is not None:
-            return map_resident(self._shards, fn, indices)
-        return list(self._executor.map(fn, shards))
+        return [fn(shard) for shard in shards]
 
     # ------------------------------------------------------------------
     # Incremental updates (append new data, expire the oldest)
@@ -287,8 +282,9 @@ class ShardedColumnarDatabase:
         extended — an O(chunk + tail shard) concatenation instead of a
         full reslice — and only that shard's version bumps, so caches
         keyed on shard versions revalidate exactly one shard.  A worker
-        pool installed as the executor receives the chunk (never the
-        whole shard) and extends its resident copy in lockstep.
+        pool installed as the executor extends its resident copy in
+        lockstep (from the chunk, or from the shared segments — never a
+        re-shipped shard).
         """
         chunk = self._columnarize_chunk(records)
         index = len(self._shards) - 1
@@ -377,29 +373,19 @@ class ShardedColumnarDatabase:
     def non_sensitive_indices(self, policy: Policy) -> np.ndarray:
         return np.flatnonzero(self.mask(policy) == NON_SENSITIVE)
 
-    def _derived_executor(self):
-        """Executor for databases derived from this one's shards.
-
-        A shard-resident worker pool only answers for the exact shard
-        objects it holds; a filtered copy's shards are new objects, so
-        the derived database runs serially (plain executors carry
-        over — they ship shards per call and serve any data).
-        """
-        if getattr(self._executor, "map_resident", None) is not None:
-            return None
-        return self._executor
-
     def non_sensitive(self, policy: Policy) -> "ShardedColumnarDatabase":
-        """Shard-preserving ``D_ns``: each shard keeps its survivors."""
+        """Shard-preserving ``D_ns``: each shard keeps its survivors.
+
+        The result is serial: its shards are new objects, and a resident
+        executor only answers for the exact shard objects it holds.
+        """
         return ShardedColumnarDatabase(
-            self.map_shards(functools.partial(_shard_non_sensitive, policy=policy)),
-            executor=self._derived_executor(),
+            self.map_shards(functools.partial(_shard_non_sensitive, policy=policy))
         )
 
     def sensitive(self, policy: Policy) -> "ShardedColumnarDatabase":
         return ShardedColumnarDatabase(
-            self.map_shards(functools.partial(_shard_sensitive, policy=policy)),
-            executor=self._derived_executor(),
+            self.map_shards(functools.partial(_shard_sensitive, policy=policy))
         )
 
     # ------------------------------------------------------------------

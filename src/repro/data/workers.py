@@ -1,10 +1,10 @@
 """Shard-resident worker runtime: persistent processes, specs on the wire.
 
-:class:`repro.data.sharding.ShardedColumnarDatabase` with a
-:class:`concurrent.futures.ProcessPoolExecutor` re-pickles every shard's
-columns on every ``map_shards`` call — at million-record scale the wire
-cost dwarfs the mask kernels it parallelizes.  :class:`ShardWorkerPool`
-inverts the data flow:
+Evaluating a :class:`repro.data.sharding.ShardedColumnarDatabase` in
+other processes by shipping ``(fn, shard)`` per call re-pickles every
+shard's columns on every ``map_shards`` — at million-record scale the
+wire cost dwarfs the mask kernels it parallelizes.
+:class:`ShardWorkerPool` inverts the data flow:
 
 * **Columns cross the wire once — or not at all.**  By default (and
   whenever the platform offers POSIX shared memory), each shard's
@@ -16,9 +16,11 @@ inverts the data flow:
   copy.  Columns that cannot place (object dtype) fall back to the
   one-time pickle shipment; ``shm=False`` forces it.  Incremental
   updates (:meth:`append_shard_chunk`, :meth:`expire_shard_prefix`)
-  ship only the delta either way — an shm append additionally remaps
-  the shard into fresh segments the worker re-attaches, an shm expire
-  is a pure view trim on both sides.
+  ship only what the worker lacks: a heap append ships the chunk (the
+  worker has no other copy); an shm append ships **no rows** — a
+  descriptor of the fresh segments when the shard was remapped, the
+  prefix trim when the headroom segments were extended in place — and
+  an expire is a pure view trim on both sides.
 * **Requests are specs.**  A mask, bin-index, histogram or
   ``(x, x_ns)`` request is a small dict built from the policy/binning
   wire format (:func:`repro.core.policy_language.policy_to_spec`,
@@ -27,32 +29,22 @@ inverts the data flow:
   are result arrays only.  Per-request traffic is therefore independent
   of the shard size (``stats`` proves it: ``request_bytes`` vs
   ``startup_bytes``).
-* **Workers cache by spec.**  Each worker holds mask, bin-index and
-  ``(x, x_ns)`` count-pair caches keyed by the specs' canonical
-  rendering, so a burst of requests over the same policy pays the
-  kernel once per shard and repeated histogram traffic is O(1) per
-  worker — the worker-side mirror of the release server's caches
-  (``worker_cache_stats()`` reports exact hit/miss counts).  A cold
-  count pair is counted from the resident shard's distinct rows when
-  the policy and binning declare what they read and the summary holds it
-  (:func:`repro.queries.histogram._summary_counts`: O(distinct value
-  tuples), no per-record array built or cached; ``summary_answers`` /
-  ``summary_builds`` in the stats say so), and otherwise from the
-  cached mask and bin indices on the counting kernel of
-  :mod:`repro.mechanisms.kernels` — the pairs are byte-identical on
-  either route.  Appends extend cached arrays by evaluating only the
-  new chunk and advance count pairs by the chunk's own pair
-  (policies and binnings are per-record and counts are additive, so
-  both are bit-identical to recomputation); expires slice arrays and
-  subtract the expired prefix's pair, counted from the expired rows.
+* **A worker holds a shard, not a cache.**  Every request evaluates
+  its spec on the resident shard and returns; a write swaps the shard.
+  The one cache of ``(x, x_ns)`` pairs, and the one carry of them
+  across a write, belong to :class:`repro.service.server.ReleaseServer`
+  — a repeat sent straight at a pool recomputes, as on every other
+  database flavour.  A pair is ``_shard_histogram_counts`` on the
+  shard: from its distinct rows when ``_summary_counts`` can, from one
+  fused pass over the records (``_scan_counts``) otherwise — the same
+  bytes; ``worker_cache_stats()`` counts pairs, routes and summaries.
 * **Failover, not failure.**  The parent keeps the authoritative
   resident-shard copies; a worker that dies mid-request is respawned
   from its copy and the request resent, so a killed process degrades
-  to a recompute on cold caches — never a crashed request.  Fan-out
-  replies drain in arrival order
-  (:func:`multiprocessing.connection.wait`) and reassemble into shard
-  order, overlapping parent-side deserialization/merge with the slower
-  shards' compute.
+  to a recompute — never a crashed request.  Fan-out replies drain in
+  arrival order (:func:`multiprocessing.connection.wait`) and
+  reassemble into shard order, overlapping parent-side
+  deserialization/merge with the slower shards' compute.
 
 The pool plugs in behind ``ShardedColumnarDatabase.map_shards`` as an
 executor: callables the pool recognizes (``Policy.evaluate_batch``,
@@ -68,15 +60,14 @@ from __future__ import annotations
 
 import functools
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.policy import NON_SENSITIVE, Policy, SpecUnsupported
+from repro.core.policy import Policy, SpecUnsupported
 from repro.core.policy_language import (
     PolicySpecError,
-    canonical_spec,
     policy_from_spec,
     policy_to_spec,
 )
@@ -98,202 +89,81 @@ APPEND_HEADROOM = 1.0
 
 
 class _WorkerState:
-    """One worker's resident shard plus its spec-keyed caches.
+    """One worker's resident shard plus its answer counters.
 
-    Every cache is LRU-bounded at ``cache_limit`` distinct specs — the
-    worker-side mirror of the release server's ``cache_limit`` — so a
-    long-lived pool serving many distinct per-analyst policies cannot
-    grow a worker's memory without bound.
+    Nothing else survives a request: the release server is the caching
+    tier, so a worker's memory is its shard (and the shard's
+    distinct-row summary, once an eligible request has built it).
     """
 
-    def __init__(self, shard: ColumnarDatabase, cache_limit: int = 128):
+    def __init__(self, shard: ColumnarDatabase):
         self.shard = shard
-        self.cache_limit = max(2, int(cache_limit))
-        # canonical spec -> (spec dict, per-record array); the spec is
-        # kept so incremental appends can evaluate it on the new chunk.
-        self.masks: dict[str, tuple[dict, np.ndarray]] = {}
-        self.indices: dict[str, tuple[dict, np.ndarray]] = {}
-        # (canonical binning spec, canonical policy spec) ->
-        # (binning spec, policy spec, (x, x_ns)); maintained through
-        # appends/expires by the same delta discipline as the
-        # per-record caches, so repeated histogram traffic over a warm
-        # key costs O(1) per worker, not a bincount pass.
-        self.counts: dict[tuple[str, str], tuple[dict, dict, tuple]] = {}
-        self.cache_stats = {
-            "mask_hits": 0,
-            "mask_misses": 0,
-            "index_hits": 0,
-            "index_misses": 0,
+        self.counters = {
+            # constant: a worker caches no pair (the key stays for the
+            # readers of ``worker_cache_stats()`` that divide by it)
             "counts_hits": 0,
+            # count pairs computed
             "counts_misses": 0,
-            # counts misses answered from the shard's distinct rows,
+            # of those, pairs answered from the shard's distinct rows,
             # not a scan; summaries built (one per shard version)
             "summary_answers": 0,
             "summary_builds": 0,
         }
 
-    def _store(self, cache: dict, key, value) -> None:
-        """Insert at the LRU back, evicting the front beyond the bound."""
-        cache[key] = value
-        while len(cache) > self.cache_limit:
-            cache.pop(next(iter(cache)))
-
-    @staticmethod
-    def _touch(cache: dict, key):
-        """LRU hit: move the entry to the back of the eviction order."""
-        value = cache.pop(key)
-        cache[key] = value
-        return value
-
     def mask(self, spec: dict) -> np.ndarray:
-        key = canonical_spec(spec)
-        if key not in self.masks:
-            self.cache_stats["mask_misses"] += 1
-            arr = policy_from_spec(spec).evaluate_batch(self.shard)
-            self._store(self.masks, key, (spec, arr))
-            return arr
-        self.cache_stats["mask_hits"] += 1
-        return self._touch(self.masks, key)[1]
+        return policy_from_spec(spec).evaluate_batch(self.shard)
 
     def bin_indices(self, spec: dict) -> np.ndarray:
         from repro.queries.histogram import binning_from_spec
 
-        key = canonical_spec(spec)
-        if key not in self.indices:
-            self.cache_stats["index_misses"] += 1
-            arr = binning_from_spec(spec).bin_indices(self.shard)
-            self._store(self.indices, key, (spec, arr))
-            return arr
-        self.cache_stats["index_hits"] += 1
-        return self._touch(self.indices, key)[1]
+        return binning_from_spec(spec).bin_indices(self.shard)
+
+    def histogram(self, binning_spec: dict, n_bins: int) -> np.ndarray:
+        from repro.queries.histogram import binning_from_spec
+
+        return self.shard.histogram(binning_from_spec(binning_spec), n_bins)
 
     def hist_counts(
         self, binning_spec: dict, policy_spec: dict
     ) -> tuple[np.ndarray, np.ndarray]:
+        """``_shard_histogram_counts`` on the shard, counting the route."""
         from repro.queries.histogram import (
             HistogramQuery,
+            _scan_counts,
             _summary_counts,
             binning_from_spec,
-            counts_from_mask,
         )
 
-        key = (canonical_spec(binning_spec), canonical_spec(policy_spec))
-        if key in self.counts:
-            self.cache_stats["counts_hits"] += 1
-            return self._touch(self.counts, key)[2]
-        self.cache_stats["counts_misses"] += 1
         query = HistogramQuery(binning_from_spec(binning_spec))
-        # Answered from the distinct rows, a miss builds (and caches)
-        # no per-record array; only a scan does.
+        policy = policy_from_spec(policy_spec)
+        self.counters["counts_misses"] += 1
         built = self.shard.summary_built
-        pair = _summary_counts(
-            self.shard, query, policy_from_spec(policy_spec)
-        )
-        if self.shard.summary_built != built:
-            self.cache_stats["summary_builds"] += 1
-        if pair is not None:
-            self.cache_stats["summary_answers"] += 1
-        else:
-            pair = counts_from_mask(
-                self.bin_indices(binning_spec),
-                self.mask(policy_spec) == NON_SENSITIVE,
-                query.n_bins,
-            )
-        self._store(self.counts, key, (binning_spec, policy_spec, pair))
+        pair = _summary_counts(self.shard, query, policy)
+        self.counters["summary_builds"] += self.shard.summary_built != built
+        if pair is None:
+            return _scan_counts(self.shard, query, policy)
+        self.counters["summary_answers"] += 1
         return pair
 
-    def _moved_counts(self, moved: ColumnarDatabase, advance) -> None:
-        """Carry every cached pair across a write by the moved rows' pair.
-
-        Counts are additive over any record partition: ``np.add`` of an
-        appended chunk's pair, ``np.subtract`` of an expired prefix's,
-        is bit-identical to a recount and needs no per-record array.
-        """
-        from repro.queries.histogram import (
-            HistogramQuery,
-            _shard_histogram_counts,
-            binning_from_spec,
-        )
-
-        carried = {}
-        for key, (bspec, pspec, (x, x_ns)) in self.counts.items():
-            dx, dx_ns = _shard_histogram_counts(
-                moved,
-                HistogramQuery(binning_from_spec(bspec)),
-                policy_from_spec(pspec),
-            )
-            pair = (advance(x, dx), advance(x_ns, dx_ns))
-            carried[key] = (bspec, pspec, pair)
-        self.counts = carried
-
-    def histogram(self, binning_spec: dict, n_bins: int) -> np.ndarray:
-        return self.shard.histogram_from_indices(
-            self.bin_indices(binning_spec), n_bins
-        )
-
-    def append(
-        self,
-        chunk: ColumnarDatabase,
-        new_shard: ColumnarDatabase | None = None,
-    ) -> int:
-        """Extend the resident shard and every cached array by the chunk.
-
-        Masks and bin indices are per-record, so evaluating the cached
-        specs on the chunk alone and concatenating is bit-identical to
-        recomputing over the extended shard — the caches stay warm at
-        O(chunk) cost.  Count pairs are additive over any record
-        partition, so each cached ``(x, x_ns)`` advances by the chunk's
-        own pair.  ``new_shard`` (the shm remap path) substitutes an
-        already-extended shard — freshly attached segment views whose
-        values equal ``concat(shard, chunk)`` — for the local
-        concatenation; the cache advance is the same either way.
-        """
-        from repro.queries.histogram import binning_from_spec
-
-        self.shard = (
-            ColumnarDatabase.concat([self.shard, chunk])
-            if new_shard is None
-            else new_shard
-        )
-        for key, (spec, arr) in list(self.masks.items()):
-            extra = policy_from_spec(spec).evaluate_batch(chunk)
-            self.masks[key] = (spec, np.concatenate([arr, extra]))
-        for key, (spec, arr) in list(self.indices.items()):
-            extra = binning_from_spec(spec).bin_indices(chunk)
-            self.indices[key] = (spec, np.concatenate([arr, extra]))
-        self._moved_counts(chunk, np.add)
+    def append(self, chunk: ColumnarDatabase) -> int:
+        """Extend the resident shard by the chunk (the heap path)."""
+        self.shard = ColumnarDatabase.concat([self.shard, chunk])
         return len(self.shard)
 
     def expire(self, n: int) -> int:
-        """Drop the first ``n`` resident records; slice cached arrays.
-
-        Cached count pairs subtract the expired prefix's own pair,
-        counted from the expired rows themselves before they go, so
-        every pair survives the expire exactly.
-        """
-        self._moved_counts(self.shard.slice_records(0, n), np.subtract)
+        """Drop the first ``n`` resident records: a view slice."""
         self.shard = self.shard.slice_records(n, len(self.shard))
-        self.masks = {
-            key: (spec, arr[n:]) for key, (spec, arr) in self.masks.items()
-        }
-        self.indices = {
-            key: (spec, arr[n:]) for key, (spec, arr) in self.indices.items()
-        }
         return len(self.shard)
 
 
-def _attach_trimmed(descriptor: dict, trim: int) -> tuple:
-    """Attach a descriptor's segments; re-apply a prefix trim.
+def _trimmed(full: ColumnarDatabase, trim: int) -> ColumnarDatabase:
+    """The live view of a segment-backed shard: past the expired prefix.
 
     Expired prefixes never move bytes: the parent serves views past the
-    dead records and a (re)spawned worker reproduces the same view by
-    slicing its freshly attached database.  Returns ``(store, shard)``.
+    dead records and a worker reproduces the same view by slicing what
+    it attached (or refreshed).
     """
-    store = ColumnStore.attach(descriptor)
-    shard = store.database
-    if trim:
-        shard = shard.slice_records(trim, len(shard))
-    return store, shard
+    return full.slice_records(trim, len(full)) if trim else full
 
 
 def _worker_main(conn) -> None:
@@ -321,32 +191,30 @@ def _worker_main(conn) -> None:
         try:
             if op == "shard":
                 swap_store(None)
-                state = _WorkerState(msg[1], *msg[2:3])
+                state = _WorkerState(msg[1])
                 result = len(state.shard)
             elif op == "shard_shm":
-                new_store, shard = _attach_trimmed(msg[1], msg[3])
-                swap_store(new_store)
-                state = _WorkerState(shard, msg[2])
+                swap_store(ColumnStore.attach(msg[1]))
+                state = _WorkerState(_trimmed(store.database, msg[2]))
                 result = len(state.shard)
             elif state is None:
                 raise RuntimeError("worker has no resident shard")
             elif op == "append_shm":
-                new_store, shard = _attach_trimmed(msg[2], 0)
-                result = state.append(msg[1], new_shard=shard)
-                swap_store(new_store)
+                # The parent remapped the extended shard into fresh
+                # segments; attaching them is the whole append.
+                swap_store(ColumnStore.attach(msg[1]))
+                state.shard = store.database
+                result = len(state.shard)
             elif op == "extend_shm":
                 # The parent extended the shared headroom segments in
                 # place; re-reading the length headers is the whole
-                # re-attach.  msg[2] is the accumulated prefix trim.
+                # append.  msg[1] is the accumulated prefix trim.
                 if store is None:
                     raise RuntimeError(
                         "extend_shm without attached segments"
                     )
-                full = store.refresh()
-                shard = (
-                    full.slice_records(msg[2], len(full)) if msg[2] else full
-                )
-                result = state.append(msg[1], new_shard=shard)
+                state.shard = _trimmed(store.refresh(), msg[1])
+                result = len(state.shard)
             elif op == "mask":
                 result = state.mask(msg[1])
             elif op == "bin_indices":
@@ -362,12 +230,7 @@ def _worker_main(conn) -> None:
             elif op == "expire":
                 result = state.expire(msg[1])
             elif op == "cache_stats":
-                result = dict(
-                    state.cache_stats,
-                    mask_entries=len(state.masks),
-                    index_entries=len(state.indices),
-                    counts_entries=len(state.counts),
-                )
+                result = dict(state.counters)
             else:
                 raise ValueError(f"unknown worker op {op!r}")
             reply = ("ok", result)
@@ -482,7 +345,6 @@ class ShardWorkerPool:
         self,
         shards,
         mp_context: str | None = None,
-        cache_limit: int = 128,
         shm: bool | None = None,
     ):
         import multiprocessing
@@ -490,7 +352,6 @@ class ShardWorkerPool:
         shard_list = tuple(getattr(shards, "shards", shards))
         if not shard_list:
             raise ValueError("need at least one shard")
-        self._cache_limit = cache_limit
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else "spawn"
@@ -558,14 +419,9 @@ class ShardWorkerPool:
         """The one-time shard shipment: a descriptor, or the columns."""
         store = self._stores[index]
         if store is not None:
-            message = (
-                "shard_shm",
-                store.descriptor(),
-                self._cache_limit,
-                self._trim[index],
-            )
+            message = ("shard_shm", store.descriptor(), self._trim[index])
         else:
-            message = ("shard", self._resident[index], self._cache_limit)
+            message = ("shard", self._resident[index])
         return pickle.dumps(message, _PICKLE_PROTOCOL)
 
     def _spawn_process(self):
@@ -679,8 +535,8 @@ class ShardWorkerPool:
         """Replace a dead worker with a fresh process holding its shard.
 
         The parent keeps the authoritative resident-shard copy, so the
-        replacement starts from exact data; its spec caches start cold,
-        degrading the retried request to a recompute — never a crash.
+        replacement starts from exact data, degrading the retried
+        request to a recompute — never a crash.
         """
         try:
             self._conns[index].close()
@@ -731,8 +587,8 @@ class ShardWorkerPool:
         compute — and reassembled into worker order at the end, so the
         overlap never reorders results.  A worker that dies mid-request
         is respawned from the parent's resident shard copy and the
-        request resent (a retried spec request recomputes on cold
-        caches — bit-identical, just slower).  Every live reply is
+        request resent (a retried spec request recomputes —
+        bit-identical, just slower).  Every live reply is
         drained before a worker-reported failure is raised — leaving
         responses queued in a pipe would corrupt the next request's
         pairing, so one failing shard must not strand the others'.
@@ -791,7 +647,13 @@ class ShardWorkerPool:
         return [results[w] for w in workers]
 
     def worker_cache_stats(self) -> list[dict[str, int]]:
-        """Each worker's spec-cache hit/miss counters, in worker order."""
+        """Each worker's answer counters, in worker order.
+
+        ``counts_misses`` is the pairs computed, ``summary_answers``
+        those counted from the distinct rows, ``summary_builds`` the
+        summaries built; ``counts_hits`` is always 0 (a worker caches
+        no pair — the release server does).
+        """
         return self._round_trip(("cache_stats",), range(self.n_workers))
 
     # ------------------------------------------------------------------
@@ -879,22 +741,22 @@ class ShardWorkerPool:
     def append_shard_chunk(
         self, index: int, chunk: ColumnarDatabase, tail: ColumnarDatabase
     ) -> ColumnarDatabase:
-        """Ship only the appended chunk to worker ``index``.
+        """Extend worker ``index``'s shard by the appended chunk.
 
         ``tail`` is the parent's current last shard; the return value is
         the extended shard the database must commit — the pool records
         the same object so the residency check keeps passing after the
-        update (worker and parent extend in lockstep).  An shm-backed
-        shard **extends in place** when its headroom segments still
-        have capacity for the chunk: the parent writes the new values
+        update (worker and parent extend in lockstep).  A heap shard
+        ships the chunk, never the shard.  An shm-backed shard ships no
+        rows: it **extends in place** when its headroom segments still
+        have capacity for the chunk — the parent writes the new values
         past the live length, bumps the length headers, and the worker
-        re-reads the headers — no new segments, no re-attach, O(chunk)
-        cost on both sides.  On overflow the shard is **remapped**: the
-        extended columns are placed into fresh headroom segments
-        (``APPEND_HEADROOM`` spare capacity, so the *next* appends
-        extend in place), the worker re-attaches (receiving the chunk
-        alongside, so its spec caches still advance at O(chunk) cost)
-        and the old segments are unlinked.
+        re-reads the headers (no new segments, no re-attach, O(chunk)
+        on the parent, O(1) on the worker).  On overflow the shard is
+        **remapped**: the extended columns are placed into fresh
+        headroom segments (``APPEND_HEADROOM`` spare capacity, so the
+        *next* appends extend in place), the worker attaches them by
+        descriptor and the old segments are unlinked.
         """
         store = self._stores[index]
         if store is not None:
@@ -923,9 +785,7 @@ class ShardWorkerPool:
             return new_shard
         placed = ColumnStore.place(new_shard, headroom=APPEND_HEADROOM)
         try:
-            n = self._request_one(
-                index, ("append_shm", chunk, placed.descriptor())
-            )
+            n = self._request_one(index, ("append_shm", placed.descriptor()))
             if n != len(placed.database):
                 raise WorkerError(
                     f"worker {index} shard has {n} records after append, "
@@ -964,11 +824,9 @@ class ShardWorkerPool:
         if extended is None:
             return None
         trim = self._trim[index]
-        committed = (
-            extended.slice_records(trim, len(extended)) if trim else extended
-        )
+        committed = _trimmed(extended, trim)
         try:
-            n = self._request_one(index, ("extend_shm", chunk, trim))
+            n = self._request_one(index, ("extend_shm", trim))
             if n != len(committed):
                 raise WorkerError(
                     f"worker {index} shard has {n} records after extend, "

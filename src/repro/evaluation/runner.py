@@ -79,8 +79,8 @@ def release_trials_from_database(
     :meth:`repro.mechanisms.base.HistogramMechanism.run`
     (the single front door for build-histogram + charge + release): row,
     columnar and sharded databases all work, the latter evaluating
-    policy masks and bincounts per shard (on the database's executor
-    when it has one).  One accountant charge covers the trial matrix.
+    policy masks and bincounts per shard (on the database's worker
+    pool when it has one).  One accountant charge covers the trial matrix.
     """
     rng = (
         np.random.default_rng(seed)

@@ -505,8 +505,8 @@ def _shard_histogram_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(x, x_ns)`` int64 counts for one columnar database (or shard).
 
-    A module-level function (not a closure) so process-pool executors
-    can ship it to workers alongside a picklable shard and policy.
+    A module-level function (not a closure) so a shard worker pool
+    recognizes the partial over it and sends a spec request instead.
     From the shard's distinct rows when :func:`_summary_counts` can,
     from every record (:func:`_scan_counts`) otherwise: the same bytes.
     """

@@ -55,7 +55,9 @@ are the wire format a transport would serialize):
   executor, histogram assembly skips the parent-side mask arrays
   entirely: each worker answers a spec request with its shard's
   ``(x, x_ns)`` pair, so per-request traffic stays O(bins), not
-  O(records).
+  O(records).  The workers compute and forget: this server's counts
+  cache is the only copy of a pair, and ``_carry_counts`` the only
+  carry of it across a write.
 
 * **Thread safety.**  One server may be driven by many threads: the
   caches, the sharded engine (a worker pool's pipes serve one fan-out
@@ -216,13 +218,12 @@ class ReleaseServer:
         executor=None,
         cache_limit: int = 128,
     ):
-        if isinstance(db, ShardedColumnarDatabase):
-            if executor is not None:
-                db = db.with_executor(executor)
-        else:
+        if not isinstance(db, ShardedColumnarDatabase):
             if not isinstance(db, ColumnarDatabase):
                 db = ColumnarDatabase.from_database(db)
-            db = db.shard(n_shards or 1, executor=executor)
+            db = db.shard(n_shards or 1)
+        if executor is not None:
+            db = db.with_executor(executor)
         if cache_limit < 2:
             # A single request keeps two keys live (binning + policy);
             # with fewer slots they would evict each other mid-request.

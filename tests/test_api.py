@@ -144,8 +144,8 @@ class TestClientBackends:
         db = _db(300).shard(2)
         with pytest.raises(ValueError, match="cannot reshard"):
             ShardedBackend(db, n_shards=5)
-        with pytest.raises(ValueError, match="not both"):
-            ShardedBackend(_db(300), workers=True, executor=object())
+        with pytest.raises(ValueError, match="only applies to the worker pool"):
+            ShardedBackend(_db(300), shm=True)
 
 
 class TestMechanismRun:

@@ -13,7 +13,7 @@ and never will):
   summary does not hold, a small shard — takes the scan, untouched;
 * a summary never crosses a pipe, and never outlives the shard object
   it was built from: after an append, an expire, a respawn or a
-  ``replace_database`` on every executor, a never-seen pair equals a
+  ``replace_database``, serial or on a pool, a never-seen pair equals a
   cold build over the rebuilt table.
 """
 
@@ -23,7 +23,6 @@ import functools
 import os
 import pickle
 import signal
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -468,28 +467,6 @@ class TestWorkerPools:
                 assert stats["counts_misses"] == 4
                 assert stats["summary_answers"] == 3
                 assert stats["summary_builds"] == 1
-                # only the scan left per-record arrays behind
-                assert stats["mask_entries"] == stats["index_entries"] == 1
-
-    def test_counts_survive_an_expire_without_per_record_arrays(self, shm):
-        sharded = _flat(10).shard(2)
-        with ShardWorkerPool(sharded.shards, shm=shm) as pool:
-            on_pool = sharded.with_executor(pool)
-            pair = _never_seen(0)
-            query = HistogramQuery(pair[0])
-            HistogramInput.from_columnar(on_pool, query, pair[1])
-            before = pool.worker_cache_stats()
-            assert all(s["mask_entries"] == 0 for s in before)
-            # 300 expired rows are scanned; 7000 are enough to be
-            # summarised themselves when the worker counts them
-            for n in (300, 7000):
-                on_pool.expire_prefix(n)
-                got = HistogramInput.from_columnar(on_pool, query, pair[1])
-                _assert_hist(got, _cold(on_pool.to_columnar(), pair))
-            after = pool.worker_cache_stats()
-            for was, now in zip(before, after):
-                assert now["counts_hits"] == was["counts_hits"] + 2
-                assert now["counts_misses"] == was["counts_misses"]
 
 
 # ----------------------------------------------------------------------
@@ -505,7 +482,7 @@ def _chunk(seed: int, n: int) -> ColumnarDatabase:
     return ColumnarDatabase(columns)
 
 
-DOORS = ["serial", "thread", "heap-pool"] + [
+DOORS = ["serial", "heap-pool"] + [
     pytest.param(
         "shm-pool",
         marks=[
@@ -525,10 +502,7 @@ def test_a_never_seen_pair_is_right_after_every_write(door):
     pool = None
     if door.endswith("pool"):
         pool = ShardWorkerPool(sharded.shards, shm=door == "shm-pool")
-        server = ReleaseServer(sharded, executor=pool)
-    else:
-        threads = ThreadPoolExecutor(2) if door == "thread" else None
-        server = ReleaseServer(sharded, executor=threads)
+    server = ReleaseServer(sharded, executor=pool)
     fresh = iter(range(100))
 
     def read_never_seen() -> None:
@@ -583,12 +557,10 @@ def test_a_never_seen_pair_is_right_after_every_write(door):
             read_never_seen()
             assert pool.stats.respawns == 1
             assert builds()[1] == 1  # the new worker's own, from its shard
-        elif door == "serial":  # refused while an executor is attached
+        else:  # refused while an executor is attached
             server.replace_database(_flat(12))
             assert not any(s.summary_built for s in server.db.shards)
             read_never_seen()
     finally:
         if pool is not None:
             pool.close()
-        elif server.db.executor is not None:
-            server.db.executor.shutdown()

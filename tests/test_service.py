@@ -70,11 +70,12 @@ class _ArmedPolicy(OptInPolicy):
 
 
 class _Shard1ExpireFails:
-    """A serial executor whose expire hook fails on shard 1 (a resident
-    worker that died between two shards of one expiry)."""
+    """A serial resident executor whose expire hook fails on shard 1 (a
+    resident worker that died between two shards of one expiry)."""
 
-    def map(self, fn, shards):
-        return map(fn, shards)
+    def map_resident(self, shards, fn, indices=None):
+        picked = range(len(shards)) if indices is None else indices
+        return [fn(shards[i]) for i in picked]
 
     def expire_shard_prefix(self, index, take, new_shard):
         if index == 1:

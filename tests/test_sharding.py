@@ -2,13 +2,13 @@
 
 The property suite (``test_sharding_properties.py``) covers the random
 algebra; these tests pin the deterministic mechanics — slice geometry,
-ragged rebasing, executor plumbing, empty shards, the any-database
+ragged rebasing, the executor contract, empty shards, the any-database
 mechanism front door — and the real TIPPERS ragged data.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -139,45 +139,17 @@ class TestShardedDatabase:
         db, records = _flat_db(53)
         assert list(db.shard(5).iter_records()) == records
 
-    def test_executor_matches_serial(self):
-        db, _ = _flat_db(2003)
-        policy = _policy()
-        serial = db.shard(4).mask(policy)
-        with ThreadPoolExecutor(4) as pool:
-            threaded = db.shard(4, executor=pool).mask(policy)
-            assert np.array_equal(serial, threaded)
-            # with_executor swaps the pool without re-slicing
-            resharded = db.shard(4).with_executor(pool)
-            assert np.array_equal(resharded.mask(policy), serial)
-
-    def test_process_pool_executor(self):
-        """Process pools work end to end with picklable shards/policies."""
-        db, _ = _flat_db(300)
-        policy = MinimumRelaxationPolicy(
-            [SensitiveValuePolicy("city", {"a", "c"}), OptInPolicy()]
-        )
-        binning = IntegerBinning("age", 0, 100, 10)
-        serial = db.shard(2)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = db.shard(2, executor=pool)
-            assert np.array_equal(pooled.mask(policy), serial.mask(policy))
-            assert np.array_equal(
-                pooled.histogram(binning), serial.histogram(binning)
-            )
-            assert np.array_equal(
-                binning.bin_indices(pooled), binning.bin_indices(serial)
-            )
-            assert len(pooled.non_sensitive(policy)) == len(
-                serial.non_sensitive(policy)
-            )
-            pooled_hist = HistogramInput.from_columnar(
-                pooled, HistogramQuery(binning), policy
-            )
-        serial_hist = HistogramInput.from_columnar(
-            serial, HistogramQuery(binning), policy
-        )
-        assert np.array_equal(pooled_hist.x, serial_hist.x)
-        assert np.array_equal(pooled_hist.x_ns, serial_hist.x_ns)
+    def test_a_generic_executor_is_refused(self):
+        """Execution is serial or shard-resident (``map_resident``): an
+        executor that would be handed ``(fn, shard)`` pairs is a
+        TypeError at installation, not a surprise at the first map."""
+        sharded = _flat_db(40)[0].shard(2)
+        with ThreadPoolExecutor(1) as pool:
+            with pytest.raises(TypeError, match="map_resident"):
+                sharded.with_executor(pool)
+            with pytest.raises(TypeError, match="map_resident"):
+                ShardedColumnarDatabase(sharded.shards, executor=pool)
+        assert sharded.with_executor(None).executor is None
 
     def test_partition_shard_preserving(self):
         db, records = _flat_db(500)

@@ -330,6 +330,27 @@ class TestPoolLifecycle:
                 pooled.mask(_policy()), reference.mask(_policy())
             )
 
+    def test_an_in_place_append_sends_no_rows(self, leak_guard):
+        """The chunk reaches the worker through the segments: the
+        ``extend_shm`` message is the same size for 10 rows and for
+        10,000 (and the worker still serves every one of them)."""
+        db = _db(800, seed=13)
+        sharded = db.shard(2)
+        with ShardWorkerPool(sharded.shards) as pool:
+            pooled = sharded.with_executor(pool)
+            extras = [_db(n, seed=n) for n in (30_000, 10, 10_000)]
+            pooled.append_records(extras[0])  # remap: headroom for the rest
+            sent = []
+            for extra in extras[1:]:
+                pooled.append_records(extra)
+                sent.append(pool.stats.last_request_bytes)
+            assert pool.stats.in_place_appends == 2
+            assert sent[0] == sent[1] < 100
+            reference = ColumnarDatabase.concat([db, *extras])
+            assert np.array_equal(
+                pooled.mask(_policy()), reference.mask(_policy())
+            )
+
     def test_respawn_after_expire_reapplies_the_trim(self, leak_guard):
         db = _db(900, seed=5)
         sharded = db.shard(3)
@@ -375,6 +396,24 @@ class TestPoolLifecycle:
             assert not any(backend.pool._owned)
         finally:
             backend.close()
+
+    def test_sharded_backend_unlinks_its_stores_when_the_pool_fails(
+        self, leak_guard
+    ):
+        """The shards are shared before the pool is built; a pool that
+        fails to start must not leave them to the cyclic GC."""
+        from repro.api.backends import ShardedBackend
+
+        before = _segments()
+        gc.disable()
+        try:
+            with pytest.raises(ValueError, match="bogus"):
+                ShardedBackend(
+                    _db(2_000), n_shards=2, workers=True, mp_context="bogus"
+                )
+            assert _segments() == before
+        finally:
+            gc.enable()
 
     def test_shared_database_feeds_cohosted_pools_one_copy(self, leak_guard):
         shared = _db(1_200).shard(2).share()

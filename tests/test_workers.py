@@ -30,6 +30,7 @@ from repro.core.policy_language import compile_policy
 from repro.data.columnar import ColumnarDatabase
 from repro.data.sharding import ShardedColumnarDatabase
 from repro.data.tippers import SensitiveAPPolicy, Trajectory, trajectory_columns
+from repro.data.store import shm_available
 from repro.data.workers import ShardWorkerPool, WorkerError
 from repro.queries.histogram import (
     HistogramInput,
@@ -248,7 +249,7 @@ class TestIncrementalUpdates:
         query = HistogramQuery(BINNING)
         with ShardWorkerPool(sharded.shards) as pool:
             pooled = sharded.with_executor(pool)
-            pooled.mask(policy)  # warm the worker caches
+            pooled.mask(policy)  # a read before the writes
             extra = _db(48, seed=9)
             pooled.append_records(extra)
             pooled.expire_prefix(130)
@@ -351,6 +352,57 @@ class TestServerOnPool:
             assert not np.array_equal(first.estimates, updated.estimates)
 
 
+POOL_KINDS = [
+    pytest.param(False, id="heap"),
+    pytest.param(
+        True,
+        id="shm",
+        marks=[
+            pytest.mark.shm,
+            pytest.mark.skipif(
+                not shm_available(), reason="no POSIX shared memory"
+            ),
+        ],
+    ),
+]
+
+
+class TestOneOwner:
+    """A count pair has one owner, the release server: it caches the
+    pair and carries it across writes; the workers compute it once."""
+
+    @pytest.mark.parametrize("shm", POOL_KINDS)
+    def test_the_server_caches_and_carries_the_workers_compute_once(self, shm):
+        sharded = _db(1200, seed=4).shard(3)
+        policy = _policy()
+
+        def served(server) -> None:
+            hist, _ = server.histogram_input(BINNING, policy)
+            cold = HistogramInput.from_columnar(
+                server.db.to_columnar(), HistogramQuery(BINNING), policy
+            )
+            assert hist.x.tobytes() == cold.x.tobytes()
+            assert hist.x_ns.tobytes() == cold.x_ns.tobytes()
+
+        with ShardWorkerPool(sharded.shards, shm=shm) as pool:
+            server = ReleaseServer(sharded, executor=pool)
+            for _ in range(3):
+                served(server)
+            assert server.stats.hist_hits == 2
+            assert server.stats.counts_carried == 0
+            server.append_records(_db(50, seed=5))  # the tail shard
+            assert server.stats.counts_carried == 1
+            served(server)
+            touched = server.expire_prefix(450)  # shard 0 whole, 50 of shard 1
+            assert touched == [0, 1]
+            assert server.stats.counts_carried == 3
+            served(server)
+            for stats in pool.worker_cache_stats():
+                assert stats["counts_misses"] == 1
+                assert stats["counts_hits"] == 0
+            assert pool.stats.pickled_callables == 0
+
+
 def _return_unpicklable(shard):
     """Module-level (picklable) callable whose *result* cannot pickle."""
     return lambda: shard
@@ -401,72 +453,32 @@ class TestReviewRegressions:
 
 
 class TestCountsCacheAndFailover:
-    """PR-4 satellites: worker-side (x, x_ns) caching and respawn."""
+    """A worker computes and forgets (the release server is the one
+    cache of count pairs — see ``TestOneOwner``); a dead one respawns."""
 
     def _fresh(self, n=900, n_shards=3):
         sharded = _db(n).shard(n_shards)
         pool = ShardWorkerPool(sharded.shards)
         return sharded.with_executor(pool), pool
 
-    def test_hist_counts_cached_with_exact_miss_counts(self):
-        on_pool, pool = self._fresh()
-        with pool:
-            query = HistogramQuery(BINNING)
-            policy = OptInPolicy()
-            first = histogram_input_for(on_pool, query, policy)
-            for stats in pool.worker_cache_stats():
-                assert stats["counts_misses"] == 1
-                assert stats["counts_hits"] == 0
-            # repeated histogram traffic is O(1) per worker: the pair
-            # comes straight from the counts cache, no mask/index reuse
-            second = histogram_input_for(on_pool, query, policy)
-            for stats in pool.worker_cache_stats():
-                assert stats["counts_misses"] == 1
-                assert stats["counts_hits"] == 1
-                assert stats["mask_misses"] == 1
-                assert stats["index_misses"] == 1
-            assert np.array_equal(first.x, second.x)
-            assert np.array_equal(first.x_ns, second.x_ns)
-
-    def test_counts_cache_advances_through_append_and_expire(self):
-        on_pool, pool = self._fresh()
-        with pool:
-            query = HistogramQuery(BINNING)
-            policy = OptInPolicy()
-            histogram_input_for(on_pool, query, policy)
-            rng = np.random.default_rng(77)
-            on_pool.append_records(
-                ColumnarDatabase(
-                    {
-                        "age": rng.integers(0, 100, 120),
-                        "city": rng.choice(list("abcd"), 120),
-                        "opt_in": rng.integers(0, 2, 120).astype(bool),
-                    }
-                )
-            )
-            on_pool.expire_prefix(150)
-            updated = histogram_input_for(on_pool, query, policy)
-            # appends/expires maintained the cached pairs incrementally:
-            # zero extra misses, and the result matches a from-scratch
-            # rebuild bit for bit
-            for stats in pool.worker_cache_stats():
-                assert stats["counts_misses"] == 1
-            reference = histogram_input_for(
-                on_pool.to_columnar(), query, policy
-            )
-            assert np.array_equal(updated.x, reference.x)
-            assert np.array_equal(updated.x_ns, reference.x_ns)
-
     def test_distinct_specs_miss_separately(self):
+        """``counts_misses`` is the pairs a worker computed: one per
+        request, a repeat included — it caches none (``counts_hits``
+        stays 0), and the repeat's bytes are the first answer's."""
         on_pool, pool = self._fresh()
         with pool:
             policy = OptInPolicy()
-            histogram_input_for(on_pool, HistogramQuery(BINNING), policy)
+            first = histogram_input_for(on_pool, HistogramQuery(BINNING), policy)
             wide = IntegerBinning("age", 0, 100, 5)
             histogram_input_for(on_pool, HistogramQuery(wide), policy)
             for stats in pool.worker_cache_stats():
                 assert stats["counts_misses"] == 2
-                assert stats["mask_misses"] == 1  # policy mask reused
+            again = histogram_input_for(on_pool, HistogramQuery(BINNING), policy)
+            for stats in pool.worker_cache_stats():
+                assert stats["counts_misses"] == 3
+                assert stats["counts_hits"] == 0
+            assert np.array_equal(first.x, again.x)
+            assert np.array_equal(first.x_ns, again.x_ns)
 
     def test_killed_worker_respawns_mid_request(self):
         import os
@@ -479,8 +491,8 @@ class TestCountsCacheAndFailover:
             os.kill(pool._procs[2].pid, signal.SIGKILL)
             pool._procs[2].join()
             # the dead worker is respawned from the parent's resident
-            # copy and the request answered bit-identically (cold
-            # caches degrade it to a recompute, never a crash)
+            # copy and the request answered bit-identically (a
+            # recompute, never a crash)
             again = on_pool.mask(policy)
             assert pool.stats.respawns == 1
             assert np.array_equal(again, reference)
@@ -538,34 +550,3 @@ class TestCountsCacheAndFailover:
                 assert np.array_equal(
                     on_pool.bin_indices(BINNING), serial.bin_indices(BINNING)
                 )
-
-    def test_worker_caches_are_lru_bounded(self):
-        sharded = _db(400).shard(2)
-        pool = ShardWorkerPool(sharded.shards, cache_limit=3)
-        on_pool = sharded.with_executor(pool)
-        with pool:
-            policy = OptInPolicy()
-            binnings = [
-                IntegerBinning("age", 0, 100, w) for w in (4, 5, 10, 20, 25)
-            ]
-            for binning in binnings:
-                live = histogram_input_for(
-                    on_pool, HistogramQuery(binning), policy
-                )
-                reference = histogram_input_for(
-                    on_pool.to_columnar(), HistogramQuery(binning), policy
-                )
-                assert np.array_equal(live.x, reference.x)
-                assert np.array_equal(live.x_ns, reference.x_ns)
-            for stats in pool.worker_cache_stats():
-                assert stats["index_entries"] <= 3
-                assert stats["counts_entries"] <= 3
-                assert stats["mask_entries"] <= 3
-            # evicted binnings still answer correctly (recompute)
-            early = histogram_input_for(
-                on_pool, HistogramQuery(binnings[0]), policy
-            )
-            reference = histogram_input_for(
-                on_pool.to_columnar(), HistogramQuery(binnings[0]), policy
-            )
-            assert np.array_equal(early.x, reference.x)
