@@ -42,12 +42,14 @@ Thread safety: the scratch buffers **and the bulk-bits generator** are
 thread-local (each thread reuses its own pool and its own SFC64), so
 concurrent releases — the RPC tier serves the read path under a shared
 lock — never write into each other's noise and never interleave draws
-from a shared bitgen stream; the binomial/log-factorial table pools
-hold immutable values and only ever rebind or insert under the GIL, so
-the worst concurrent case is a redundant identical build.
+from a shared bitgen stream.  The binomial table pools are shared:
+inserts and evictions take one module lock, and two threads missing
+on one key build identical immutable tables (one insert wins).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -152,13 +154,15 @@ _BINOM_TABLE_DRAW_RATIO = 16.0
 _MAX_BINOM_TABLES = 8
 _binom_table_pool: dict[tuple, tuple] = {}
 _binom_size_pool: dict[tuple, int] = {}
+_pool_lock = threading.Lock()  # evict-then-insert spans two dict ops
 
 
 def _pool_insert(pool: dict, key, value) -> None:
     """Bounded insert: evict the oldest entry, never the whole pool."""
-    if len(pool) >= _MAX_BINOM_TABLES:
-        pool.pop(next(iter(pool)))
-    pool[key] = value
+    with _pool_lock:
+        if len(pool) >= _MAX_BINOM_TABLES:
+            pool.pop(next(iter(pool)))
+        pool[key] = value
 
 _logfact_table = np.zeros(1)
 
@@ -197,8 +201,9 @@ def _binomial_table(counts: np.ndarray, p: float) -> tuple:
     the pair that repeats across a sweep's trials and a server's
     request stream over one histogram — so it is built once and reused
     (the binomial analog of the scratch-buffer amortization above).
-    Returns ``(inverse, scaled, k_flat)``: the per-column group ids,
-    the group-lifted CDF array, and the flat outcome values.
+    Returns ``(inverse, scaled, k_flat, guide, cells, zero_cut)``: the
+    per-column group ids, the group-lifted CDF, the float64 outcomes,
+    and the inputs of ``kernels.binomial_lookup`` / ``binomial_zero``.
     """
     key = _binom_key(counts, p)
     hit = _binom_table_pool.get(key)
@@ -232,7 +237,9 @@ def _binomial_table(counts: np.ndarray, p: float) -> tuple:
     # ``g``'s span once ``u`` is clamped off the lattice edges.
     scaled = (cdf - np.repeat(base, widths)) / np.repeat(mass, widths)
     scaled += np.repeat(np.arange(len(uniq), dtype=np.float64), widths)
-    entry = (inverse, scaled, k_flat)
+    guide, cells = _kernels.binomial_guide(scaled, len(uniq))
+    zero_cut = np.where(lo == 0, scaled[starts], -np.inf)
+    entry = (inverse, scaled, k_flat.astype(np.float64), guide, cells, zero_cut)
     _pool_insert(_binom_table_pool, key, entry)
     return entry
 
@@ -251,17 +258,39 @@ def binomial_inverse_cdf_rows(
     deviations, truncating ~1e-30 of tail mass — far below the
     transform's own float64 rounding).  All groups' tables live in one
     flat array whose per-group CDFs are normalized to ``(0, 1]`` and
-    lifted by the group index, so a single ``np.searchsorted`` over one
-    uniform matrix inverts every draw at once — no per-group Python
-    loop, no per-draw rejection — and the table is cached across calls
-    (see :func:`_binomial_table`).  Distribution-exact up to the
-    float64 CDF rounding and the ``2^-26`` edge clamp; not
-    stream-identical to ``Generator.binomial``.
+    lifted by the group index, so one guided lookup over one uniform
+    matrix inverts every draw at once — no per-group Python loop, no
+    per-draw rejection — and the table is cached across calls (see
+    :func:`_binomial_table`).  Distribution-exact up to the float64 CDF
+    rounding and the ``2^-26`` edge clamp; not stream-identical to
+    ``Generator.binomial``.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    inverse, scaled, k_flat = _binomial_table(counts, p)
+    inverse, scaled, k_flat, guide, cells, _ = _binomial_table(counts, p)
     u = rng.random((n_rows, len(counts)))
-    return _kernels.binomial_lookup(scaled, inverse, k_flat, u)
+    return _kernels.binomial_lookup(scaled, guide, cells, inverse, k_flat, u)
+
+
+def _draws_by_table(sorted_counts: np.ndarray, p: float, n_rows: int) -> bool:
+    """Whether a ``(counts, p, n_rows)`` matrix is drawn from the CDF tables.
+
+    A pure function of the request — cache state must never pick the
+    route, or a seeded request would stop being reproducible across
+    process histories.  Only the table-size computation is memoized
+    (it is itself pure).
+    """
+    if n_rows < 1:
+        raise ValueError("need at least one row")
+    if sorted_counts.size == 0 or not 0.0 < p < 1.0:
+        return False
+    key = _binom_key(sorted_counts, p)
+    table_size = _binom_size_pool.get(key)
+    if table_size is None:
+        uniq = np.unique(sorted_counts)
+        lo, hi = _binomial_windows(uniq, p)
+        table_size = int(np.sum(hi - lo + 1))
+        _pool_insert(_binom_size_pool, key, table_size)
+    return table_size <= _BINOM_TABLE_DRAW_RATIO * n_rows * len(sorted_counts)
 
 
 def binomial_support_rows(
@@ -275,35 +304,37 @@ def binomial_support_rows(
     Two regimes.  When the matrix holds enough draws to amortize
     (cached) CDF tables over the distinct counts, the grouped
     inverse-CDF transform (:func:`binomial_inverse_cdf_rows`) samples
-    the whole matrix in one searchsorted pass — the dense-support
+    the whole matrix in one guided-lookup pass — the dense-support
     (searchlogs-like) fast path.  Otherwise numpy's per-draw loop wins;
     the pre-sorted counts still matter there, since the binomial
     sampler caches its BTPE/inversion setup while consecutive
     ``(n, p)`` pairs repeat.  Returns float64 rows.
     """
-    if n_rows < 1:
-        raise ValueError("need at least one row")
     sorted_counts = np.asarray(sorted_counts, dtype=np.int64)
-    if sorted_counts.size == 0:
-        return np.zeros((n_rows, 0))
-    if 0.0 < p < 1.0:
-        # The route is a pure function of (counts, p, n_rows) — cache
-        # state must never pick the path, or a seeded request would
-        # stop being reproducible across process histories.  Only the
-        # table-size computation is memoized (it is itself pure).
-        key = _binom_key(sorted_counts, p)
-        table_size = _binom_size_pool.get(key)
-        if table_size is None:
-            uniq = np.unique(sorted_counts)
-            lo, hi = _binomial_windows(uniq, p)
-            table_size = int(np.sum(hi - lo + 1))
-            _pool_insert(_binom_size_pool, key, table_size)
-        n_draws = n_rows * len(sorted_counts)
-        if table_size <= _BINOM_TABLE_DRAW_RATIO * n_draws:
-            return binomial_inverse_cdf_rows(rng, sorted_counts, p, n_rows)
+    if _draws_by_table(sorted_counts, p, n_rows):
+        return binomial_inverse_cdf_rows(rng, sorted_counts, p, n_rows)
     return rng.binomial(
         sorted_counts, p, size=(n_rows, len(sorted_counts))
     ).astype(np.float64)
+
+
+def binomial_zero_rows(
+    rng: np.random.Generator,
+    sorted_counts: np.ndarray,
+    p: float,
+    n_rows: int,
+) -> np.ndarray:
+    """``binomial_support_rows(...) == 0``, bit for bit, as a bool matrix.
+
+    Same route, same draws; the table route compares the uniforms with
+    each group's outcome-0 threshold and never materialises the counts.
+    """
+    sorted_counts = np.asarray(sorted_counts, dtype=np.int64)
+    if _draws_by_table(sorted_counts, p, n_rows):
+        inverse, _, _, _, _, zero_cut = _binomial_table(sorted_counts, p)
+        u = rng.random((n_rows, len(sorted_counts)))
+        return _kernels.binomial_zero(zero_cut, inverse, u)
+    return rng.binomial(sorted_counts, p, size=(n_rows, len(sorted_counts))) == 0
 
 
 def scatter_rows(

@@ -30,10 +30,7 @@ from repro.core.guarantees import OSDPGuarantee
 from repro.core.policy import AllSensitivePolicy, Policy
 from repro.distributions.one_sided_laplace import OneSidedLaplace
 from repro.mechanisms.base import HistogramMechanism
-from repro.mechanisms.batch_sampling import (
-    binomial_support_rows,
-    one_sided_rows,
-)
+from repro.mechanisms.batch_sampling import binomial_zero_rows, one_sided_rows
 from repro.mechanisms.dawa.dawa import Dawa, DawaBatchResult, DawaResult
 from repro.mechanisms.dawa.partition import buckets_tile_domain
 from repro.mechanisms.osdp_rr import release_probability
@@ -87,8 +84,9 @@ def detect_zero_bins_batch(
         return masks
     if detector == "osdp_rr":
         retention = release_probability(epsilon)
-        sampled = binomial_support_rows(rng, sorted_counts, retention, n_trials)
-        masks[:, cols] = sampled == 0
+        masks[:, cols] = binomial_zero_rows(
+            rng, sorted_counts, retention, n_trials
+        )
         return masks
     if detector == "osdp_laplace_l1":
         vals = np.asarray(x_ns, dtype=float)[cols]

@@ -28,7 +28,7 @@ from repro.core.policy import AllSensitivePolicy, Policy
 from repro.distributions.laplace import sample_laplace
 from repro.distributions.one_sided_laplace import OneSidedLaplace
 from repro.mechanisms.base import HistogramMechanism
-from repro.mechanisms.batch_sampling import one_sided_rows, scatter_rows
+from repro.mechanisms.batch_sampling import laplace_rows, one_sided_rows, scatter_rows
 from repro.queries.histogram import (
     HISTOGRAM_L1_SENSITIVITY,
     HistogramInput,
@@ -205,22 +205,44 @@ class HybridOsdpLaplace(HistogramMechanism):
     def guarantee(self) -> OSDPGuarantee:
         return _guarantee_for(self.policy, self.epsilon)
 
+    def _l1_part(self, hist: HistogramInput) -> OsdpLaplaceL1Histogram:
+        """OsdpLaplaceL1 at ``eps_os`` — or at all of ``eps`` without a mask."""
+        no_mask = hist.sensitive_bin_mask is None
+        eps = self.epsilon if no_mask else self.epsilon_os
+        return OsdpLaplaceL1Histogram(eps, policy=self.policy)
+
+    def _sensitive_only(self, hist: HistogramInput) -> np.ndarray | None:
+        """The sensitive-only bins as a bool mask, or None when there are none."""
+        if hist.sensitive_bin_mask is None or not np.any(hist.sensitive_bin_mask):
+            return None
+        return np.asarray(hist.sensitive_bin_mask, dtype=bool)
+
     def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        if hist.sensitive_bin_mask is None:
-            fallback = OsdpLaplaceL1Histogram(self.epsilon, policy=self.policy)
-            return fallback.release(hist, rng)
-        mask = np.asarray(hist.sensitive_bin_mask, dtype=bool)
-        x = np.asarray(hist.x, dtype=float)
-
-        estimate = OsdpLaplaceL1Histogram(
-            self.epsilon_os, policy=self.policy
-        ).release(hist, rng)
-
-        n_sensitive = int(mask.sum())
-        if n_sensitive:
+        estimate = self._l1_part(hist).release(hist, rng)
+        mask = self._sensitive_only(hist)
+        if mask is not None:
             dp_scale = HISTOGRAM_L1_SENSITIVITY / self.epsilon_dp
-            noisy = x[mask] + sample_laplace(rng, dp_scale, size=n_sensitive)
+            x = np.asarray(hist.x, dtype=float)[mask]
+            noisy = x + sample_laplace(rng, dp_scale, size=len(x))
             estimate[mask] = np.maximum(noisy, 0.0)
+        return estimate
+
+    def release_batch(
+        self,
+        hist: HistogramInput,
+        rng: np.random.Generator | Sequence[np.random.Generator],
+        n_trials: int | None = None,
+    ) -> np.ndarray:
+        if not isinstance(rng, np.random.Generator):
+            return self._sequential_release_batch(hist, rng, n_trials)
+        # release()'s two passes, in its order, each over all trials.
+        estimate = self._l1_part(hist).release_batch(hist, rng, n_trials)
+        mask = self._sensitive_only(hist)
+        if mask is not None:
+            dp_scale = HISTOGRAM_L1_SENSITIVITY / self.epsilon_dp
+            x = np.asarray(hist.x, dtype=float)[mask]
+            noisy = laplace_rows(rng, dp_scale, x, n_trials)
+            estimate[:, mask] = np.maximum(noisy, 0.0, out=noisy)
         return estimate
 
 

@@ -11,17 +11,26 @@ change the distribution.
 
 from __future__ import annotations
 
+import sys
+import threading
 from math import comb
 
 import numpy as np
 import pytest
 
+import repro.mechanisms.batch_sampling as bs
+from repro.data.dpbench import generate_dpbench
+from repro.mechanisms import kernels
 from repro.mechanisms.batch_sampling import (
     _BINOM_WINDOW_SIGMAS,
     _binomial_windows,
     binomial_inverse_cdf_rows,
     binomial_support_rows,
+    binomial_zero_rows,
 )
+from repro.mechanisms.osdp_rr import release_probability
+
+EDGE = kernels._BINOM_U_EDGE
 
 
 def _exact_pmf(n: int, p: float) -> np.ndarray:
@@ -139,8 +148,6 @@ class TestPathDeterminism:
         """A seeded draw must not change because some earlier workload
         built a table for the same (counts, p): path selection is a
         pure function of the request."""
-        import repro.mechanisms.batch_sampling as bs
-
         counts = np.array([10_000])  # 1 draw, wide window -> BTPE route
         p = 0.25
         bs._binom_table_pool.clear()
@@ -153,11 +160,127 @@ class TestPathDeterminism:
         assert np.array_equal(cold, warm)
 
     def test_pool_evicts_one_entry_not_all(self):
-        import repro.mechanisms.batch_sampling as bs
-
         bs._binom_table_pool.clear()
         for i in range(bs._MAX_BINOM_TABLES + 2):
             binomial_inverse_cdf_rows(
                 np.random.default_rng(0), np.array([50 + i]), 0.5, 2
             )
         assert len(bs._binom_table_pool) == bs._MAX_BINOM_TABLES
+
+    def test_concurrent_inserts_keep_the_pool_bounded(self):
+        """Releases on several threads share the pools: an evict racing
+        another thread's evict must neither raise nor overfill."""
+        pool: dict = {}
+        errors: list[BaseException] = []
+
+        def insert(tid: int) -> None:
+            try:
+                for i in range(20_000):
+                    bs._pool_insert(pool, (tid, i), i)
+            except (KeyError, RuntimeError) as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=insert, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(pool) == bs._MAX_BINOM_TABLES
+
+
+def _support_counts(dataset: str) -> np.ndarray:
+    x = generate_dpbench(dataset, seed=1)
+    return np.sort(x[x > 0]).astype(np.int64)
+
+
+def _searchsorted_lookup(scaled, inverse, k_flat, u):
+    """The reference inversion: one plain ``searchsorted`` (side="left")."""
+    q = np.clip(u, EDGE, 1.0 - EDGE) + inverse
+    idx = np.searchsorted(scaled, q.ravel(), side="left")
+    return k_flat[idx].reshape(u.shape).astype(np.float64)
+
+
+def _edge_uniforms(rng, scaled, inverse, n_rows):
+    """Random rows, rows at both clamp edges, and rows whose lifted value
+    is exactly an entry of the column's group (ties: side="left")."""
+    m = len(inverse)
+    edges = np.repeat([[0.0], [EDGE], [1.0 - EDGE], [1.0]], m, axis=1)
+    # Group g owns the entries in (g, g + 1]; scaled - g is exact there.
+    group = np.ceil(scaled).astype(np.int64) - 1
+    first = np.searchsorted(group, inverse, side="left")
+    width = np.searchsorted(group, inverse, side="right") - first
+    pick = first + (rng.random((n_rows, m)) * width).astype(np.int64)
+    on_entries = scaled[pick] - inverse
+    assert np.array_equal(on_entries + inverse, scaled[pick])
+    return np.concatenate([rng.random((n_rows, m)), edges, on_entries])
+
+
+class TestGuidedLookup:
+    """The guide table changes the cost of a draw, never its value."""
+
+    @pytest.mark.parametrize("dataset", ["adult", "searchlogs"])
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.1, 1.0, 5.0])
+    def test_equals_plain_searchsorted(self, dataset, epsilon):
+        counts = _support_counts(dataset)
+        inverse, scaled, k_flat, guide, cells, zero_cut = bs._binomial_table(
+            counts, release_probability(epsilon)
+        )
+        u = _edge_uniforms(np.random.default_rng(2), scaled, inverse, 10)
+        want = _searchsorted_lookup(scaled, inverse, k_flat, u)
+        got = kernels.binomial_lookup(scaled, guide, cells, inverse, k_flat, u.copy())
+        assert got.tobytes() == want.tobytes()
+        zero = kernels.binomial_zero(zero_cut, inverse, u.copy())
+        assert zero.tobytes() == (want == 0).tobytes()
+
+    def test_a_wide_window_reaches_the_residual_searchsorted(self):
+        """One n = 28,000 group at eps = 1: hundreds of left-tail entries
+        share the first guide cell, so its queries cannot start at the
+        answer and must come back from the residual pass."""
+        counts = np.array([28_000])
+        inverse, scaled, k_flat, guide, cells, _ = bs._binomial_table(
+            counts, release_probability(1.0)
+        )
+        u = np.linspace(0.0, 2.0 / cells, 257)[:, np.newaxis]
+        q = np.clip(u, EDGE, 1.0 - EDGE) + inverse
+        start = guide[np.ceil(q * cells).astype(np.int64)].ravel()
+        answer = np.searchsorted(scaled, q.ravel(), side="left")
+        assert np.max(answer - start) > 100
+        got = kernels.binomial_lookup(scaled, guide, cells, inverse, k_flat, u.copy())
+        assert got.tobytes() == _searchsorted_lookup(scaled, inverse, k_flat, u).tobytes()
+
+
+class TestZeroRows:
+    """``binomial_zero_rows`` is ``binomial_support_rows(...) == 0`` on
+    the same seed, whichever route the request takes."""
+
+    @pytest.mark.parametrize("dataset", ["adult", "searchlogs"])
+    @pytest.mark.parametrize("epsilon", [1e-7, 0.1, 1.0, 5.0])
+    def test_table_route(self, dataset, epsilon):
+        counts = _support_counts(dataset)
+        p = release_probability(epsilon)
+        assert bs._draws_by_table(counts, p, 10)
+        got = binomial_zero_rows(np.random.default_rng(4), counts, p, 10)
+        want = binomial_support_rows(np.random.default_rng(4), counts, p, 10) == 0
+        assert got.dtype == bool
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [release_probability(1.0), 1.0])
+    def test_numpy_route(self, p):
+        counts = _support_counts("adult")
+        assert not bs._draws_by_table(counts, p, 1)
+        got = binomial_zero_rows(np.random.default_rng(4), counts, p, 1)
+        want = binomial_support_rows(np.random.default_rng(4), counts, p, 1) == 0
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_support(self):
+        out = binomial_zero_rows(
+            np.random.default_rng(0), np.empty(0, dtype=np.int64), 0.5, 3
+        )
+        assert out.shape == (3, 0) and out.dtype == bool

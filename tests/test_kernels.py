@@ -293,7 +293,12 @@ def test_binomial_lookup_pinned():
             [0.0, 1.0, 0.75],     # lattice edges are clamped inward
         ]
     )
-    got = kernels.binomial_lookup(scaled, inverse, k_flat, u)
+    # 5 entries over 2 groups: 4 cells per group; guide[c] counts the
+    # entries whose cell ceil(4 * entry) is below c.
+    guide, cells = kernels.binomial_guide(scaled, 2)
+    assert cells == 4
+    assert guide.tolist() == [0, 0, 1, 1, 2, 3, 3, 4, 4]
+    got = kernels.binomial_lookup(scaled, guide, cells, inverse, k_flat, u)
     assert got.dtype == np.float64
     want = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
     assert got.tobytes() == want.tobytes()
