@@ -8,16 +8,15 @@ The paper relies on two continuous distributions:
   a mirrored exponential with all mass on the non-positive reals, used by
   ``OsdpLaplace`` and ``OsdpLaplaceL1``.
 
-A discrete two-sided/one-sided geometric pair is provided as the integer
+The two continuous ones are analytic here (pdf, cdf, ppf, moments) and
+sampled only by :mod:`repro.mechanisms.batch_sampling`.  A discrete
+two-sided/one-sided geometric pair is provided as the integer
 counterpart (an extension beyond the paper, useful for exact-count
 releases).
 """
 
-from repro.distributions.laplace import LaplaceDistribution, sample_laplace
-from repro.distributions.one_sided_laplace import (
-    OneSidedLaplace,
-    sample_one_sided_laplace,
-)
+from repro.distributions.laplace import LaplaceDistribution
+from repro.distributions.one_sided_laplace import OneSidedLaplace
 from repro.distributions.geometric import OneSidedGeometric, TwoSidedGeometric
 
 __all__ = [
@@ -25,6 +24,4 @@ __all__ = [
     "OneSidedLaplace",
     "OneSidedGeometric",
     "TwoSidedGeometric",
-    "sample_laplace",
-    "sample_one_sided_laplace",
 ]

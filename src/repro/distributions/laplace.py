@@ -6,7 +6,9 @@
 
 The paper writes ``Lap(b)`` for the zero-mean variant; the classical
 Laplace mechanism (Definition 2.5) adds ``Lap(S(f)/epsilon)`` noise to a
-query answer with L1-sensitivity ``S(f)``.
+query answer with L1-sensitivity ``S(f)``.  This is the analytic form;
+the noise itself is drawn by
+:func:`repro.mechanisms.batch_sampling.laplace_rows`.
 """
 
 from __future__ import annotations
@@ -75,19 +77,3 @@ class LaplaceDistribution:
     def expected_abs(self) -> float:
         """E|X - loc|; the expected L1 noise magnitude per coordinate."""
         return self.scale
-
-    def sample(
-        self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
-    ) -> float | np.ndarray:
-        """Draw samples using the supplied generator."""
-        out = rng.laplace(loc=self.loc, scale=self.scale, size=size)
-        return float(out) if size is None else out
-
-
-def sample_laplace(
-    rng: np.random.Generator,
-    scale: float,
-    size: int | tuple[int, ...] | None = None,
-) -> float | np.ndarray:
-    """Draw zero-mean ``Lap(scale)`` samples (paper notation ``Lap(b)``)."""
-    return LaplaceDistribution(scale=scale).sample(rng, size=size)

@@ -17,6 +17,9 @@ Key facts used by the paper and verified in the test suite:
 * at matched epsilon the variance is 1/8 that of the histogram Laplace
   mechanism's noise (exponential halves the variance; the sensitivity
   drop from 2 to 1 contributes another factor of 4).
+
+This is the analytic form; the noise itself is drawn by
+:func:`repro.mechanisms.batch_sampling.one_sided_rows`.
 """
 
 from __future__ import annotations
@@ -85,19 +88,3 @@ class OneSidedLaplace:
     def expected_abs(self) -> float:
         """E|X| = scale (all mass is non-positive)."""
         return self.scale
-
-    def sample(
-        self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
-    ) -> float | np.ndarray:
-        """Draw samples: the negation of an Exponential(scale) draw."""
-        out = -rng.exponential(scale=self.scale, size=size)
-        return float(out) if size is None else out
-
-
-def sample_one_sided_laplace(
-    rng: np.random.Generator,
-    scale: float,
-    size: int | tuple[int, ...] | None = None,
-) -> float | np.ndarray:
-    """Draw ``Lap^-(scale)`` samples (paper notation, Definition 5.1)."""
-    return OneSidedLaplace(scale=scale).sample(rng, size=size)

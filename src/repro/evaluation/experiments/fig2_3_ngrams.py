@@ -48,6 +48,7 @@ from repro.data.tippers import (
     policy_for_fraction_columnar,
 )
 from repro.evaluation.runner import spawn_rngs
+from repro.mechanisms.batch_sampling import laplace_rows
 from repro.mechanisms.osdp_rr import release_probability
 from repro.queries.ngram import NGramCounter, SparseHistogram, sparse_mre
 
@@ -78,10 +79,10 @@ def _laplace_ngram_mre(
     """MRE of the truncated-Laplace release, zero cells analytic."""
     scale = 2.0 * k / epsilon
     support = sorted(truth.support() | truncated.support())
-    noise = rng.laplace(scale=scale, size=len(support))
-    estimate = {
-        gram: truncated[gram] + noise[i] for i, gram in enumerate(support)
-    }
+    noisy = laplace_rows(
+        rng, scale, [truncated[gram] for gram in support], 1
+    )[0]
+    estimate = dict(zip(support, noisy))
     return sparse_mre(
         truth, estimate, expected_abs_noise_on_zeros=scale
     )

@@ -93,10 +93,8 @@ def make_mechanism(name: str, epsilon: float, ns_ratio: float | None = None):
 class DPBenchConfig:
     """Sweep configuration (defaults mirror the paper's grid).
 
-    ``batched=True`` runs each cell through the mechanisms'
-    ``release_batch`` fast path (same release distribution, one noise
-    matrix per cell); ``batched=False`` restores the per-trial
-    spawned-generator loop of the original protocol.
+    Each cell runs through the mechanisms' ``release_batch`` (one noise
+    matrix per cell).
     """
 
     datasets: tuple[str, ...] = PAPER_DATASETS
@@ -106,7 +104,6 @@ class DPBenchConfig:
     algorithms: tuple[str, ...] = DEFAULT_POOL
     n_trials: int = 10
     seed: int = 0
-    batched: bool = True
 
 
 @dataclass(frozen=True)
@@ -159,15 +156,13 @@ def run_dpbench_sweep(config: DPBenchConfig | None = None) -> list[SweepRecord]:
                 for epsilon in config.epsilons:
                     for algorithm in config.algorithms:
                         mech = make_mechanism(algorithm, epsilon, ns_ratio=rho)
-                        # Batched trial protocol: one (n_trials, d)
-                        # release matrix per cell, metrics vectorized
-                        # over the rows.
+                        # One (n_trials, d) release matrix per cell,
+                        # metrics vectorized over the rows.
                         estimates = release_trials(
                             mech,
                             hist,
                             n_trials=config.n_trials,
                             seed=config.seed,
-                            batched=config.batched,
                         )
                         rel = mean_relative_error_rows(x, estimates)
                         r50 = rel_percentile_rows(x, estimates, 50)

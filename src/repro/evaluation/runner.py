@@ -1,20 +1,16 @@
 """Seeded multi-trial execution and plain-text result tables.
 
 The paper averages every loss over 10 independent executions; the
-helpers here keep that reproducible — a root seed spawns independent
-child generators per trial — and render results as aligned text tables
-for the benchmark harness output.
+helpers here keep that reproducible and render results as aligned text
+tables for the benchmark harness output.  Two ways to seed the trials
+run the same release code:
 
-Two trial protocols coexist:
-
-* :func:`average_over_trials` / :func:`spawn_rngs` — the original
-  per-trial loop: one spawned generator and one ``release`` call per
-  trial.  Bit-stable with the seed repository's recorded results.
-* :func:`release_trials` — the batched path: one generator, one
-  ``release_batch`` call producing the whole ``(n_trials, d)`` estimate
-  matrix (see :mod:`repro.mechanisms.batch_sampling`).  Same release
-  distribution, different streams, several times faster; the default
-  for the sweep experiments.
+* :func:`average_over_trials` / :func:`spawn_rngs` — one spawned
+  generator and one ``release`` call per trial;
+* :func:`release_trials` — one generator and one ``release_batch``
+  call producing the whole ``(n_trials, d)`` estimate matrix (see
+  :mod:`repro.mechanisms.batch_sampling`); the sweep experiments use
+  it.
 """
 
 from __future__ import annotations
@@ -46,21 +42,13 @@ def release_trials(
     hist,
     n_trials: int = 10,
     seed: int = 0,
-    batched: bool = True,
 ) -> np.ndarray:
     """``n_trials`` releases of ``mechanism`` as an ``(n_trials, d)`` matrix.
 
-    ``batched=True`` (default) runs the mechanism's vectorized
-    ``release_batch`` fast path from a single seeded generator;
-    ``batched=False`` reproduces the per-trial spawned-generator
-    protocol exactly (each row is ``release`` under its own spawned
-    stream).  Both are deterministic in ``seed``.
+    One ``release_batch`` call from a single generator seeded with
+    ``seed``, so the matrix is deterministic in ``seed``.
     """
-    if batched:
-        return mechanism.release_batch(
-            hist, np.random.default_rng(seed), n_trials
-        )
-    return mechanism.release_batch(hist, spawn_rngs(seed, n_trials))
+    return mechanism.release_batch(hist, np.random.default_rng(seed), n_trials)
 
 
 def release_trials_from_database(
@@ -70,7 +58,6 @@ def release_trials_from_database(
     policy,
     n_trials: int = 10,
     seed: int = 0,
-    batched: bool = True,
     accountant=None,
 ) -> np.ndarray:
     """:func:`release_trials` fed straight from any database flavor.
@@ -82,14 +69,9 @@ def release_trials_from_database(
     policy masks and bincounts per shard (on the database's worker
     pool when it has one).  One accountant charge covers the trial matrix.
     """
-    rng = (
-        np.random.default_rng(seed)
-        if batched
-        else spawn_rngs(seed, n_trials)
-    )
     return mechanism.run(
-        db, rng, n_trials=n_trials, query=query, policy=policy,
-        accountant=accountant,
+        db, np.random.default_rng(seed), n_trials=n_trials, query=query,
+        policy=policy, accountant=accountant,
     )
 
 

@@ -29,9 +29,9 @@ import numpy as np
 
 from repro.core.guarantees import DPGuarantee
 from repro.core.policy import AllSensitivePolicy, Policy
-from repro.distributions.laplace import sample_laplace
 from repro.mechanisms.base import HistogramMechanism
-from repro.mechanisms.dawaz import detect_zero_bins
+from repro.mechanisms.batch_sampling import laplace_rows
+from repro.mechanisms.dawaz import detect_zero_bins_batch
 from repro.queries.histogram import HISTOGRAM_L1_SENSITIVITY, HistogramInput
 
 
@@ -97,18 +97,25 @@ class Ahp(HistogramMechanism):
     ) -> AhpResult:
         x = np.asarray(hist.x, dtype=float)
         scale1 = HISTOGRAM_L1_SENSITIVITY / self.epsilon1
-        noisy = x + sample_laplace(rng, scale1, size=x.shape)
-        clusters = self._cluster(noisy)
+        clusters = self._cluster(laplace_rows(rng, scale1, x, 1)[0])
 
-        estimate = np.zeros_like(x)
+        totals = np.array([x[cluster].sum() for cluster in clusters])
         scale2 = HISTOGRAM_L1_SENSITIVITY / self.epsilon2
-        for cluster in clusters:
-            total = float(x[cluster].sum()) + float(sample_laplace(rng, scale2))
+        totals = laplace_rows(rng, scale2, totals, 1)[0]
+        estimate = np.zeros_like(x)
+        for cluster, total in zip(clusters, totals):
             estimate[cluster] = max(total, 0.0) / len(cluster)
         return AhpResult(estimate=estimate, clusters=clusters)
 
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        return self.release_with_partition(hist, rng).estimate
+    def release_batch(
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
+    ) -> np.ndarray:
+        return np.stack(
+            [
+                self.release_with_partition(hist, rng).estimate
+                for _ in range(n_trials)
+            ]
+        )
 
 
 class AhpZ(HistogramMechanism):
@@ -146,20 +153,25 @@ class AhpZ(HistogramMechanism):
             epsilon=self.epsilon,
         )
 
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        zero_mask = detect_zero_bins(hist, self.epsilon_zero, rng)
-        result = self.dp_algorithm.release_with_partition(hist, rng)
-        estimate = result.estimate.copy()
-        for cluster in result.clusters:
-            in_zero = zero_mask[cluster]
-            n_zeroed = int(in_zero.sum())
-            if n_zeroed == 0:
-                continue
-            if n_zeroed == len(cluster):
-                estimate[cluster] = 0.0
-                continue
-            removed = float(estimate[cluster][in_zero].sum())
-            estimate[cluster[in_zero]] = 0.0
-            survivors = cluster[~in_zero]
-            estimate[survivors] += removed / len(survivors)
-        return estimate
+    def release_batch(
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
+    ) -> np.ndarray:
+        zero_masks = detect_zero_bins_batch(hist, self.epsilon_zero, rng, n_trials)
+        rows = []
+        for zero_mask in zero_masks:
+            result = self.dp_algorithm.release_with_partition(hist, rng)
+            estimate = result.estimate
+            for cluster in result.clusters:
+                in_zero = zero_mask[cluster]
+                n_zeroed = int(in_zero.sum())
+                if n_zeroed == 0:
+                    continue
+                if n_zeroed == len(cluster):
+                    estimate[cluster] = 0.0
+                    continue
+                removed = float(estimate[cluster][in_zero].sum())
+                estimate[cluster[in_zero]] = 0.0
+                survivors = cluster[~in_zero]
+                estimate[survivors] += removed / len(survivors)
+            rows.append(estimate)
+        return np.stack(rows)

@@ -1,18 +1,20 @@
 """Common mechanism interfaces and a registry for the evaluation harness.
 
-Every histogram-release mechanism implements
-``release(hist: HistogramInput, rng) -> np.ndarray`` and exposes a
-``guarantee`` describing its privacy promise.  DP mechanisms read only
-``hist.x``; OSDP mechanisms additionally use ``hist.x_ns`` (and the
-optional sensitive-bin mask).  Keeping the interface uniform lets the
-regret experiments of Section 6.3.3 sweep a pool of mechanisms over the
-same inputs.
+Every histogram-release mechanism implements one method,
+``release_batch(hist: HistogramInput, rng, n_trials) -> np.ndarray``,
+and exposes a ``guarantee`` describing its privacy promise;
+``release(hist, rng)`` is row 0 of a one-trial batch.  DP mechanisms
+read only ``hist.x``; OSDP mechanisms additionally use ``hist.x_ns``
+(and the optional sensitive-bin mask).  Keeping the interface uniform
+lets the regret experiments of Section 6.3.3 sweep a pool of mechanisms
+over the same inputs.
 """
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,6 +49,27 @@ def resolve_histogram_source(source, query, policy) -> HistogramInput:
     )
 
 
+def _require_generator(rng) -> None:
+    """Reject anything but one :class:`numpy.random.Generator`."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(
+            f"expected one numpy Generator, got {type(rng).__name__}; for "
+            "one generator per trial use "
+            "[m.release(h, g) for g in spawn_rngs(seed, n)]"
+        )
+
+
+def _one_generator(release_batch):
+    """``release_batch`` with the generator check in front of it."""
+
+    @functools.wraps(release_batch)
+    def checked(self, hist, rng, n_trials):
+        _require_generator(rng)
+        return release_batch(self, hist, rng, n_trials)
+
+    return checked
+
+
 class HistogramMechanism(ABC):
     """A randomized histogram-release algorithm."""
 
@@ -57,61 +80,31 @@ class HistogramMechanism(ABC):
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = epsilon
 
-    @abstractmethod
-    def release(
-        self, hist: HistogramInput, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Produce a private estimate of ``hist.x`` (full-domain vector)."""
+    def __init_subclass__(cls, **kwargs):
+        # Every implementation gets the one generator check, here.
+        super().__init_subclass__(**kwargs)
+        if "release_batch" in vars(cls):
+            cls.release_batch = _one_generator(vars(cls)["release_batch"])
 
+    @abstractmethod
     def release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
     ) -> np.ndarray:
         """``n_trials`` independent releases as an ``(n_trials, d)`` matrix.
 
-        Two rng modes:
-
-        * a single :class:`numpy.random.Generator` — the *batch* mode.
-          Subclasses override this with a vectorized fast path that
-          samples the whole noise matrix in one shot (see
-          :mod:`repro.mechanisms.batch_sampling`); rows are iid draws of
-          the release distribution but not stream-identical to a
-          sequential ``release`` loop.  The base implementation loops
-          ``release`` on the shared stream.
-        * a *sequence* of generators (e.g. from
-          :func:`repro.evaluation.runner.spawn_rngs`) — the
-          compatibility mode: row ``i`` is exactly
-          ``release(hist, rng[i])``, bit-for-bit the paper's per-trial
-          protocol.  ``n_trials``, if given, must match the sequence
-          length.
+        Every row is an iid draw of the release distribution, and the
+        whole matrix is deterministic in ``rng``'s seed.  Subclasses
+        sample all trials' noise in one pass (see
+        :mod:`repro.mechanisms.batch_sampling`).  ``rng`` must be one
+        :class:`numpy.random.Generator`; a sequence of generators is a
+        ``TypeError``.
         """
-        return self._sequential_release_batch(hist, rng, n_trials)
 
-    def _sequential_release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+    def release(
+        self, hist: HistogramInput, rng: np.random.Generator
     ) -> np.ndarray:
-        """The reference implementation both modes fall back to."""
-        if isinstance(rng, np.random.Generator):
-            if n_trials is None:
-                raise ValueError("n_trials is required with a single generator")
-            if n_trials < 1:
-                raise ValueError("need at least one trial")
-            rows = [self.release(hist, rng) for _ in range(n_trials)]
-        else:
-            rngs = list(rng)
-            if n_trials is not None and n_trials != len(rngs):
-                raise ValueError(
-                    f"n_trials={n_trials} does not match {len(rngs)} generators"
-                )
-            if not rngs:
-                raise ValueError("need at least one generator")
-            rows = [self.release(hist, r) for r in rngs]
-        return np.stack(rows)
+        """One private estimate of ``hist.x``: row 0 of a one-trial batch."""
+        return self.release_batch(hist, rng, 1)[0]
 
     # ------------------------------------------------------------------
     # The single end-to-end entry point
@@ -119,7 +112,7 @@ class HistogramMechanism(ABC):
     def run(
         self,
         source,
-        rng: np.random.Generator | Sequence[np.random.Generator],
+        rng: np.random.Generator,
         *,
         n_trials: int | None = None,
         query=None,
@@ -141,14 +134,13 @@ class HistogramMechanism(ABC):
 
         ``binning``/``policy`` accept live objects *or* their wire
         specs (plain dicts), keeping this the same protocol the remote
-        backends speak.  With ``n_trials=None`` and a single generator
-        one release is drawn and returned as a 1-D vector; otherwise
-        (an explicit ``n_trials``, or a sequence of per-trial
-        generators) the result is an
+        backends speak.  With ``n_trials=None`` one release is drawn
+        and returned as a 1-D vector; otherwise the result is an
         ``(n_trials, n_bins)`` matrix with one accountant charge
         covering the whole trial matrix (the trials are analyses of
         one release distribution used jointly, and the evaluation
-        protocol treats them as one budget-ed query).
+        protocol treats them as one budget-ed query).  ``rng`` must be
+        one generator, checked before anything is charged.
         """
         from repro.core.policy_language import policy_from_spec
         from repro.queries.histogram import (
@@ -156,6 +148,7 @@ class HistogramMechanism(ABC):
             binning_from_spec,
         )
 
+        _require_generator(rng)
         if isinstance(policy, Mapping):
             policy = policy_from_spec(policy)
         if binning is not None:
@@ -167,10 +160,8 @@ class HistogramMechanism(ABC):
         hist = resolve_histogram_source(source, query, policy)
         if accountant is not None:
             self.charge_for(accountant, policy, label=label)
-        if n_trials is None and isinstance(rng, np.random.Generator):
+        if n_trials is None:
             return self.release(hist, rng)
-        # A sequence of generators is the per-trial compatibility mode:
-        # one row per generator, trials inferred from the length.
         return self.release_batch(hist, rng, n_trials)
 
     @property

@@ -1,8 +1,10 @@
-"""Vectorized noise kernels for the batched multi-trial release paths.
+"""The noise samplers: every mechanism's randomness is drawn here.
 
 ``release_batch`` implementations draw their ``(n_trials, n_bins)``
 noise matrices here instead of looping ``n_trials`` numpy sampler
-calls.  Three ideas carry all of the speedup:
+calls, and single draws (``release``, the counting queries, the
+experiments) are one-row calls of the same functions, so each noise
+distribution has one sampler.  Three ideas carry all of the speedup:
 
 1. **Ufunc pipelines instead of scalar C loops.**  numpy's
    ``Generator.laplace`` runs one scalar ``log`` per variate inside the
@@ -27,11 +29,8 @@ calls.  Three ideas carry all of the speedup:
    deterministically seeded by — the caller's generator, so a seeded
    run is fully reproducible.
 
-The kernels are **distribution-exact** (up to float32 uniform
-granularity in the inverse transforms); they are *not* stream-identical
-to the per-trial ``release`` loop.  For bitwise reproduction of the
-paper's spawned-rng protocol, pass ``release_batch`` a *sequence* of
-generators — that mode delegates to ``release`` row by row.
+The kernels are **distribution-exact** up to float32 uniform
+granularity in the inverse transforms.
 
 The transforms themselves are the numpy ufunc pipelines of
 :mod:`repro.mechanisms.kernels`.  All randomness is drawn here, from

@@ -13,19 +13,12 @@ paper's comparisons exercise.
 """
 
 from repro.mechanisms.dawa.dawa import Dawa, DawaResult
-from repro.mechanisms.dawa.estimate import hierarchical_estimate, uniform_bucket_estimate
-from repro.mechanisms.dawa.partition import (
-    dyadic_partition,
-    interval_deviation_cost,
-    noisy_dyadic_costs,
-)
+from repro.mechanisms.dawa.estimate import hierarchical_estimate
+from repro.mechanisms.dawa.partition import interval_deviation_cost
 
 __all__ = [
     "Dawa",
     "DawaResult",
-    "dyadic_partition",
     "hierarchical_estimate",
     "interval_deviation_cost",
-    "noisy_dyadic_costs",
-    "uniform_bucket_estimate",
 ]

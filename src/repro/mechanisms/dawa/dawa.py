@@ -8,28 +8,23 @@ of one more bucket's Laplace noise in stage 2 — so the partition
 balances deviation bias against estimation noise exactly as the original
 algorithm does.
 
-``release_with_partition`` also returns the chosen buckets; DAWAz's
-post-processing redistributes bucket mass and needs them.
+``release_with_partition_batch`` also returns the chosen buckets;
+DAWAz's post-processing redistributes bucket mass and needs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.guarantees import DPGuarantee
 from repro.mechanisms.base import HistogramMechanism
-from repro.mechanisms.dawa.estimate import (
-    uniform_bucket_estimate,
-    uniform_bucket_estimate_trials,
-)
+from repro.mechanisms.dawa.estimate import uniform_bucket_estimate_trials
 from repro.mechanisms.dawa.partition import (
     Bucket,
     DyadicScaffold,
     TrialBuckets,
-    dyadic_partition_array,
     optimal_partition_batch,
     scaffold_for,
 )
@@ -99,27 +94,6 @@ class Dawa(HistogramMechanism):
         """Stage-2 noise cost charged per bucket in the partition DP."""
         return self.penalty_factor * 2.0 / self.epsilon2
 
-    def release_with_partition(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator,
-        scaffold: DyadicScaffold | None = None,
-    ) -> DawaResult:
-        """One release over the histogram's memoised stage-1 scaffold."""
-        x = np.asarray(hist.x, dtype=float)
-        buckets = dyadic_partition_array(
-            x,
-            self.epsilon1,
-            rng,
-            bucket_penalty=self.bucket_penalty,
-            scaffold=scaffold if scaffold is not None else scaffold_for(hist),
-        )
-        estimate = uniform_bucket_estimate(x, buckets, self.epsilon2, rng)
-        return DawaResult(estimate=estimate, buckets=buckets)
-
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        return self.release_with_partition(hist, rng).estimate
-
     def release_with_partition_batch(
         self,
         hist: HistogramInput,
@@ -139,8 +113,6 @@ class Dawa(HistogramMechanism):
         Stage 2: every trial's bucket totals, noise and uniform
         expansion in the concatenated domain
         (:func:`repro.mechanisms.dawa.estimate.uniform_bucket_estimate_trials`).
-        Only the noise stream order differs from the per-trial loop
-        (batch-mode contract).
         """
         if scaffold is None:
             scaffold = scaffold_for(hist)
@@ -154,13 +126,6 @@ class Dawa(HistogramMechanism):
         return DawaBatchResult(estimates=estimates, partitions=partitions)
 
     def release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
     ) -> np.ndarray:
-        if not isinstance(rng, np.random.Generator):
-            return self._sequential_release_batch(hist, rng, n_trials)
-        if n_trials is None:
-            raise ValueError("n_trials is required with a single generator")
         return self.release_with_partition_batch(hist, rng, n_trials).estimates

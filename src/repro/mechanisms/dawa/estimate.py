@@ -16,67 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.laplace import sample_laplace
+from repro.mechanisms.batch_sampling import laplace_rows
 from repro.mechanisms.dawa.partition import TrialBuckets, buckets_tile_domain
 
-Bucket = tuple[int, int]
-
 BUCKET_TOTAL_SENSITIVITY = 2.0
-
-
-def _expand_noisy_totals(
-    x: np.ndarray,
-    starts: np.ndarray,
-    widths: np.ndarray,
-    scale: float,
-    rng: np.random.Generator,
-    clip_negative_totals: bool,
-) -> np.ndarray:
-    """Noisy totals of the buckets tiling ``x``, spread over their bins."""
-    totals = np.add.reduceat(x, starts)
-    totals += sample_laplace(rng, scale, size=len(totals))
-    if clip_negative_totals:
-        np.maximum(totals, 0.0, out=totals)
-    return np.repeat(totals / widths, widths)
-
-
-def uniform_bucket_estimate(
-    x: np.ndarray,
-    buckets: list[Bucket],
-    epsilon2: float,
-    rng: np.random.Generator,
-    clip_negative_totals: bool = True,
-) -> np.ndarray:
-    """Noisy bucket totals, uniformly expanded.  eps2-DP.
-
-    Vectorized: bucket totals via ``np.add.reduceat`` over the bucket
-    starts (the partition tiles the domain), one Laplace draw per bucket
-    in a single call, and ``np.repeat`` for the uniform expansion —
-    no per-bucket Python loop.  ``buckets`` may be a list of tuples or
-    an ``(k, 2)`` array.
-    """
-    if epsilon2 <= 0:
-        raise ValueError("epsilon2 must be positive")
-    x = np.asarray(x, dtype=float)
-    if len(buckets) == 0:
-        return np.zeros_like(x)
-    scale = BUCKET_TOTAL_SENSITIVITY / epsilon2
-    arr = np.asarray(buckets, dtype=np.int64).reshape(-1, 2)
-    starts, ends = arr[:, 0], arr[:, 1]
-    if buckets_tile_domain(starts, ends, len(x)):
-        return _expand_noisy_totals(
-            x, starts, ends - starts, scale, rng, clip_negative_totals
-        )
-    # Gapped or overlapping buckets (not produced by stage 1, but the
-    # public API allows them): per-slice assignment as before.
-    estimate = np.zeros_like(x)
-    noise = sample_laplace(rng, scale, size=len(arr))
-    for (start, end), eps_noise in zip(buckets, noise):
-        total = float(x[start:end].sum()) + float(eps_noise)
-        if clip_negative_totals and total < 0.0:
-            total = 0.0
-        estimate[start:end] = total / (end - start)
-    return estimate
 
 
 def uniform_bucket_estimate_trials(
@@ -86,15 +29,14 @@ def uniform_bucket_estimate_trials(
     rng: np.random.Generator,
     clip_negative_totals: bool = True,
 ) -> np.ndarray:
-    """One stage-2 release per trial of ``partitions``, in one flat pass.
+    """Noisy bucket totals, uniformly expanded, per trial.  eps2-DP.
 
-    The trials' buckets tile the concatenated domain, so the whole
-    batch is one ``np.add.reduceat`` over the tiled counts, one Laplace
-    vector with an entry per bucket of every trial, and one
-    ``np.repeat`` — O(sum of bucket counts), whether the trials chose
-    the same partition or all different ones.  Row ``t`` is, draw for
-    draw, what :func:`uniform_bucket_estimate` returns for
-    ``partitions[t]`` when the calls share ``rng`` in trial order.
+    Each bucket's total gets ``Lap(2/eps2)`` noise and is spread evenly
+    over the bucket's bins.  The trials' buckets tile the concatenated
+    domain, so the whole batch is one ``np.add.reduceat`` over the tiled
+    counts, one ``laplace_rows`` draw with an entry per bucket of every
+    trial, and one ``np.repeat`` — O(sum of bucket counts), whether the
+    trials chose the same partition or all different ones.
     """
     if epsilon2 <= 0:
         raise ValueError("epsilon2 must be positive")
@@ -105,15 +47,11 @@ def uniform_bucket_estimate_trials(
     starts, widths = partitions.flat_starts(), partitions.widths
     if not buckets_tile_domain(starts, starts + widths, n_trials * len(x)):
         raise ValueError("each trial's buckets must tile the histogram")
-    flat = _expand_noisy_totals(
-        np.tile(x, n_trials),
-        starts,
-        widths,
-        BUCKET_TOTAL_SENSITIVITY / epsilon2,
-        rng,
-        clip_negative_totals,
-    )
-    return flat.reshape(n_trials, len(x))
+    totals = np.add.reduceat(np.tile(x, n_trials), starts)
+    totals = laplace_rows(rng, BUCKET_TOTAL_SENSITIVITY / epsilon2, totals, 1)[0]
+    if clip_negative_totals:
+        np.maximum(totals, 0.0, out=totals)
+    return np.repeat(totals / widths, widths).reshape(n_trials, len(x))
 
 
 class HierarchicalHistogram:
@@ -162,7 +100,7 @@ class HierarchicalHistogram:
         self._levels = []
         for width in widths:
             sums = padded.reshape(-1, width).sum(axis=1)
-            self._levels.append(sums + sample_laplace(rng, scale, size=len(sums)))
+            self._levels.append(laplace_rows(rng, scale, sums, 1)[0])
         return self
 
     def _require_fit(self) -> None:

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributions.laplace import sample_laplace
 from repro.mechanisms.batch_sampling import laplace_rows
 from repro.queries.histogram import HistogramInput
 
@@ -150,38 +149,16 @@ class DyadicScaffold:
         self._exact_flat = flat
         self.exact_levels: tuple[np.ndarray, ...] = tuple(levels)
 
-    def noisy_costs(
-        self, epsilon1: float, rng: np.random.Generator
-    ) -> DyadicCosts:
-        """Fresh ``eps1``-DP noisy costs over the precomputed exact ones."""
-        if epsilon1 <= 0:
-            raise ValueError("epsilon1 must be positive")
-        noisy_levels = self.n_levels - 1  # level 0 is data-independent
-        scale = 2.0 * max(noisy_levels, 1) / epsilon1
-        levels: list[np.ndarray] = [self.exact_levels[0]]
-        for exact in self.exact_levels[1:]:
-            costs = exact + sample_laplace(rng, scale, size=len(exact))
-            # True deviation costs are non-negative; clipping is
-            # post-processing and prevents the partition DP's
-            # min-selection from accumulating spuriously negative noise
-            # down the tree (which would shatter smooth regions into
-            # singleton buckets).
-            np.maximum(costs, 0.0, out=costs)
-            levels.append(costs)
-        return DyadicCosts(levels=tuple(levels))
-
     def noisy_costs_batch(
         self, epsilon1: float, rng: np.random.Generator, n_trials: int
     ) -> BatchDyadicCosts:
-        """``n_trials`` independent noisy cost sets in one sampling pass.
+        """``n_trials`` independent ``eps1``-DP noisy cost sets in one pass.
 
         One :func:`repro.mechanisms.batch_sampling.laplace_rows` call
         draws every level of every trial — the raw-bits kernel, its
         thread-local bit generator and scratch, as for the ``laplace``
         mechanism — and the levels are column views of that one matrix.
-        Each row is distributed as one :meth:`noisy_costs` draw up to
-        the kernel's float32-uniform granularity (the streams differ —
-        batch mode's documented contract).
+        Level 0 is data-independent and gets no noise.
         """
         if epsilon1 <= 0:
             raise ValueError("epsilon1 must be positive")
@@ -190,6 +167,10 @@ class DyadicScaffold:
         noisy_levels = self.n_levels - 1
         scale = 2.0 * max(noisy_levels, 1) / epsilon1
         noisy = laplace_rows(rng, scale, self._exact_flat, n_trials)
+        # True deviation costs are non-negative; clipping is
+        # post-processing and prevents the partition DP's min-selection
+        # from accumulating spuriously negative noise down the tree
+        # (which would shatter smooth regions into singleton buckets).
         np.maximum(noisy, 0.0, out=noisy)
         levels: list[np.ndarray] = [
             np.broadcast_to(self.exact_levels[0], (n_trials, self.n_padded))
@@ -227,13 +208,6 @@ def scaffold_for(hist) -> DyadicScaffold:
         weakref.finalize(hist, _scaffolds.pop, key, None).atexit = False
         _scaffolds[key] = scaffold
     return scaffold
-
-
-def noisy_dyadic_costs(
-    x: np.ndarray, epsilon1: float, rng: np.random.Generator
-) -> DyadicCosts:
-    """eps1-DP noisy L1-deviation costs for all aligned dyadic intervals."""
-    return DyadicScaffold(x).noisy_costs(epsilon1, rng)
 
 
 def _select_buckets(keep: Sequence[np.ndarray], n_roots: int = 1) -> np.ndarray:
@@ -388,41 +362,6 @@ def clip_buckets_array(arr: np.ndarray, n: int) -> np.ndarray:
     kept = arr[arr[:, 0] < n]
     np.minimum(kept[:, 1], n, out=kept[:, 1])
     return kept
-
-
-def dyadic_partition_array(
-    x: np.ndarray,
-    epsilon1: float,
-    rng: np.random.Generator,
-    bucket_penalty: float,
-    scaffold: DyadicScaffold | None = None,
-) -> np.ndarray:
-    """Full stage 1 as an ``(k, 2)`` bucket array, clipped to len(x).
-
-    Pass a :class:`DyadicScaffold` built from the same ``x`` to reuse
-    the exact-cost computation across trials.
-    """
-    if scaffold is None:
-        scaffold = DyadicScaffold(x)
-    costs = scaffold.noisy_costs(epsilon1, rng)
-    buckets = optimal_partition_array(costs, bucket_penalty)
-    return clip_buckets_array(buckets, scaffold.n_original)
-
-
-def dyadic_partition(
-    x: np.ndarray,
-    epsilon1: float,
-    rng: np.random.Generator,
-    bucket_penalty: float,
-    scaffold: DyadicScaffold | None = None,
-) -> list[Bucket]:
-    """List-of-tuples form of :func:`dyadic_partition_array`."""
-    return [
-        tuple(pair)
-        for pair in dyadic_partition_array(
-            x, epsilon1, rng, bucket_penalty, scaffold=scaffold
-        ).tolist()
-    ]
 
 
 def buckets_tile_domain(

@@ -22,13 +22,12 @@ its surviving bins (see EXPERIMENTS.md, deviations).
 
 from __future__ import annotations
 
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
 from repro.core.guarantees import OSDPGuarantee
 from repro.core.policy import AllSensitivePolicy, Policy
-from repro.distributions.one_sided_laplace import OneSidedLaplace
 from repro.mechanisms.base import HistogramMechanism
 from repro.mechanisms.batch_sampling import binomial_zero_rows, one_sided_rows
 from repro.mechanisms.dawa.dawa import Dawa, DawaBatchResult, DawaResult
@@ -39,30 +38,6 @@ from repro.queries.histogram import HistogramInput, ns_support_sorted
 ZeroDetector = Literal["osdp_rr", "osdp_laplace_l1"]
 
 
-def detect_zero_bins(
-    hist: HistogramInput,
-    epsilon: float,
-    rng: np.random.Generator,
-    detector: ZeroDetector = "osdp_rr",
-) -> np.ndarray:
-    """The OSDP zero set ``Z``: bins whose noisy non-sensitive count is 0.
-
-    Satisfies (P, epsilon)-OSDP — it is exactly an OSDP primitive of
-    Section 5.1 applied to ``x_ns``, with the zero test as
-    post-processing.
-    """
-    x_ns = np.asarray(hist.x_ns)
-    if detector == "osdp_rr":
-        retention = release_probability(epsilon)
-        sampled = rng.binomial(x_ns.astype(np.int64), retention)
-        return sampled == 0
-    if detector == "osdp_laplace_l1":
-        noise = OneSidedLaplace(scale=1.0 / epsilon)
-        noisy = x_ns.astype(float) + noise.sample(rng, size=x_ns.shape)
-        return noisy <= 0.0
-    raise ValueError(f"unknown zero detector {detector!r}")
-
-
 def detect_zero_bins_batch(
     hist: HistogramInput,
     epsilon: float,
@@ -70,11 +45,13 @@ def detect_zero_bins_batch(
     n_trials: int,
     detector: ZeroDetector = "osdp_rr",
 ) -> np.ndarray:
-    """``n_trials`` independent zero sets as an ``(n_trials, d)`` bool mask.
+    """``n_trials`` OSDP zero sets ``Z`` as an ``(n_trials, d)`` bool mask.
 
-    Distribution-identical to ``n_trials`` :func:`detect_zero_bins`
-    calls; bins with ``x_ns = 0`` are deterministically in every trial's
-    zero set, so only the support is sampled.
+    ``Z`` holds the bins whose noisy non-sensitive count is 0.  Each row
+    satisfies (P, epsilon)-OSDP — it is exactly an OSDP primitive of
+    Section 5.1 applied to ``x_ns``, with the zero test as
+    post-processing.  Bins with ``x_ns = 0`` are deterministically in
+    every trial's zero set, so only the support is sampled.
     """
     x_ns = np.asarray(hist.x_ns)
     d = len(x_ns)
@@ -136,9 +113,7 @@ def apply_zero_postprocessing(
     arr = np.asarray(result.buckets, dtype=np.int64).reshape(-1, 2)
     starts, ends = arr[:, 0], arr[:, 1]
     if not buckets_tile_domain(starts, ends, len(estimate)):
-        return _apply_zero_postprocessing_slices(
-            estimate.copy(), zero_mask, result.buckets
-        )
+        raise ValueError("the buckets must tile the estimate")
     return _redistribute_removed_mass(estimate, zero_mask, starts, ends - starts)
 
 
@@ -167,30 +142,11 @@ def apply_zero_postprocessing_trials(
     return flat.reshape(estimates.shape)
 
 
-def _apply_zero_postprocessing_slices(
-    estimate: np.ndarray, zero_mask: np.ndarray, buckets
-) -> np.ndarray:
-    """Per-slice fallback for bucket lists that do not tile the domain."""
-    for start, end in buckets:
-        in_bucket = zero_mask[start:end]
-        n_zeroed = int(in_bucket.sum())
-        width = end - start
-        if n_zeroed == 0:
-            continue
-        if n_zeroed == width:
-            estimate[start:end] = 0.0
-            continue
-        removed_mass = float(estimate[start:end][in_bucket].sum())
-        estimate[start:end][in_bucket] = 0.0
-        estimate[start:end][~in_bucket] += removed_mass / (width - n_zeroed)
-    return estimate
-
-
 class TwoPhaseOsdpRecipe(HistogramMechanism):
     """Section 5.2's recipe around any partition-producing DP algorithm.
 
     ``dp_factory(epsilon)`` must build a mechanism exposing
-    ``release_with_partition(hist, rng) -> DawaResult``.
+    ``release_with_partition_batch(hist, rng, n_trials) -> DawaBatchResult``.
     """
 
     name = "osdp_recipe"
@@ -221,42 +177,16 @@ class TwoPhaseOsdpRecipe(HistogramMechanism):
             epsilon=self.epsilon,
         )
 
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        zero_mask = detect_zero_bins(
-            hist, self.epsilon_zero, rng, detector=self.zero_detector
-        )
-        result = self.dp_algorithm.release_with_partition(hist, rng)
-        return apply_zero_postprocessing(result, zero_mask)
-
     def release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
     ) -> np.ndarray:
-        if not isinstance(rng, np.random.Generator):
-            return self._sequential_release_batch(hist, rng, n_trials)
-        if n_trials is None:
-            raise ValueError("n_trials is required with a single generator")
         # All trials' zero sets in one support-restricted sampling pass.
         masks = detect_zero_bins_batch(
             hist, self.epsilon_zero, rng, n_trials, detector=self.zero_detector
         )
-        if isinstance(self.dp_algorithm, Dawa):
-            return apply_zero_postprocessing_trials(
-                self.dp_algorithm.release_with_partition_batch(
-                    hist, rng, n_trials
-                ),
-                masks,
-            )
-        return np.stack(
-            [
-                apply_zero_postprocessing(
-                    self.dp_algorithm.release_with_partition(hist, rng),
-                    masks[trial],
-                )
-                for trial in range(n_trials)
-            ]
+        return apply_zero_postprocessing_trials(
+            self.dp_algorithm.release_with_partition_batch(hist, rng, n_trials),
+            masks,
         )
 
 

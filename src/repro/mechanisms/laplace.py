@@ -9,12 +9,9 @@ matching the paper's expected L1 error of ``2d/eps`` (Theorem 5.1).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.guarantees import DPGuarantee
-from repro.distributions.laplace import sample_laplace
 from repro.mechanisms.base import HistogramMechanism
 from repro.mechanisms.batch_sampling import laplace_rows
 from repro.queries.histogram import HISTOGRAM_L1_SENSITIVITY, HistogramInput
@@ -49,9 +46,10 @@ class LaplaceMechanism:
         do (``np.isscalar`` misses those forms).
         """
         arr = np.asarray(value, dtype=float)
+        noisy = laplace_rows(rng, self.scale, arr.ravel(), 1)
         if arr.ndim == 0:
-            return float(arr) + float(sample_laplace(rng, self.scale))
-        return arr + sample_laplace(rng, self.scale, size=arr.shape)
+            return float(noisy[0, 0])
+        return noisy.reshape(arr.shape)
 
 
 class LaplaceHistogram(HistogramMechanism):
@@ -79,22 +77,9 @@ class LaplaceHistogram(HistogramMechanism):
         """Per Theorem 5.1: ``2 d / eps`` for a d-bin histogram; per bin 2/eps."""
         return HISTOGRAM_L1_SENSITIVITY / self.epsilon
 
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        noisy = self._inner.release(np.asarray(hist.x, dtype=float), rng)
-        if self.clip_negative:
-            noisy = np.maximum(noisy, 0.0)
-        return noisy
-
     def release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
     ) -> np.ndarray:
-        if not isinstance(rng, np.random.Generator):
-            return self._sequential_release_batch(hist, rng, n_trials)
-        if n_trials is None:
-            raise ValueError("n_trials is required with a single generator")
         out = laplace_rows(
             rng, self._inner.scale, np.asarray(hist.x, dtype=float), n_trials
         )

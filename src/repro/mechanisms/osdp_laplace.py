@@ -19,13 +19,11 @@ noise therefore suffices:
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.guarantees import OSDPGuarantee
 from repro.core.policy import AllSensitivePolicy, Policy
-from repro.distributions.laplace import sample_laplace
 from repro.distributions.one_sided_laplace import OneSidedLaplace
 from repro.mechanisms.base import HistogramMechanism
 from repro.mechanisms.batch_sampling import laplace_rows, one_sided_rows, scatter_rows
@@ -76,23 +74,9 @@ class OsdpLaplaceHistogram(HistogramMechanism):
         """``1/eps**2`` — 1/8 of the DP Laplace histogram's ``8/eps**2``."""
         return self.noise.variance
 
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        x_ns = np.asarray(hist.x_ns, dtype=float)
-        noisy = x_ns + self.noise.sample(rng, size=x_ns.shape)
-        if self.ns_ratio is not None:
-            noisy = noisy / self.ns_ratio
-        return noisy
-
     def release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
     ) -> np.ndarray:
-        if not isinstance(rng, np.random.Generator):
-            return self._sequential_release_batch(hist, rng, n_trials)
-        if n_trials is None:
-            raise ValueError("n_trials is required with a single generator")
         # Unclipped release: every bin gets noise, including empty ones.
         out = one_sided_rows(
             rng, self.noise.scale, np.asarray(hist.x_ns, dtype=float), n_trials
@@ -138,27 +122,9 @@ class OsdpLaplaceL1Histogram(HistogramMechanism):
         """``-median = ln 2 / eps``, added back to positive noisy counts."""
         return -self.noise.median
 
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        x_ns = np.asarray(hist.x_ns, dtype=float)
-        noisy = x_ns + self.noise.sample(rng, size=x_ns.shape)
-        noisy[noisy < 0.0] = 0.0
-        if self.debias:
-            positive = noisy > 0.0
-            noisy[positive] += self.median_correction
-        if self.ns_ratio is not None:
-            noisy = noisy / self.ns_ratio
-        return noisy
-
     def release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
     ) -> np.ndarray:
-        if not isinstance(rng, np.random.Generator):
-            return self._sequential_release_batch(hist, rng, n_trials)
-        if n_trials is None:
-            raise ValueError("n_trials is required with a single generator")
         # Bins with x_ns = 0 release exactly 0 (strictly negative noise
         # is clipped and the de-bias only touches positive counts), so
         # only the support needs sampling — a large win on the sparse
@@ -217,25 +183,10 @@ class HybridOsdpLaplace(HistogramMechanism):
             return None
         return np.asarray(hist.sensitive_bin_mask, dtype=bool)
 
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        estimate = self._l1_part(hist).release(hist, rng)
-        mask = self._sensitive_only(hist)
-        if mask is not None:
-            dp_scale = HISTOGRAM_L1_SENSITIVITY / self.epsilon_dp
-            x = np.asarray(hist.x, dtype=float)[mask]
-            noisy = x + sample_laplace(rng, dp_scale, size=len(x))
-            estimate[mask] = np.maximum(noisy, 0.0)
-        return estimate
-
     def release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
     ) -> np.ndarray:
-        if not isinstance(rng, np.random.Generator):
-            return self._sequential_release_batch(hist, rng, n_trials)
-        # release()'s two passes, in its order, each over all trials.
+        # The L1 pass, then the Laplace pass, each over all trials.
         estimate = self._l1_part(hist).release_batch(hist, rng, n_trials)
         mask = self._sensitive_only(hist)
         if mask is not None:

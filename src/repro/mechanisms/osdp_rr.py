@@ -145,26 +145,9 @@ class OsdpRRHistogram(HistogramMechanism):
         sensitive_mass = float(hist.x_sensitive.sum())
         return sensitive_mass + math.exp(-self.epsilon) * float(hist.x_ns.sum())
 
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        counts = rng.binomial(
-            hist.x_ns.astype(np.int64), self.retention_probability
-        ).astype(float)
-        if self.scaled:
-            counts = counts / self.retention_probability
-        if self.ns_ratio is not None:
-            counts = counts / self.ns_ratio
-        return counts
-
     def release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
     ) -> np.ndarray:
-        if not isinstance(rng, np.random.Generator):
-            return self._sequential_release_batch(hist, rng, n_trials)
-        if n_trials is None:
-            raise ValueError("n_trials is required with a single generator")
         # Binomial thinning of an empty bin is deterministically 0, so
         # only the nonzero x_ns bins are sampled; sorting the counts
         # lets numpy reuse its per-count sampler setup.

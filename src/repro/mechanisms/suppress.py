@@ -18,13 +18,12 @@ computation on the remainder.  It satisfies PDP, but:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.guarantees import PDPGuarantee
 from repro.core.policy import Policy
-from repro.distributions.laplace import sample_laplace
 from repro.mechanisms.base import HistogramMechanism
 from repro.mechanisms.batch_sampling import laplace_rows
 from repro.queries.histogram import HISTOGRAM_L1_SENSITIVITY, HistogramInput
@@ -110,25 +109,9 @@ class SuppressHistogram(HistogramMechanism):
             epsilon_of=epsilon_of, description=f"Suppress(tau={self.tau:g})-PDP"
         )
 
-    def release(self, hist: HistogramInput, rng: np.random.Generator) -> np.ndarray:
-        x_ns = np.asarray(hist.x_ns, dtype=float)
-        scale = HISTOGRAM_L1_SENSITIVITY / self.tau
-        noisy = x_ns + sample_laplace(rng, scale, size=x_ns.shape)
-        noisy = np.maximum(noisy, 0.0)
-        if self.ns_ratio is not None:
-            noisy = noisy / self.ns_ratio
-        return noisy
-
     def release_batch(
-        self,
-        hist: HistogramInput,
-        rng: np.random.Generator | Sequence[np.random.Generator],
-        n_trials: int | None = None,
+        self, hist: HistogramInput, rng: np.random.Generator, n_trials: int
     ) -> np.ndarray:
-        if not isinstance(rng, np.random.Generator):
-            return self._sequential_release_batch(hist, rng, n_trials)
-        if n_trials is None:
-            raise ValueError("n_trials is required with a single generator")
         scale = HISTOGRAM_L1_SENSITIVITY / self.tau
         out = laplace_rows(rng, scale, np.asarray(hist.x_ns, dtype=float), n_trials)
         np.maximum(out, 0.0, out=out)

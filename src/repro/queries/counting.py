@@ -18,8 +18,7 @@ from repro.core.accountant import PrivacyAccountant
 from repro.core.guarantees import DPGuarantee, OSDPGuarantee
 from repro.core.policy import Policy
 from repro.distributions.geometric import OneSidedGeometric
-from repro.distributions.laplace import sample_laplace
-from repro.distributions.one_sided_laplace import sample_one_sided_laplace
+from repro.mechanisms.batch_sampling import laplace_rows, one_sided_rows
 
 SINGLE_COUNT_SENSITIVITY = 1.0
 
@@ -72,18 +71,17 @@ class OsdpCount:
         non_sensitive = self.policy.non_sensitive_subset(records)
         count = float(_true_count(non_sensitive, self.predicate))
         if self.integer:
-            noise = float(
+            noisy = count + float(
                 OneSidedGeometric.from_epsilon(
                     self.epsilon, SINGLE_COUNT_SENSITIVITY
                 ).sample(rng)
             )
         else:
-            noise = float(
-                sample_one_sided_laplace(
-                    rng, SINGLE_COUNT_SENSITIVITY / self.epsilon
-                )
+            noisy = float(
+                one_sided_rows(
+                    rng, SINGLE_COUNT_SENSITIVITY / self.epsilon, [count], 1
+                )[0, 0]
             )
-        noisy = count + noise
         return max(noisy, 0.0) if self.clip else noisy
 
 
@@ -107,7 +105,7 @@ class DpCount:
         self, records: Iterable[object], rng: np.random.Generator
     ) -> float:
         count = float(_true_count(list(records), self.predicate))
-        noisy = count + float(
-            sample_laplace(rng, SINGLE_COUNT_SENSITIVITY / self.epsilon)
+        noisy = float(
+            laplace_rows(rng, SINGLE_COUNT_SENSITIVITY / self.epsilon, [count], 1)[0, 0]
         )
         return max(noisy, 0.0) if self.clip else noisy

@@ -194,17 +194,18 @@ class TestMechanismRun:
         assert accountant.remaining == pytest.approx(0.5)
         assert accountant.ledger[0].label == "spec-run"
 
-    def test_run_sequence_rngs_is_per_trial_mode(self):
+    def test_run_rejects_a_generator_sequence(self):
         db = _db(400)
         hist = HistogramInput.from_columnar(
             db, HistogramQuery(BINNING), OptInPolicy()
         )
-        mech = OsdpLaplaceL1Histogram(0.5)
+        accountant = PrivacyAccountant(total_epsilon=1.0)
         rngs = [np.random.default_rng(s) for s in (1, 2)]
-        want = np.stack(
-            [mech.release(hist, np.random.default_rng(s)) for s in (1, 2)]
-        )
-        assert np.array_equal(mech.run(hist, rngs), want)
+        with pytest.raises(TypeError, match=r"m\.release\(h, g\) for g in"):
+            OsdpLaplaceL1Histogram(0.5).run(
+                hist, rngs, n_trials=2, accountant=accountant
+            )
+        assert accountant.remaining == pytest.approx(1.0)
 
     def test_run_rejects_query_and_binning_together(self):
         with pytest.raises(ValueError, match="not both"):

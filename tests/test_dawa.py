@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 
 from repro.core.guarantees import DPGuarantee
-from repro.mechanisms.dawa import Dawa, hierarchical_estimate, uniform_bucket_estimate
-from repro.mechanisms.dawa.partition import validate_partition
+from repro.mechanisms.dawa import Dawa, hierarchical_estimate
+from repro.mechanisms.dawa.estimate import uniform_bucket_estimate_trials
+from repro.mechanisms.dawa.partition import TrialBuckets, validate_partition
 from repro.mechanisms.laplace import LaplaceHistogram
 from repro.queries.histogram import HistogramInput
+
+
+def _trials(buckets, n_trials: int, n: int) -> TrialBuckets:
+    """``n_trials`` trials that all chose ``buckets``."""
+    rows = np.tile(np.asarray(buckets, dtype=np.int64), (n_trials, 1))
+    return TrialBuckets(rows, np.arange(n_trials + 1) * len(buckets), n)
 
 
 class TestUniformBucketEstimate:
     def test_preserves_bucket_structure(self, rng):
         x = np.array([10.0, 10.0, 0.0, 0.0])
         buckets = [(0, 2), (2, 4)]
-        out = uniform_bucket_estimate(x, buckets, epsilon2=1000.0, rng=rng)
+        out = uniform_bucket_estimate_trials(x, _trials(buckets, 1, 4), 1000.0, rng)[0]
         assert out[0] == pytest.approx(out[1])
         assert out[2] == pytest.approx(out[3])
         assert out[0] == pytest.approx(10.0, abs=0.1)
@@ -22,32 +29,20 @@ class TestUniformBucketEstimate:
     def test_noise_amortized_across_wide_buckets(self, rng):
         """Per-bin noise of a width-w bucket is total-noise / w."""
         x = np.zeros(1024)
-        wide = [(0, 1024)]
-        narrow = [(i, i + 1) for i in range(1024)]
-        err_wide = np.mean(
-            [
-                np.abs(uniform_bucket_estimate(x, wide, 1.0, rng)).mean()
-                for _ in range(30)
-            ]
-        )
-        err_narrow = np.mean(
-            [
-                np.abs(uniform_bucket_estimate(x, narrow, 1.0, rng)).mean()
-                for _ in range(5)
-            ]
-        )
+        wide = _trials([(0, 1024)], 30, 1024)
+        narrow = _trials([(i, i + 1) for i in range(1024)], 5, 1024)
+        err_wide = np.abs(uniform_bucket_estimate_trials(x, wide, 1.0, rng)).mean()
+        err_narrow = np.abs(uniform_bucket_estimate_trials(x, narrow, 1.0, rng)).mean()
         assert err_wide < err_narrow / 50
 
     def test_epsilon_validation(self, rng):
         with pytest.raises(ValueError):
-            uniform_bucket_estimate(np.zeros(4), [(0, 4)], 0.0, rng)
+            uniform_bucket_estimate_trials(np.zeros(4), _trials([(0, 4)], 1, 4), 0.0, rng)
 
     def test_negative_totals_clipped(self, rng):
         x = np.zeros(8)
-        outs = [
-            uniform_bucket_estimate(x, [(0, 8)], 0.1, rng) for _ in range(50)
-        ]
-        assert all(np.all(o >= 0.0) for o in outs)
+        outs = uniform_bucket_estimate_trials(x, _trials([(0, 8)], 50, 8), 0.1, rng)
+        assert np.all(outs >= 0.0)
 
 
 class TestHierarchicalEstimate:
@@ -141,7 +136,7 @@ class TestDawaEndToEnd:
     def test_release_shape_and_partition_valid(self, rng):
         x = rng.poisson(5, size=200).astype(float)
         hist = HistogramInput(x=x, x_ns=np.zeros(200))
-        result = Dawa(1.0).release_with_partition(hist, rng)
+        result = Dawa(1.0).release_with_partition_batch(hist, rng, 1)[0]
         assert result.estimate.shape == (200,)
         validate_partition(result.buckets, 200)
 

@@ -6,8 +6,7 @@ partition Bellman recursion and the top-down selection once across
 trials.  Given the *same* noisy
 costs, the batched DP must choose exactly the buckets the per-trial
 :func:`optimal_partition_array` chooses — float-op-for-float-op — which
-is what these tests pin down (the only difference between the paths is
-then the noise stream layout, the documented batch-mode contract).
+is what these tests pin down.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ class TestGroupedStage2:
 
     def test_uniform_bucket_estimate_trials_rows(self):
         from repro.mechanisms.dawa.estimate import (
-            uniform_bucket_estimate,
             uniform_bucket_estimate_trials,
         )
 
@@ -154,14 +152,14 @@ class TestGroupedStage2:
         # uniform expansion: constant within each bucket, every trial
         for start, end in buckets:
             assert np.all(rows[:, start:end] == rows[:, start:start + 1])
-        # each row distributed as one uniform_bucket_estimate draw:
-        # compare bucket-total means against the per-trial reference
+        # each row distributed as one single-trial draw: compare
+        # bucket-total means against 400 independently seeded trials
         reference = np.stack(
             [
-                uniform_bucket_estimate(x, buckets, 2.0, rng)
-                for rng in (
-                    np.random.default_rng(s) for s in range(400)
-                )
+                uniform_bucket_estimate_trials(
+                    x, _repeated(buckets, 1, len(x)), 2.0, np.random.default_rng(s)
+                )[0]
+                for s in range(400)
             ]
         )
         assert np.allclose(

@@ -4,11 +4,11 @@ A batch draws all of stage 1's noise with ``laplace_rows``, selects
 every trial's buckets in one top-down sweep, and expands and
 post-processes in the concatenated domain.  Pinned here:
 
-* the new draw has the distribution of the per-trial one (clipped
-  Laplace around the exact costs) and is reproducible under threads;
-* given the same noisy costs and the same generator, the flat
-  selection, expansion and zero post-processing equal the per-trial
-  reference functions bit for bit;
+* the draw is clipped Laplace around the exact costs and is
+  reproducible under threads;
+* given the same noisy costs and the same noise, the flat selection,
+  expansion and zero post-processing equal per-trial references bit
+  for bit;
 * the scaffold memo lives and dies with the histogram instance it was
   built from, and never travels in a pickle.
 """
@@ -24,12 +24,10 @@ import pytest
 from repro.core.policy import OptInPolicy
 from repro.data.columnar import ColumnarDatabase
 from repro.distributions.laplace import LaplaceDistribution
+from repro.mechanisms.batch_sampling import laplace_rows
 from repro.mechanisms.dawa import partition as partition_mod
 from repro.mechanisms.dawa.dawa import Dawa, DawaBatchResult, DawaResult
-from repro.mechanisms.dawa.estimate import (
-    uniform_bucket_estimate,
-    uniform_bucket_estimate_trials,
-)
+from repro.mechanisms.dawa.estimate import uniform_bucket_estimate_trials
 from repro.mechanisms.dawa.partition import (
     DyadicScaffold,
     optimal_partition_array,
@@ -198,6 +196,16 @@ class TestFlatSelection:
         assert starts[-1] + clipped.widths[-1] == 6 * 3000
 
 
+def _uniform_bucket_estimate(x, buckets, noise) -> np.ndarray:
+    """Per-slice stage 2 of one trial: each bucket's total plus its
+    noise, clipped at 0 and spread evenly over the bucket's bins."""
+    estimate = np.empty_like(x)
+    for (start, end), bucket_noise in zip(buckets, noise):
+        total = max(x[start:end].sum() + bucket_noise, 0.0)
+        estimate[start:end] = total / (end - start)
+    return estimate
+
+
 class TestFlatStage2:
     @pytest.mark.parametrize("penalty", PENALTIES)
     @pytest.mark.parametrize("n_bins", DOMAINS)
@@ -207,11 +215,19 @@ class TestFlatStage2:
         flat = uniform_bucket_estimate_trials(
             x, partitions, 0.25, np.random.default_rng(8)
         )
-        # The same generator, consumed in trial order, injects the same
-        # noise into the per-trial reference.
-        rng = np.random.default_rng(8)
+        # laplace_rows adds its noise to the base in one float64 add,
+        # so the same seed over a zero base yields the bucket noise
+        # itself, which the per-trial reference adds per slice.
+        noise = laplace_rows(
+            np.random.default_rng(8), 2.0 / 0.25, np.zeros(len(partitions.rows)), 1
+        )[0]
         reference = np.stack(
-            [uniform_bucket_estimate(x, buckets, 0.25, rng) for buckets in partitions]
+            [
+                _uniform_bucket_estimate(
+                    x, buckets, noise[partitions.offsets[t] : partitions.offsets[t + 1]]
+                )
+                for t, buckets in enumerate(partitions)
+            ]
         )
         assert flat.shape == (6, n_bins)
         assert flat.tobytes() == reference.tobytes()
@@ -279,25 +295,6 @@ class TestFlatZeroPostprocessing:
             assert np.shares_memory(result.buckets, batch.partitions.rows)
             validate_partition(result.buckets, 3000)
             assert np.array_equal(result.estimate, batch.estimates[t])
-
-
-class TestSequenceModeUnchanged:
-    """A sequence of generators still reproduces ``release`` per trial."""
-
-    @pytest.mark.parametrize("mechanism", [Dawa(0.8), DawaZ(0.8)])
-    def test_spawned_generators_match_sequential_release(self, mechanism):
-        x = _counts(3000)
-        hist = HistogramInput(x=x, x_ns=np.floor(x * 0.5))
-        rngs = [np.random.default_rng([5, t]) for t in range(4)]
-        batch = mechanism.release_batch(hist, rngs)
-        fresh = HistogramInput(x=x, x_ns=np.floor(x * 0.5))  # no memo yet
-        reference = np.stack(
-            [
-                mechanism.release(fresh, np.random.default_rng([5, t]))
-                for t in range(4)
-            ]
-        )
-        assert batch.tobytes() == reference.tobytes()
 
 
 # ----------------------------------------------------------------------

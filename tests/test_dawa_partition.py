@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from repro.mechanisms.dawa.partition import (
     DyadicCosts,
-    dyadic_partition,
+    DyadicScaffold,
     interval_deviation_cost,
-    noisy_dyadic_costs,
     optimal_dyadic_partition,
+    optimal_partition_batch,
     validate_partition,
 )
+
+
+def _one_trial_costs(x, epsilon1, rng) -> DyadicCosts:
+    """Row 0 of a one-trial batch of eps1-DP noisy dyadic costs."""
+    return DyadicScaffold(x).noisy_costs_batch(epsilon1, rng, 1).trial(0)
 
 
 class TestDeviationCost:
@@ -49,25 +54,25 @@ class TestDeviationCost:
 
 class TestNoisyCosts:
     def test_level_zero_is_exact_zero(self, rng):
-        costs = noisy_dyadic_costs(np.arange(8.0), 1.0, rng)
+        costs = _one_trial_costs(np.arange(8.0), 1.0, rng)
         assert np.all(costs.levels[0] == 0.0)
 
     def test_costs_clipped_non_negative(self, rng):
-        costs = noisy_dyadic_costs(np.zeros(64), 0.01, rng)
+        costs = _one_trial_costs(np.zeros(64), 0.01, rng)
         for level in costs.levels:
             assert np.all(level >= 0.0)
 
     def test_level_shapes(self, rng):
-        costs = noisy_dyadic_costs(np.zeros(16), 1.0, rng)
+        costs = _one_trial_costs(np.zeros(16), 1.0, rng)
         assert [len(level) for level in costs.levels] == [16, 8, 4, 2, 1]
 
     def test_pads_to_power_of_two(self, rng):
-        costs = noisy_dyadic_costs(np.zeros(12), 1.0, rng)
+        costs = _one_trial_costs(np.zeros(12), 1.0, rng)
         assert costs.n == 16
 
     def test_epsilon_validation(self, rng):
         with pytest.raises(ValueError):
-            noisy_dyadic_costs(np.zeros(8), 0.0, rng)
+            _one_trial_costs(np.zeros(8), 0.0, rng)
 
 
 class TestPartitionDP:
@@ -117,7 +122,8 @@ class TestPartitionDP:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 100))
         x = rng.poisson(4.0, size=n).astype(float)
-        buckets = dyadic_partition(x, epsilon1=0.5, rng=rng, bucket_penalty=2.0)
+        costs = DyadicScaffold(x).noisy_costs_batch(0.5, rng, 1)
+        buckets = optimal_partition_batch(costs, bucket_penalty=2.0).clipped(n)[0]
         validate_partition(buckets, n)
 
 

@@ -9,28 +9,33 @@ from repro.mechanisms.dawaz import (
     DawaZ,
     TwoPhaseOsdpRecipe,
     apply_zero_postprocessing,
-    detect_zero_bins,
+    detect_zero_bins_batch,
 )
 from repro.queries.histogram import HistogramInput
+
+
+def _zero_set(hist, epsilon, rng, detector="osdp_rr"):
+    """One trial's zero set: row 0 of a one-trial batch."""
+    return detect_zero_bins_batch(hist, epsilon, rng, 1, detector=detector)[0]
 
 
 class TestZeroDetection:
     def test_empty_bins_always_in_zero_set(self, rng):
         x = np.array([0.0, 50.0, 0.0, 50.0])
         hist = HistogramInput(x=x, x_ns=x.copy())
-        mask = detect_zero_bins(hist, epsilon=1.0, rng=rng)
+        mask = _zero_set(hist, epsilon=1.0, rng=rng)
         assert mask[0] and mask[2]
 
     def test_large_counts_rarely_zeroed(self, rng):
         x = np.full(64, 500.0)
         hist = HistogramInput(x=x, x_ns=x.copy())
-        mask = detect_zero_bins(hist, epsilon=1.0, rng=rng)
+        mask = _zero_set(hist, epsilon=1.0, rng=rng)
         assert not mask.any()
 
     def test_osdp_laplace_detector(self, rng):
         x = np.array([0.0, 500.0])
         hist = HistogramInput(x=x, x_ns=x.copy())
-        mask = detect_zero_bins(
+        mask = _zero_set(
             hist, epsilon=1.0, rng=rng, detector="osdp_laplace_l1"
         )
         assert mask[0]
@@ -38,7 +43,7 @@ class TestZeroDetection:
 
     def test_unknown_detector_rejected(self, rng, small_hist):
         with pytest.raises(ValueError):
-            detect_zero_bins(small_hist, 1.0, rng, detector="nope")
+            _zero_set(small_hist, 1.0, rng, detector="nope")
 
     def test_uses_only_x_ns(self, rng):
         """Sensitive-only bins look empty to the detector (they must —
@@ -46,7 +51,7 @@ class TestZeroDetection:
         x = np.array([100.0, 100.0])
         x_ns = np.array([0.0, 100.0])
         hist = HistogramInput(x=x, x_ns=x_ns)
-        mask = detect_zero_bins(hist, epsilon=5.0, rng=rng)
+        mask = _zero_set(hist, epsilon=5.0, rng=rng)
         assert mask[0]
         assert not mask[1]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributions.laplace import LaplaceDistribution, sample_laplace
+from repro.distributions.laplace import LaplaceDistribution
+from repro.mechanisms.batch_sampling import laplace_rows
 
 
 class TestValidation:
@@ -78,29 +79,41 @@ class TestMoments:
         assert LaplaceDistribution(scale=2.5).expected_abs == pytest.approx(2.5)
 
     def test_sample_moments(self, rng):
+        """The one sampler, ``laplace_rows``, against the analytic moments."""
         dist = LaplaceDistribution(scale=2.0)
-        samples = dist.sample(rng, size=200_000)
-        assert np.mean(samples) == pytest.approx(0.0, abs=0.05)
-        assert np.var(samples) == pytest.approx(8.0, rel=0.05)
-        assert np.mean(np.abs(samples)) == pytest.approx(2.0, rel=0.03)
+        samples = laplace_rows(rng, dist.scale, np.zeros(1000), 200)
+        assert np.mean(samples) == pytest.approx(dist.mean, abs=0.05)
+        assert np.var(samples) == pytest.approx(dist.variance, rel=0.05)
+        assert np.mean(np.abs(samples)) == pytest.approx(dist.expected_abs, rel=0.03)
 
 
 class TestSampling:
-    def test_scalar_sample(self, rng):
-        value = LaplaceDistribution(scale=1.0).sample(rng)
-        assert isinstance(value, float)
+    """``laplace_rows``: shapes, location and seeding."""
+
+    def test_scalar_sample(self):
+        """A scalar release is one row over a one-bin base."""
+        from repro.mechanisms.laplace import LaplaceMechanism
+
+        out = laplace_rows(np.random.default_rng(5), 1.0, [3.0], 1)
+        assert out.shape == (1, 1) and out.dtype == np.float64
+        value = LaplaceMechanism(1.0, 1.0).release(3.0, np.random.default_rng(5))
+        assert type(value) is float and value == out[0, 0]
 
     def test_shaped_sample(self, rng):
-        out = LaplaceDistribution(scale=1.0).sample(rng, size=(3, 4))
+        out = laplace_rows(rng, 1.0, np.zeros(4), 3)
         assert out.shape == (3, 4)
 
-    def test_helper_matches_distribution(self, rng):
-        out = sample_laplace(rng, 0.5, size=10)
-        assert out.shape == (10,)
+    def test_helper_matches_distribution(self):
+        """The base is the location: rows are ``base + noise`` in one
+        float64 add, the noise a zero base draws under the same seed."""
+        base = np.array([5.0, 0.0, 123.0, 7.0])
+        noisy = laplace_rows(np.random.default_rng(4), 0.5, base, 6)
+        noise = laplace_rows(np.random.default_rng(4), 0.5, np.zeros(4), 6)
+        assert noisy.tobytes() == (base + noise).tobytes()
 
     def test_deterministic_given_seed(self):
-        a = sample_laplace(np.random.default_rng(7), 1.0, size=5)
-        b = sample_laplace(np.random.default_rng(7), 1.0, size=5)
+        a = laplace_rows(np.random.default_rng(7), 1.0, np.zeros(5), 1)
+        b = laplace_rows(np.random.default_rng(7), 1.0, np.zeros(5), 1)
         assert np.array_equal(a, b)
 
 

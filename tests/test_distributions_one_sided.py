@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributions.laplace import LaplaceDistribution
-from repro.distributions.one_sided_laplace import (
-    OneSidedLaplace,
-    sample_one_sided_laplace,
-)
+from repro.distributions.one_sided_laplace import OneSidedLaplace
+from repro.mechanisms.batch_sampling import one_sided_rows
 
 
 class TestValidation:
@@ -83,18 +81,22 @@ class TestCdfPpfMoments:
 
 
 class TestSampling:
+    """The one sampler, ``one_sided_rows``, against the analytic form."""
+
     def test_samples_all_non_positive(self, rng):
-        samples = OneSidedLaplace(scale=1.0).sample(rng, size=10_000)
+        samples = one_sided_rows(rng, 1.0, np.zeros(1000), 10)
         assert np.all(samples <= 0.0)
 
     def test_sample_moments(self, rng):
-        samples = OneSidedLaplace(scale=3.0).sample(rng, size=200_000)
-        assert np.mean(samples) == pytest.approx(-3.0, rel=0.03)
-        assert np.var(samples) == pytest.approx(9.0, rel=0.05)
+        dist = OneSidedLaplace(scale=3.0)
+        samples = one_sided_rows(rng, dist.scale, np.zeros(1000), 200)
+        assert np.mean(samples) == pytest.approx(dist.mean, rel=0.03)
+        assert np.var(samples) == pytest.approx(dist.variance, rel=0.05)
+        assert np.median(samples) == pytest.approx(dist.median, rel=0.03)
 
     def test_helper_and_determinism(self):
-        a = sample_one_sided_laplace(np.random.default_rng(3), 1.5, size=8)
-        b = sample_one_sided_laplace(np.random.default_rng(3), 1.5, size=8)
+        a = one_sided_rows(np.random.default_rng(3), 1.5, np.zeros(8), 1)
+        b = one_sided_rows(np.random.default_rng(3), 1.5, np.zeros(8), 1)
         assert np.array_equal(a, b)
         assert np.all(a <= 0)
 

@@ -2,13 +2,16 @@
 
 Two contracts:
 
-* **spawned-stream mode** — given a sequence of generators, row ``i``
-  of ``release_batch`` equals ``release`` under the same spawned rng
-  stream, bit for bit, for every mechanism;
+* **one release path** — ``release(hist, rng)`` is row 0 of
+  ``release_batch(hist, rng, 1)``, bit for bit, for every mechanism;
+  so the spawned per-trial protocol
+  ``[m.release(h, g) for g in spawn_rngs(seed, n)]`` runs the batch
+  code one row at a time, and a sequence of generators is rejected;
 * **batch mode** — given a single generator, rows are iid draws of the
   release distribution: deterministic in the seed, structurally exact
   (support zeros, clipping, de-bias correction), and statistically
-  indistinguishable from the sequential path on moments and quantiles.
+  indistinguishable from the spawned per-trial protocol on moments and
+  quantiles.
 """
 
 import numpy as np
@@ -17,7 +20,8 @@ import pytest
 from repro.data.dpbench import generate_dpbench
 from repro.data.sampling import m_sampling
 from repro.evaluation.experiments.fig6_10_dpbench import make_mechanism
-from repro.evaluation.runner import release_trials, spawn_rngs
+from repro.evaluation.runner import spawn_rngs
+from repro.mechanisms.ahp import Ahp, AhpZ
 from repro.mechanisms.dawaz import detect_zero_bins_batch
 from repro.mechanisms.osdp_laplace import HybridOsdpLaplace, OsdpLaplaceL1Histogram
 from repro.queries.histogram import HistogramInput
@@ -31,6 +35,15 @@ ALGORITHMS = (
     "dawaz",
     "suppress10",
 )
+# The seven registry mechanisms plus suppress, ahp and ahpz.
+EVERY_MECHANISM = ALGORITHMS + ("osdp_hybrid", "ahp", "ahpz")
+
+
+def _any_mechanism(name: str, epsilon: float):
+    extra = {"osdp_hybrid": HybridOsdpLaplace, "ahp": Ahp, "ahpz": AhpZ}
+    if name in extra:
+        return extra[name](epsilon)
+    return make_mechanism(name, epsilon, ns_ratio=0.6)
 
 
 @pytest.fixture(scope="module")
@@ -65,36 +78,27 @@ def masked_small_hist(small_hist):
 
 
 class TestSpawnedStreamMode:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_rows_equal_per_trial_release(self, hist, algorithm):
-        mech = make_mechanism(algorithm, epsilon=1.0, ns_ratio=0.6)
-        batch = mech.release_batch(hist, spawn_rngs(3, 5))
-        reference = np.stack(
-            [mech.release(hist, rng) for rng in spawn_rngs(3, 5)]
+    """The spawned protocol is ``release`` per generator: one batch row."""
+
+    @pytest.mark.parametrize("algorithm", EVERY_MECHANISM)
+    def test_rows_equal_per_trial_release(self, masked_hist, algorithm):
+        mech = _any_mechanism(algorithm, epsilon=1.0)
+        rows = np.stack(
+            [mech.release(masked_hist, rng) for rng in spawn_rngs(3, 5)]
         )
-        assert np.array_equal(batch, reference)
+        reference = np.stack(
+            [
+                mech.release_batch(masked_hist, rng, 1)[0]
+                for rng in spawn_rngs(3, 5)
+            ]
+        )
+        assert rows.shape == (5, masked_hist.n_bins)
+        assert rows.tobytes() == reference.tobytes()
 
-    def test_hybrid_generator_sequence_matches_release(self, hist, masked_hist):
-        mech = HybridOsdpLaplace(epsilon=1.0)
-        for h in (hist, masked_hist):
-            batch = mech.release_batch(h, spawn_rngs(4, 3))
-            reference = np.stack(
-                [mech.release(h, rng) for rng in spawn_rngs(4, 3)]
-            )
-            assert np.array_equal(batch, reference)
-
-    def test_n_trials_mismatch_rejected(self, hist):
+    def test_generator_sequence_rejected(self, hist):
         mech = make_mechanism("laplace", epsilon=1.0)
-        with pytest.raises(ValueError):
-            mech.release_batch(hist, spawn_rngs(0, 3), n_trials=5)
-
-    def test_release_trials_unbatched_matches_protocol(self, hist):
-        mech = make_mechanism("osdp_laplace_l1", epsilon=1.0)
-        rows = release_trials(mech, hist, n_trials=4, seed=11, batched=False)
-        reference = np.stack(
-            [mech.release(hist, rng) for rng in spawn_rngs(11, 4)]
-        )
-        assert np.array_equal(rows, reference)
+        with pytest.raises(TypeError, match=r"for g in spawn_rngs\(seed, n\)"):
+            mech.release_batch(hist, spawn_rngs(0, 3), 3)
 
 
 class TestBatchMode:
@@ -116,8 +120,10 @@ class TestBatchMode:
 
     def test_n_trials_required_with_single_rng(self, hist):
         mech = make_mechanism("laplace", epsilon=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             mech.release_batch(hist, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            mech.release_batch(hist, np.random.default_rng(0), 0)
 
     def test_support_zeros_exact_for_clipped_mechanisms(self, small_hist):
         empty = np.asarray(small_hist.x_ns) == 0
@@ -135,7 +141,7 @@ class TestBatchMode:
 
 
 class TestBatchDistributions:
-    """Moment/quantile agreement between batch and sequential paths.
+    """Moment/quantile agreement between one batch and spawned trials.
 
     Fixed seeds and generous-but-meaningful tolerances: these fail on
     real distributional bugs (wrong scale, missing de-bias, shifted
@@ -294,20 +300,21 @@ class TestBatchZeroDetection:
 
     @pytest.mark.parametrize("detector", ["osdp_rr", "osdp_laplace_l1"])
     def test_detection_rate_matches_sequential(self, small_hist, detector):
-        from repro.mechanisms.dawaz import detect_zero_bins
-
+        """One 600-trial batch and 600 spawned one-trial batches detect
+        zeros at the analytic rate: ``P[Binomial(x, 1 - e^-eps) = 0] =
+        e^(-eps x)``, and ``P[x + Lap^-(1/eps) <= 0] = e^(-eps x)``."""
         batch = detect_zero_bins_batch(
             small_hist, 0.05, np.random.default_rng(1), 600, detector=detector
         )
         sequential = np.stack(
             [
-                detect_zero_bins(small_hist, 0.05, rng, detector=detector)
+                detect_zero_bins_batch(small_hist, 0.05, rng, 1, detector=detector)[0]
                 for rng in spawn_rngs(1, 600)
             ]
         )
-        assert np.allclose(
-            batch.mean(axis=0), sequential.mean(axis=0), atol=0.08
-        )
+        analytic = np.exp(-0.05 * np.asarray(small_hist.x_ns))
+        for rows in (batch, sequential):
+            assert np.allclose(rows.mean(axis=0), analytic, atol=0.08)
 
     def test_unknown_detector_rejected(self, small_hist):
         with pytest.raises(ValueError):
