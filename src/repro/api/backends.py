@@ -25,6 +25,7 @@ histogram pipeline runs, never in *what* it computes.
 from __future__ import annotations
 
 import threading
+import time
 import uuid
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -50,6 +51,10 @@ from repro.service.server import (
 DEFAULT_CONNECT_RETRY = RetryPolicy(
     max_attempts=5, base_delay=0.05, multiplier=2.0, max_delay=0.5
 )
+
+#: ``RemoteBackend(retry=None)``: exchanges get one attempt, and a
+#: transport failure closes the backend.
+_ONE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 _UNSET = object()
 
@@ -270,18 +275,20 @@ class RemoteBackend:
     re-raise faithfully — including
     :class:`repro.service.server.BatchBudgetExceededError` with its
     charged prefix of responses.  A mid-exchange transport failure
-    (timeout, reset, truncated frame) leaves a stream unsynchronized,
-    so it poisons the whole backend: every subsequent call raises
-    rather than risk pairing a reply with the wrong request.
+    (timeout, reset, truncated frame, a reply that does not decode)
+    leaves a stream unsynchronized, so it poisons the whole backend:
+    every subsequent call raises rather than risk pairing a reply with
+    the wrong request.
 
     ``connect_retry`` (on by default) retries the initial TCP connect
     with backoff, so client startup racing a ``repro.cli serve`` does
-    not fail on one refused connection.  ``retry`` (off by default)
-    upgrades *exchanges*: on a transport failure the thread's socket is
-    dropped and the call re-sent on a fresh connection under the
-    policy's backoff/deadline, instead of poisoning the backend.
-    Every retried effectful op (release, batch, append, expire)
-    carries a stable ``req_id``, and the server's idempotent-reply
+    not fail on one refused connection.  ``retry`` (one attempt by
+    default) upgrades *exchanges*: on a transport failure the thread's
+    socket is dropped and the call re-sent on a fresh connection under
+    the policy's backoff/deadline; only when every attempt is spent is
+    the backend poisoned.  When resends are allowed, every effectful
+    op (release, batch, append, expire) carries a stable ``req_id``,
+    and the server's idempotent-reply
     cache guarantees a retry after an *ambiguous* failure (request
     executed, reply lost) re-serves the cached response — the
     accountant is charged exactly once no matter how many resends it
@@ -323,7 +330,7 @@ class RemoteBackend:
     ):
         self.address = (host, port)
         self._timeout = timeout
-        self._retry = retry
+        self._retry = _ONE_ATTEMPT if retry is None else retry
         self._analyst = str(analyst) if analyst else None
         # A seeded random.Random here makes every backoff jitter draw
         # (connect and exchange retries) deterministic — the fault
@@ -354,8 +361,6 @@ class RemoteBackend:
         )
 
     def _connect(self):
-        import threading as _threading
-
         sock = self._open_socket()
         with self._registry_lock:
             if self._closed:
@@ -371,7 +376,7 @@ class RemoteBackend:
             for thread, old in self._socks:
                 (live if thread.is_alive() else dead).append((thread, old))
             self._socks = live
-            self._socks.append((_threading.current_thread(), sock))
+            self._socks.append((threading.current_thread(), sock))
         for _, old in dead:
             _close_socket(old)
         return sock
@@ -393,13 +398,11 @@ class RemoteBackend:
         Unlike :meth:`close`, other threads' healthy connections keep
         serving; this thread reconnects on its next exchange.
         """
-        import threading as _threading
-
         sock = getattr(self._local, "sock", None)
         self._local.sock = None
         if sock is None:
             return
-        me = _threading.current_thread()
+        me = threading.current_thread()
         with self._registry_lock:
             self._socks = [
                 (thread, s)
@@ -411,14 +414,6 @@ class RemoteBackend:
     # ------------------------------------------------------------------
     # One exchange
     # ------------------------------------------------------------------
-    def _call(self, op: str, **payload):
-        message = {"op": op, **payload}
-        if self._analyst is not None:
-            message["analyst"] = self._analyst
-        if self._retry is None:
-            return self._exchange_poisoning(message)
-        return self._exchange_with_retries(message)
-
     def _exchange_once(self, message):
         from repro.api.wire import (
             exception_from_wire,
@@ -437,28 +432,18 @@ class RemoteBackend:
             raise exception_from_wire(reply["err"])
         return reply["ok"]
 
-    def _exchange_poisoning(self, message):
-        try:
-            return self._exchange_once(message)
-        except (OSError, EOFError) as exc:
-            # A mid-exchange failure desynchronizes the stream — the
-            # server's eventual reply would pair with the *next*
-            # request.  The backend dies with the exchange, never to
-            # be reused (close() tears down every thread's socket).
-            self.close()
-            raise ConnectionError(
-                f"rpc exchange failed mid-flight ({exc}); the "
-                "connection has been closed"
-            ) from exc
-
-    def _exchange_with_retries(self, message):
+    def _call(self, op: str, **payload):
+        """One logical request under the retry policy — the one path."""
         from repro.api.wire import WireError
 
+        message = {"op": op, **payload}
+        if self._analyst is not None:
+            message["analyst"] = self._analyst
         policy = self._retry
-        if message["op"] in self._EFFECTFUL_OPS:
+        if policy.max_attempts > 1 and op in self._EFFECTFUL_OPS:
             # A stable id across every resend of this logical request:
             # the server runs the op once and replays the cached reply.
-            message = {**message, "req_id": uuid.uuid4().hex}
+            message["req_id"] = uuid.uuid4().hex
         deadline = Deadline(policy.deadline)
         last: BaseException | None = None
         for attempt in range(policy.max_attempts):
@@ -469,41 +454,31 @@ class RemoteBackend:
                 message["deadline"] = remaining
             try:
                 return self._exchange_once(message)
-            except ServerOverloaded as exc:
-                # An admission-gate refusal: the exchange completed
-                # cleanly (framed request, framed error reply), so the
-                # stream is still synchronized — keep the socket and
-                # just back off, floored at the server's hint.
+            except (ServerOverloaded, OSError, EOFError, WireError) as exc:
+                # An admission-gate refusal completed cleanly (framed
+                # request, framed error reply): keep the socket and back
+                # off, floored at the server's hint.  A transport
+                # failure left this thread's stream unsynchronized — a
+                # reply that failed to decode leaves the rest of its
+                # frame, or the server's eventual reply, to pair with
+                # the *next* request — so drop it and retry on a fresh
+                # connection (other threads' sockets stay live).
                 last = exc
-                if attempt + 1 >= policy.max_attempts:
-                    break
-                pause = policy.delay(attempt, rng=self._retry_rng)
-                if exc.retry_after is not None:
-                    pause = max(pause, float(exc.retry_after))
-                if remaining is not None:
-                    pause = min(pause, deadline.remaining() or 0.0)
-                if pause > 0:
-                    import time as _time
-
-                    _time.sleep(pause)
-            except (OSError, EOFError, WireError) as exc:
-                # This thread's stream is unsynchronized; drop it and
-                # retry on a fresh connection (other threads' sockets
-                # stay live).
-                last = exc
-                self._invalidate_thread_sock()
+                if not isinstance(exc, ServerOverloaded):
+                    self._invalidate_thread_sock()
                 if self._closed or attempt + 1 >= policy.max_attempts:
                     break
                 pause = policy.delay(attempt, rng=self._retry_rng)
+                hint = getattr(exc, "retry_after", None)
+                if hint is not None:
+                    pause = max(pause, float(hint))
                 if remaining is not None:
                     pause = min(pause, deadline.remaining() or 0.0)
                 if pause > 0:
-                    import time as _time
-
-                    _time.sleep(pause)
+                    time.sleep(pause)
         if deadline.expired():
             raise DeadlineExceeded(
-                f"rpc {message['op']!r} to {self.address[0]}:"
+                f"rpc {op!r} to {self.address[0]}:"
                 f"{self.address[1]} exceeded its {policy.deadline}s deadline"
             ) from last
         assert last is not None
@@ -511,10 +486,13 @@ class RemoteBackend:
             # The backend is healthy — the server is just full.  Leave
             # every connection open so the caller can retry later.
             raise last
+        # Transport failures spent every attempt: the backend dies, never
+        # to be reused (close() tears down every thread's socket).
         self.close()
         raise ConnectionError(
-            f"rpc {message['op']!r} failed after {policy.max_attempts} "
-            f"attempts ({last}); the connection has been closed"
+            f"rpc {op!r} failed mid-flight after "
+            f"{policy.max_attempts} attempt(s) ({last}); the connection "
+            "has been closed"
         ) from last
 
     # ------------------------------------------------------------------

@@ -64,9 +64,9 @@ from repro.api.resilience import (
     HealthMonitor,
     RetryPolicy,
 )
-from repro.api.wire import RemoteError, WireError, dumps
+from repro.api.wire import RemoteError, WireError
 from repro.core.accountant import BudgetExceededError, PrivacyAccountant
-from repro.core.policy_language import policy_to_spec
+from repro.core.policy_language import canonical_spec, policy_to_spec
 from repro.queries.histogram import HistogramInput, binning_to_spec
 from repro.service.server import (
     BatchBudgetExceededError,
@@ -426,7 +426,7 @@ class ClusterBackend:
             if isinstance(request.policy, Mapping)
             else policy_to_spec(policy)
         )
-        key = dumps({"binning": bspec, "policy": pspec})
+        key = canonical_spec({"binning": bspec, "policy": pspec})
         if memo is not None and key in memo:
             self._bump("hist_memo_hits")
             return memo[key], policy, True

@@ -10,17 +10,16 @@ portable form in two layers:
   plain dict whose policy/binning are the PR-3 specs
   (:func:`repro.core.policy_language.policy_to_spec`,
   :func:`repro.queries.histogram.binning_to_spec`);
-  :func:`response_to_wire` does the same for responses, with ndarrays
-  as ``{"__ndarray__": ...}`` descriptors.  :func:`dumps`/:func:`loads`
-  turn any such object into JSON text and back — numeric arrays travel
-  as base64 of their raw buffers, so the round trip is **bit-exact**
-  (no float re-parsing is involved).
-* **Socket frames.**  :func:`send_message`/:func:`recv_message` move
-  the same objects over a stream socket as one length-prefixed JSON
-  header followed by the referenced ndarray buffers, raw — large
-  estimate matrices cross the wire without base64 inflation or pickle
-  (the framing is language-agnostic: 4-byte big-endian lengths, UTF-8
-  JSON, C-order array bytes).
+  :func:`response_to_wire` does the same for responses, whose
+  estimates stay an ndarray.
+* **Frames** — the one codec.  :func:`encode_message` turns any such
+  object into one length-prefixed JSON header followed by the
+  referenced ndarray buffers, raw, so the round trip is **bit-exact**
+  (no float re-parsing, no base64 inflation, no pickle; the framing is
+  language-agnostic: 4-byte big-endian lengths, UTF-8 JSON, C-order
+  array bytes).  :func:`send_message`/:func:`recv_message` move frames
+  over a stream socket; the on-disk logs store the same bytes
+  (:mod:`repro.service.framelog`).
 
 Failures are part of the protocol: :func:`error_to_wire` serializes the
 service exceptions — including
@@ -32,7 +31,6 @@ exactly what the in-process caller would have seen.
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 from collections.abc import Mapping
@@ -68,64 +66,6 @@ class WireError(RuntimeError):
 
 class RemoteError(RuntimeError):
     """A server-side failure of a kind the client cannot reconstruct."""
-
-
-# ----------------------------------------------------------------------
-# ndarray <-> JSON-able descriptor (bit-exact via raw-buffer base64)
-# ----------------------------------------------------------------------
-
-
-def _check_dtype(arr: np.ndarray) -> np.ndarray:
-    if arr.dtype.hasobject:
-        raise WireError(
-            "object-dtype arrays have no portable wire form; convert to "
-            "a numeric or fixed-width string dtype first"
-        )
-    return np.ascontiguousarray(arr)
-
-
-def array_to_jsonable(arr) -> dict:
-    """A numeric ndarray as a plain-JSON descriptor (bit-exact)."""
-    arr = _check_dtype(np.asarray(arr))
-    return {
-        "__ndarray__": True,
-        "dtype": arr.dtype.str,
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def array_from_jsonable(obj: Mapping) -> np.ndarray:
-    """Inverse of :func:`array_to_jsonable`."""
-    raw = base64.b64decode(obj["data"])
-    arr = np.frombuffer(raw, dtype=np.dtype(obj["dtype"]))
-    return arr.reshape(tuple(obj["shape"])).copy()
-
-
-def _json_default(value):
-    if isinstance(value, np.ndarray):
-        return array_to_jsonable(value)
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(
-        f"{type(value).__name__} is not JSON-serializable on the wire"
-    )
-
-
-def _json_object_hook(obj: dict):
-    if obj.get("__ndarray__") is True:
-        return array_from_jsonable(obj)
-    return obj
-
-
-def dumps(obj) -> str:
-    """JSON text of a wire object (ndarrays become bit-exact descriptors)."""
-    return json.dumps(obj, default=_json_default, sort_keys=True)
-
-
-def loads(text: str):
-    """Inverse of :func:`dumps`: descriptors come back as ndarrays."""
-    return json.loads(text, object_hook=_json_object_hook)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +121,7 @@ def request_from_wire(doc: Mapping) -> ReleaseRequest:
 
 def response_to_wire(response: ReleaseResponse) -> dict:
     """A response as a wire object (the estimates stay an ndarray —
-    :func:`dumps` or the socket framing decide their byte form)."""
+    :func:`encode_message` decides their byte form)."""
     remaining = response.budget_remaining
     return {
         "request": request_to_wire(response.request),
@@ -194,12 +134,9 @@ def response_to_wire(response: ReleaseResponse) -> dict:
 
 def response_from_wire(doc: Mapping) -> ReleaseResponse:
     """Inverse of :func:`response_to_wire`."""
-    estimates = doc["estimates"]
-    if not isinstance(estimates, np.ndarray):
-        estimates = array_from_jsonable(estimates)
     return ReleaseResponse(
         request=request_from_wire(doc["request"]),
-        estimates=estimates,
+        estimates=doc["estimates"],
         epsilon_spent=float(doc["epsilon_spent"]),
         budget_remaining=doc.get("budget_remaining"),
         cache_hit=bool(doc.get("cache_hit", False)),
@@ -278,6 +215,15 @@ def exception_from_wire(doc: Mapping) -> Exception:
 # ----------------------------------------------------------------------
 # Length-prefixed JSON/ndarray socket framing
 # ----------------------------------------------------------------------
+
+
+def _check_dtype(arr: np.ndarray) -> np.ndarray:
+    if arr.dtype.hasobject:
+        raise WireError(
+            "object-dtype arrays have no portable wire form; convert to "
+            "a numeric or fixed-width string dtype first"
+        )
+    return np.ascontiguousarray(arr)
 
 
 #: Exact types ``json`` renders as they are — most nodes of a header.

@@ -240,8 +240,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
             "replaces the whole database, which a pool of resident "
             "workers holding the old columns cannot follow"
         )
-    if args.max_readers is not None and args.max_readers < 1:
-        raise SystemExit("--max-readers must be at least 1")
     if args.max_inflight is not None and args.max_inflight < 1:
         raise SystemExit("--max-inflight must be at least 1")
     quotas = _parse_quotas(args.quota)
@@ -304,7 +302,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
         backend.server,
         host=args.host,
         port=args.port,
-        max_readers=args.max_readers,
         read_timeout=args.read_timeout,
         wal=wal,
         admission_limit=args.max_inflight,
@@ -316,11 +313,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
         "pickle": "store: heap (columns pickled to the workers once)",
         "heap": "store: heap (in-process engine, no worker pool)",
     }
-    readers = (
-        f"up to {args.max_readers} concurrent readers"
-        if args.max_readers
-        else "unbounded concurrent readers"
-    )
     print(
         f"serving {len(backend.server.db)} records on {host}:{port} "
         f"({backend.server.n_shards} shards"
@@ -328,7 +320,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
         f"{f', budget {args.budget}' if args.budget else ''}) — "
         f"connect with repro.api.OsdpClient.connect({host!r}, {port})"
     )
-    print(f"{store_lines[backend.store_mode]}; {readers}, "
+    print(f"{store_lines[backend.store_mode]}; concurrent readers, "
           f"exclusive appends/expires")
     try:
         # SIGTERM (an orchestrator's normal stop) must run the same
@@ -535,11 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shm", action=argparse.BooleanOptionalAction, default=None,
         help="force (--shm) or forbid (--no-shm) shared-memory column "
         "segments for the worker pool; default auto-detects",
-    )
-    p_serve.add_argument(
-        "--max-readers", type=int, default=None,
-        help="bound on concurrently served read requests "
-        "(releases/histograms); omit for unbounded",
     )
     p_serve.add_argument(
         "--budget", type=float, default=None,

@@ -48,6 +48,12 @@ Protocol: each exchange is one framed request message
                    quota standing (None when unmetered)
 =================  ====================================================
 
+The seven write-protocol ops, ``append_records`` through
+``sync_apply``, are one-line delegations to
+:class:`repro.service.replica.Replica`, which owns the endpoint's WAL
+and the whole durable write protocol; this module keeps the socket
+loop, locking, admission, deadlines and idempotent replies.
+
 Any request may additionally carry ``req_id`` (idempotency key: the
 reply is cached and a retried id re-serves it without re-running the
 op) and ``deadline`` (the client's remaining seconds of patience; an
@@ -61,17 +67,19 @@ serialization of PR 4 is gone): the read-path ops — ``release``,
 release is a deterministic function of immutable column snapshots plus
 an rng seed and the release server is internally thread-safe (caches
 behind a short internal lock, noise sampling outside it, accountant
-charges atomic).  Only the data mutations — ``append_records`` and
-``expire_prefix`` — take the exclusive side, so an update never
-interleaves with an in-flight release.  ``max_readers`` optionally
-bounds read-side concurrency (the CLI's ``--max-readers``).  Responses
-remain bit-identical to calling ``ReleaseServer.handle`` in-process
-with the same request, which is the contract the API tests pin; with
-an accountant, concurrent analysts' charges compose in arrival order.
+charges atomic).  Only the data mutations — ``append_records``,
+``expire_prefix``, ``commit_write`` and ``sync_apply`` — take the
+exclusive side, so an update never interleaves with an in-flight
+release.  ``admission_limit`` (the CLI's ``--max-inflight``) is the one
+bound on concurrency.  Responses remain bit-identical to calling
+``ReleaseServer.handle`` in-process with the same request, which is
+the contract the API tests pin; with an accountant, concurrent
+analysts' charges compose in arrival order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import socket
@@ -90,44 +98,29 @@ from repro.api.wire import (
     response_to_wire,
     send_message,
 )
+from repro.service.replica import Replica
 from repro.service.server import ReleaseServer
-from repro.service.wal import (
-    MemoryWal,
-    apply_write,
-    database_columns,
-    validate_payload,
-)
 
 
 class ReadWriteLock:
     """A writer-preferring readers-writer lock.
 
-    Many readers share the lock at once (optionally capped at
-    ``max_readers``); a writer waits for the active readers to drain,
-    holds the lock alone, and — being preferred — starves neither:
-    once a writer is waiting, new readers queue behind it, so a steady
-    stream of cheap reads cannot postpone an append forever.
+    Many readers share the lock at once; a writer waits for the active
+    readers to drain, holds the lock alone, and — being preferred —
+    starves neither: once a writer is waiting, new readers queue
+    behind it, so a steady stream of cheap reads cannot postpone an
+    append forever.
     """
 
-    def __init__(self, max_readers: int | None = None):
-        if max_readers is not None and max_readers < 1:
-            raise ValueError("max_readers must be at least 1")
+    def __init__(self):
         self._cond = threading.Condition()
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
-        self._max_readers = max_readers
 
     def acquire_read(self) -> None:
         with self._cond:
-            while (
-                self._writer
-                or self._writers_waiting
-                or (
-                    self._max_readers is not None
-                    and self._readers >= self._max_readers
-                )
-            ):
+            while self._writer or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
 
@@ -256,7 +249,9 @@ class RpcServer:
     ``port=0`` binds an ephemeral port (the loopback-test default);
     read the actual address back from :attr:`address`.  Use
     :meth:`start` for a background thread (tests, embedding) or
-    :meth:`serve_forever` to block (the CLI).
+    :meth:`serve_forever` to block (the CLI).  The write ops go to
+    :attr:`replica`, a :class:`~repro.service.replica.Replica` over
+    ``server`` and ``wal``.
 
     Hardening knobs (all off/neutral by default so embedded and test
     uses are unchanged):
@@ -293,11 +288,6 @@ class RpcServer:
       re-attempt it rather than replay the refusal forever.
     """
 
-    #: Most staged-but-uncommitted writes retained; a prepare evicted
-    #: under this pressure surfaces to the coordinator as the same
-    #: ``KeyError`` a restart produces, triggering the resync path.
-    PENDING_LIMIT = 256
-
     #: Recent per-op latency samples retained for the percentile view.
     LATENCY_WINDOW = 512
 
@@ -310,7 +300,6 @@ class RpcServer:
         server: ReleaseServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_readers: int | None = None,
         read_timeout: float | None = None,
         idempotency_limit: int = 1024,
         wal=None,
@@ -328,15 +317,9 @@ class RpcServer:
         self.release_server = server
         self.read_timeout = read_timeout
         # Every write — direct or via the commit protocol — goes
-        # through the WAL; the default in-memory one supplies sequence
-        # numbers and resync state without disk durability.  A
-        # durable WriteAheadLog should have had recover() run against
-        # ``server`` before it is handed here.
-        self.wal = MemoryWal() if wal is None else wal
-        # Staged prepares: write_id -> (wop, payload), LRU-bounded.
-        self._pending_lock = threading.Lock()
-        self._pending: OrderedDict[str, tuple] = OrderedDict()
-        self._lock = ReadWriteLock(max_readers=max_readers)
+        # through the replica's WAL (an in-memory one by default).
+        self.replica = Replica(server, wal)
+        self._lock = ReadWriteLock()
         self._tcp = _ThreadedTCPServer((host, port), _Handler)
         self._tcp.rpc = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
@@ -376,6 +359,11 @@ class RpcServer:
         # -- per-op latency (op -> recent seconds, op -> total count) --
         self._op_latency: dict[str, deque] = {}
         self._op_counts: dict[str, int] = {}
+
+    @property
+    def wal(self):
+        """The endpoint's write-ahead log (owned by :attr:`replica`)."""
+        return self.replica.wal
 
     def _bump(self, counter: str, by: int = 1) -> None:
         with self._stats_lock:
@@ -618,10 +606,11 @@ class RpcServer:
             "stats",
             "transport_stats",
             "budget",
-            # prepare_write only stages (its own lock guards _pending)
-            # and reads WAL replay state; wal_status/sync_range read
-            # the WAL + column state — all consistent under the shared
-            # side because every mutation takes the exclusive side.
+            # prepare_write only stages (the replica's own lock guards
+            # its staging) and reads WAL replay state; wal_status and
+            # sync_range read the WAL + column state — all consistent
+            # under the shared side because every mutation takes the
+            # exclusive side.
             "prepare_write",
             "wal_status",
             "sync_range",
@@ -660,10 +649,11 @@ class RpcServer:
                 return self._dispatch_write(op, message)
 
     def _admit(self, op: str):
-        """Claim an admission slot, or refuse the op outright."""
+        """Claim an admission slot, or refuse the op outright; returns
+        the context that gives the slot back."""
         gate = self._admission
         if gate is None or op in self.ADMISSION_EXEMPT:
-            return _NULL_GUARD
+            return _NO_GATE
         if not gate.acquire(blocking=False):
             self._bump("overload_rejections")
             raise ServerOverloaded(
@@ -671,7 +661,9 @@ class RpcServer:
                 f"in flight; retry after {self.admission_retry_after:.3g}s",
                 retry_after=self.admission_retry_after,
             )
-        return _SemaphoreGuard(gate)
+        admitted = contextlib.ExitStack()
+        admitted.callback(gate.release)
+        return admitted
 
     def _dispatch_read(self, op: str, message):
         server = self.release_server
@@ -716,202 +708,29 @@ class RpcServer:
             stats["op_latency"] = self._latency_view()
             return stats
         if op == "prepare_write":
-            return self._prepare_write(message)
+            return self.replica.prepare_write(
+                message["write_id"], message["wop"], message
+            )
         if op == "wal_status":
-            return self._wal_status()
+            return self.replica.wal_status()
         if op == "sync_range":
-            return self._sync_range(message)
+            return self.replica.sync_range(message["from_seq"])
         assert op == "budget"
         return server.budget_view()
 
     def _dispatch_write(self, op: str, message):
-        if op in ("append_records", "expire_prefix"):
-            # Direct (non-replicated) writes take the same log-first
-            # path as committed ones, so a WAL-backed endpoint is
-            # durable regardless of which door the write came through.
-            payload = _write_payload(op, message)
-            _seq, result = self._apply_logged(op, payload)
-            return result
         if op == "commit_write":
-            return self._commit_write(message)
-        assert op == "sync_apply"
-        return self._sync_apply(message)
-
-    # ------------------------------------------------------------------
-    # The durable write path (WAL + commit protocol)
-    # ------------------------------------------------------------------
-    def _apply_logged(self, wop: str, payload, write_id: str | None = None):
-        """Log-then-apply one write under the exclusive lock.
-
-        Validation runs *before* logging: an invalid write (bad
-        payload, expire beyond the stored count) must fail without
-        consuming a sequence number, or replicas would desync on
-        errors.  Once logged — fsync'd by a durable WAL — the write is
-        part of this endpoint's acked history.
-        """
-        server = self.release_server
-        validate_payload(wop, payload, db=server.db)
-        seq = self.wal.log(wop, payload, write_id=write_id)
-        result = apply_write(server, wop, payload)
-        self.wal.record_result(write_id, seq, result)
-        self.wal.maybe_compact(server)
-        return seq, result
-
-    def _prepare_write(self, message):
-        write_id = str(message["write_id"])
-        wop = message["wop"]
-        done = self.wal.applied_result(write_id)
-        if done is not None:
-            # A coordinator retrying a whole write after an ambiguous
-            # failure: this replica already committed it.
-            return {
-                "state": "applied",
-                "seq": done["seq"],
-                "result": done["result"],
-                "last_seq": self.wal.last_seq,
-            }
-        payload = _write_payload(wop, message)
-        validate_payload(wop, payload)
-        with self._pending_lock:
-            self._pending[write_id] = (wop, payload)
-            self._pending.move_to_end(write_id)
-            while len(self._pending) > self.PENDING_LIMIT:
-                self._pending.popitem(last=False)
-        return {"state": "prepared", "last_seq": self.wal.last_seq}
-
-    def _commit_write(self, message):
-        write_id = str(message["write_id"])
-        done = self.wal.applied_result(write_id)
-        if done is not None:
-            return {
-                "seq": done["seq"],
-                "result": done["result"],
-                "last_seq": self.wal.last_seq,
-                "replayed": True,
-            }
-        with self._pending_lock:
-            staged = self._pending.pop(write_id, None)
-        if staged is None:
-            raise KeyError(
-                f"unknown write_id {write_id!r}: its prepare was not "
-                "seen (endpoint restarted, or staging was evicted); "
-                "the replica must resync before serving"
+            return self.replica.commit_write(message["write_id"])
+        if op == "sync_apply":
+            return self.replica.sync_apply(
+                message.get("base"), message.get("entries") or ()
             )
-        wop, payload = staged
-        seq, result = self._apply_logged(wop, payload, write_id=write_id)
-        return {
-            "seq": seq,
-            "result": result,
-            "last_seq": self.wal.last_seq,
-            "replayed": False,
-        }
-
-    def _wal_status(self):
-        status = self.wal.status()
-        status["n_records"] = len(self.release_server.db)
-        with self._pending_lock:
-            status["pending"] = len(self._pending)
-        return status
-
-    def _sync_range(self, message):
-        """Catch-up material for a follower at ``from_seq``.
-
-        When the follower's cursor falls inside the retained log, ship
-        just the entries after it; otherwise (fallen behind a
-        compaction, or *ahead* of this peer — a diverged replica whose
-        extra writes were never cluster-acked) ship the full column
-        state as a base to reset onto.
-        """
-        from_seq = int(message["from_seq"])
-        wal = self.wal
-        if wal.snapshot_seq <= from_seq <= wal.last_seq:
-            chain_at = wal.chain_at(from_seq)
-            if chain_at is not None:
-                return {
-                    "base": None,
-                    "entries": wal.entries_since(from_seq),
-                    "last_seq": wal.last_seq,
-                    # The follower (via its coordinator) checks its own
-                    # chain against this before trusting the entries —
-                    # equal seq with a different history means
-                    # divergence, which needs the base path below.
-                    "chain_at": chain_at,
-                }
-        return {
-            "base": {
-                "columns": database_columns(self.release_server.db),
-                "last_seq": wal.last_seq,
-                "chain": wal.chain,
-                "applied": wal.applied_export(),
-            },
-            "entries": [],
-            "last_seq": wal.last_seq,
-        }
-
-    def _sync_apply(self, message):
-        server = self.release_server
-        base = message.get("base")
-        entries = list(message.get("entries") or ())
-        applied_count = 0
-        if base is not None:
-            from repro.data.columnar import ColumnarDatabase
-
-            server.replace_database(ColumnarDatabase(dict(base["columns"])))
-            self.wal.install_base(
-                dict(base["columns"]),
-                int(base["last_seq"]),
-                base.get("applied"),
-                chain=base.get("chain", 0),
-            )
-        for entry in entries:
-            seq = int(entry["seq"])
-            if seq <= self.wal.last_seq:
-                continue  # already applied (overlap with our own log)
-            wop, payload = entry["wop"], entry["payload"]
-            validate_payload(wop, payload, db=server.db)
-            self.wal.log(
-                wop, payload, write_id=entry.get("write_id"), seq=seq
-            )
-            result = apply_write(server, wop, payload)
-            self.wal.record_result(entry.get("write_id"), seq, result)
-            applied_count += 1
-        with self._pending_lock:
-            # Staged prepares predate the resync and their commits (if
-            # any) arrived via the entries above; anything else will be
-            # re-prepared by its coordinator.
-            self._pending.clear()
-        self.wal.maybe_compact(server)
-        return {
-            "last_seq": self.wal.last_seq,
-            "n_records": len(server.db),
-            "applied_entries": applied_count,
-        }
+        # append_records / expire_prefix: the message carries the payload
+        return self.replica.write(op, message)
 
 
-class _SemaphoreGuard:
-    """Release an admission slot on exit (the op was admitted)."""
-
-    __slots__ = ("_gate",)
-
-    def __init__(self, gate):
-        self._gate = gate
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._gate.release()
-
-
-class _NullAdmission:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
-
-
-_NULL_GUARD = _NullAdmission()
+#: The admission context of an ungated op (reusable: it holds nothing).
+_NO_GATE = contextlib.nullcontext()
 
 
 def _percentile(sorted_samples, q: float) -> float:
@@ -936,17 +755,6 @@ def _stamp_analyst(request, message):
     if analyst and not request.analyst:
         return dataclasses.replace(request, analyst=str(analyst))
     return request
-
-
-def _write_payload(wop: str, message) -> dict:
-    """Extract just the WAL payload fields from a request message."""
-    if wop == "append_records":
-        if message.get("columns") is not None:
-            return {"columns": dict(message["columns"])}
-        return {"records": list(message["records"])}
-    if wop == "expire_prefix":
-        return {"n_records": int(message["n_records"])}
-    raise ValueError(f"unknown write op {wop!r}")
 
 
 def connect(host: str, port: int, timeout: float | None = None) -> socket.socket:

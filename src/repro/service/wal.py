@@ -36,10 +36,11 @@ default for embedded/test servers, giving them the sequence numbers
 and resync machinery without tmpdir ceremony (and, deliberately, no
 crash durability).
 
-WAL methods are not internally locked: on a live endpoint they are
-only ever called under :class:`repro.service.rpc.RpcServer`'s
-exclusive write lock (or before serving starts), which is the
-serialization the sequence numbers rely on anyway.
+WAL methods are not internally locked: on a live endpoint the one
+caller is :class:`repro.service.replica.Replica`, whose mutations run
+under :class:`repro.service.rpc.RpcServer`'s exclusive write lock (or
+before serving starts), which is the serialization the sequence
+numbers rely on anyway.
 """
 
 from __future__ import annotations
@@ -61,48 +62,55 @@ class WalError(RuntimeError):
     """A corrupt WAL structure or a sequencing violation."""
 
 
-def records_from_payload(payload):
-    """Materialize an append payload: a columns mapping, or row dicts."""
-    columns = payload.get("columns")
-    if columns is not None:
-        from repro.data.columnar import ColumnarDatabase
+def validate_payload(wop: str, message, db=None) -> tuple[dict, object]:
+    """Read one write out of a request message or a logged payload.
 
-        return ColumnarDatabase(
-            {str(k): np.asarray(v) for k, v in dict(columns).items()}
-        )
-    return list(payload["records"])
+    The one payload reader.  Returns ``(payload, argument)``: the WAL
+    payload — only the write's own fields (``columns`` or ``records``
+    for an append, ``n_records`` for an expire) — and what the server's
+    write method takes (the rows to append, the count to expire).
 
-
-def validate_payload(wop: str, payload, db=None) -> None:
-    """Reject a malformed write *before* it is logged or staged.
-
-    Logging happens before applying (log-first is the durability
-    order), so anything that would make the apply fail must fail here
-    instead — a logged entry that cannot apply would poison every
-    replay.  ``db`` (when given) additionally bounds ``expire_prefix``
-    against the current record count.
+    A malformed write is rejected here, *before* it is logged or
+    staged: logging happens before applying (log-first is the
+    durability order), so anything that would make the apply fail must
+    fail here instead — a logged entry that cannot apply would poison
+    every replay.  ``db`` (when given) additionally bounds
+    ``expire_prefix`` against the current record count.
     """
     if wop not in WAL_OPS:
         raise ValueError(f"unknown write op {wop!r}; expected one of {sorted(WAL_OPS)}")
     if wop == "append_records":
-        records_from_payload(payload)
-    else:
-        n = int(payload["n_records"])
-        if n < 0:
-            raise ValueError("n_records must be non-negative")
-        if db is not None and n > len(db):
-            raise ValueError(
-                f"cannot expire {n} records; only {len(db)} are stored"
-            )
+        columns = message.get("columns")
+        if columns is None:
+            records = list(message["records"])
+            return {"records": records}, records
+        columns = dict(columns)
+        return {"columns": columns}, _columnar(columns)
+    n = int(message["n_records"])
+    if n < 0:
+        raise ValueError("n_records must be non-negative")
+    if db is not None and n > len(db):
+        raise ValueError(
+            f"cannot expire {n} records; only {len(db)} are stored"
+        )
+    return {"n_records": n}, n
+
+
+def _columnar(columns):
+    """A columns mapping — wire, WAL or snapshot form — as a database."""
+    from repro.data.columnar import ColumnarDatabase
+
+    return ColumnarDatabase(
+        {str(k): np.asarray(v) for k, v in dict(columns).items()}
+    )
 
 
 def apply_write(server, wop: str, payload):
     """Apply one WAL entry's operation to a :class:`ReleaseServer`."""
+    _, argument = validate_payload(wop, payload)
     if wop == "append_records":
-        return server.append_records(records_from_payload(payload))
-    if wop == "expire_prefix":
-        return server.expire_prefix(int(payload["n_records"]))
-    raise WalError(f"unknown wal op {wop!r}")
+        return server.append_records(argument)
+    return server.expire_prefix(argument)
 
 
 def database_columns(db) -> dict:
@@ -210,6 +218,13 @@ class MemoryWal:
                 return entry["chain"]
         return None
 
+    def apply(self, server, seq: int, wop: str, payload, write_id=None):
+        """The post-log half of a write: apply the logged entry to the
+        engine, then remember its result for idempotent replay."""
+        result = apply_write(server, wop, payload)
+        self.record_result(write_id, seq, result)
+        return result
+
     def record_result(self, write_id, seq: int, result) -> None:
         """Remember a committed write's result for idempotent replay."""
         if write_id is None:
@@ -236,26 +251,33 @@ class MemoryWal:
             for wid, doc in self._applied.items()
         ]
 
-    def install_base(self, columns: dict, last_seq: int, applied, chain=0) -> None:
+    def install_base(self, columns, last_seq, applied, chain=0, server=None):
         """Adopt a peer's full state as this WAL's new starting point.
 
         The resync path for a replica too far behind (or diverged —
-        same or higher seq, different history): the engine has just
-        been replaced with ``columns``; the log restarts empty at
-        ``last_seq``, and the peer's applied map carries over so
-        protocol-level retries stay idempotent.
+        same or higher seq, different history): ``server`` (when given)
+        takes ``columns``; the log restarts empty at ``last_seq``, as a
+        snapshot of that state, and the peer's applied map carries over
+        so protocol-level retries stay idempotent.
         """
-        self.last_seq = int(last_seq)
-        self.snapshot_seq = int(last_seq)
-        self.chain = int(chain)
-        self.snapshot_chain = int(chain)
+        self._adopt(columns, last_seq, chain, applied, server)
+        self._write_snapshot(columns)
+        self._truncate_log()
+
+    def _adopt(self, columns, last_seq, chain, applied, server=None) -> None:
+        """Take a full state — a peer's resync base or this endpoint's
+        own snapshot — as the current one: the engine's columns (when
+        ``server`` is given), the cursor, the chain and the applied
+        map; no retained entries."""
+        if server is not None:
+            server.replace_database(_columnar(columns))
+        self.last_seq = self.snapshot_seq = int(last_seq)
+        self.chain = self.snapshot_chain = int(chain)
         self._entries = []
         self._applied = OrderedDict(
             (str(wid), {"seq": int(seq), "result": result})
             for wid, seq, result in (applied or [])
         )
-        self._write_snapshot(columns)
-        self._truncate_log()
 
     def status(self) -> dict:
         return {
@@ -289,15 +311,6 @@ class MemoryWal:
         self.snapshot_chain = self.chain
         self._truncate_log()
         return True
-
-    # -- recovery (a no-op without a disk) ------------------------------
-    def recover(self, server) -> dict:
-        return {
-            "snapshot_seq": 0,
-            "replayed": 0,
-            "skipped": 0,
-            "truncated_bytes": 0,
-        }
 
     def close(self) -> None:
         pass
@@ -392,21 +405,12 @@ class WriteAheadLog(MemoryWal):
                 f"{exc}; acked state cannot be reconstructed from it"
             ) from exc
         if snapshot is not None:
-            from repro.data.columnar import ColumnarDatabase
-
-            server.replace_database(
-                ColumnarDatabase(
-                    {
-                        str(name): np.asarray(col)
-                        for name, col in dict(snapshot["columns"]).items()
-                    }
-                )
-            )
-            self.last_seq = self.snapshot_seq = int(snapshot["last_seq"])
-            self.chain = self.snapshot_chain = int(snapshot.get("chain", 0))
-            self._applied = OrderedDict(
-                (str(wid), {"seq": int(seq), "result": result})
-                for wid, seq, result in snapshot.get("applied") or []
+            self._adopt(
+                snapshot["columns"],
+                snapshot["last_seq"],
+                snapshot.get("chain", 0),
+                snapshot.get("applied"),
+                server,
             )
             report["snapshot_seq"] = self.snapshot_seq
         entries, torn = self._frames.scan(decode_message)
@@ -432,7 +436,10 @@ class WriteAheadLog(MemoryWal):
             self.last_seq = seq
             self.chain = entry["chain"]
             try:
-                result = apply_write(server, entry["wop"], entry["payload"])
+                self.apply(
+                    server, seq, entry["wop"], entry["payload"],
+                    entry.get("write_id"),
+                )
             except Exception:
                 # The live path validates before logging, so this is a
                 # poisoned entry (it failed live, too) — count it and
@@ -440,6 +447,5 @@ class WriteAheadLog(MemoryWal):
                 # server's state did.
                 report["skipped"] += 1
             else:
-                self.record_result(entry.get("write_id"), seq, result)
                 report["replayed"] += 1
         return report

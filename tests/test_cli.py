@@ -159,26 +159,20 @@ class TestServe:
 
     def test_serve_shm_and_reader_flags_parse(self):
         args = build_parser().parse_args(["serve"])
-        assert args.shm is None and args.max_readers is None
-        args = build_parser().parse_args(
-            ["serve", "--workers", "--shm", "--max-readers", "8"]
-        )
-        assert args.shm is True and args.max_readers == 8
+        assert args.shm is None and not hasattr(args, "max_readers")
+        args = build_parser().parse_args(["serve", "--workers", "--shm"])
+        assert args.shm is True
         args = build_parser().parse_args(["serve", "--workers", "--no-shm"])
         assert args.shm is False
+        # --max-inflight is the one concurrency bound
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--max-readers", "8"])
 
     def test_serve_shm_without_workers_fails_loudly(self):
         from repro.cli import cmd_serve
 
         args = build_parser().parse_args(["serve", "--shm"])
         with pytest.raises(SystemExit, match="--workers"):
-            cmd_serve(args)
-
-    def test_serve_max_readers_validated_before_startup(self):
-        from repro.cli import cmd_serve
-
-        args = build_parser().parse_args(["serve", "--max-readers", "0"])
-        with pytest.raises(SystemExit, match="max-readers"):
             cmd_serve(args)
 
     def test_serve_budget_flags_parse(self):

@@ -114,8 +114,11 @@ class TestRemoteBitIdentity:
     def test_request_built_from_json_text(self, served):
         client, mirror, _ = served
         from repro.api import wire
+        from repro.service.framelog import decode_message
 
-        doc = wire.loads(wire.dumps(wire.request_to_wire(_request(seed=3))))
+        doc = decode_message(
+            wire.encode_message(wire.request_to_wire(_request(seed=3)))
+        )
         rebuilt = wire.request_from_wire(doc)
         assert np.array_equal(
             client.release(rebuilt).estimates,
@@ -216,6 +219,46 @@ class TestBrokenConnections:
                 backend.ping()
             # the connection is gone for good — no request may ever
             # reuse a desynchronized stream
+            with pytest.raises(ConnectionError, match="closed or broken"):
+                backend.ping()
+        finally:
+            backend.close()
+            listener.close()
+            thread.join(timeout=5)
+
+    def test_undecodable_reply_closes_the_backend(self):
+        """A reply that fails to decode leaves the rest of the stream —
+        here a second, valid frame — to pair with the next request: the
+        default backend must close, never hand that frame to call two."""
+        import threading
+
+        from repro.api.wire import encode_message, recv_message
+
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def answer_with_junk_then_a_stale_frame():
+            conn, _ = listener.accept()
+            with conn:
+                recv_message(conn)
+                junk = (8).to_bytes(4, "big") + b"\xff" * 8
+                stale = encode_message({"ok": "STALE reply to request 1"})
+                conn.sendall(junk + stale)
+                try:
+                    recv_message(conn)
+                except (EOFError, OSError):
+                    pass
+
+        thread = threading.Thread(
+            target=answer_with_junk_then_a_stale_frame, daemon=True
+        )
+        thread.start()
+        backend = RemoteBackend(*listener.getsockname())
+        try:
+            with pytest.raises(ConnectionError, match="mid-flight"):
+                backend.ping()
+            assert backend._closed
             with pytest.raises(ConnectionError, match="closed or broken"):
                 backend.ping()
         finally:
@@ -422,44 +465,6 @@ class TestReadWriteLock:
             assert not acquired  # reader blocked behind the writer
         t.join(timeout=10)
         assert acquired
-
-    def test_max_readers_bounds_concurrency(self):
-        import threading
-
-        from repro.service.rpc import ReadWriteLock
-
-        lock = ReadWriteLock(max_readers=1)
-        inside = threading.Event()
-        release = threading.Event()
-
-        def holder() -> None:
-            with lock.read():
-                inside.set()
-                release.wait(timeout=10)
-
-        second_done = threading.Event()
-
-        def second() -> None:
-            with lock.read():
-                second_done.set()
-
-        a = threading.Thread(target=holder)
-        a.start()
-        assert inside.wait(timeout=10)
-        b = threading.Thread(target=second)
-        b.start()
-        b.join(timeout=0.2)
-        assert not second_done.is_set()  # capped at one reader
-        release.set()
-        a.join(timeout=10)
-        b.join(timeout=10)
-        assert second_done.is_set()
-
-    def test_max_readers_validation(self):
-        from repro.service.rpc import ReadWriteLock
-
-        with pytest.raises(ValueError):
-            ReadWriteLock(max_readers=0)
 
 
 class TestWorkerFailover:

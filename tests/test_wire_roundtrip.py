@@ -2,8 +2,8 @@
 
 The protocol contract of :mod:`repro.api.wire`: for any serializable
 policy/binning (algebra objects or raw spec dicts), a
-:class:`ReleaseRequest` survives ``request_to_wire`` -> JSON text ->
-``request_from_wire`` with **bit-identical handling** (same estimates
+:class:`ReleaseRequest` survives ``request_to_wire`` -> the one frame
+codec -> ``request_from_wire`` with **bit-identical handling** (same estimates
 from a cold server, same seed), responses survive with bit-exact
 estimate buffers, the socket framing reassembles arbitrary
 array-bearing messages exactly (even through fragmented reads), and
@@ -36,6 +36,7 @@ from repro.service import (
     ReleaseResponse,
     ReleaseServer,
 )
+from repro.service.framelog import decode_message
 from test_spec_roundtrip import (
     binnings,
     flat_records,
@@ -44,6 +45,11 @@ from test_spec_roundtrip import (
 )
 
 MAX_EXAMPLES = 25
+
+
+def _round_trip(obj):
+    """``obj`` through the one wire codec: encoded, then decoded."""
+    return decode_message(wire.encode_message(obj))
 
 
 def _clip_to_domain(records, binning):
@@ -85,8 +91,7 @@ def test_request_json_round_trip_handles_bit_identically(
         mechanism, 0.5, binning, policy, n_trials=2, seed=seed
     )
     doc = wire.request_to_wire(request)
-    text = wire.dumps(doc)
-    rebuilt = wire.request_from_wire(wire.loads(text))
+    rebuilt = wire.request_from_wire(_round_trip(doc))
     # two cold servers over the same data: live objects vs the request
     # that crossed the wire as pure JSON must release identical bits
     got = ReleaseServer(db.shard(2)).handle(rebuilt)
@@ -107,9 +112,7 @@ def test_spec_dict_requests_round_trip(spec, records):
     request = ReleaseRequest(
         "osdp_laplace_l1", 0.5, binning.to_spec(), spec, n_trials=1, seed=7
     )
-    rebuilt = wire.request_from_wire(
-        wire.loads(wire.dumps(wire.request_to_wire(request)))
-    )
+    rebuilt = wire.request_from_wire(_round_trip(wire.request_to_wire(request)))
     got = ReleaseServer(db.shard(1)).handle(rebuilt)
     want = ReleaseServer(db.shard(1)).handle(request)
     assert np.array_equal(got.estimates, want.estimates)
@@ -146,8 +149,7 @@ def test_response_round_trip_is_bit_exact(estimates, cache_hit):
         budget_remaining=1.25,
         cache_hit=cache_hit,
     )
-    doc = wire.loads(wire.dumps(wire.response_to_wire(response)))
-    back = wire.response_from_wire(doc)
+    back = wire.response_from_wire(_round_trip(wire.response_to_wire(response)))
     assert back.estimates.dtype == estimates.dtype
     assert back.estimates.shape == estimates.shape
     assert back.estimates.tobytes() == estimates.tobytes()
@@ -162,9 +164,7 @@ def test_integer_and_float32_arrays_round_trip():
         np.float32([[1.5, np.pi]]),
         np.array([], dtype=np.float64),
     ):
-        back = wire.array_from_jsonable(
-            json.loads(json.dumps(wire.array_to_jsonable(arr)))
-        )
+        back = _round_trip({"a": arr})["a"]
         assert back.dtype == arr.dtype
         assert back.shape == arr.shape
         assert back.tobytes() == arr.tobytes()
@@ -172,7 +172,7 @@ def test_integer_and_float32_arrays_round_trip():
 
 def test_object_arrays_are_rejected():
     with pytest.raises(wire.WireError, match="object-dtype"):
-        wire.array_to_jsonable(np.array([{"a": 1}], dtype=object))
+        wire.encode_message({"a": np.array([{"a": 1}], dtype=object)})
 
 
 # ----------------------------------------------------------------------
@@ -382,8 +382,7 @@ def _batch_error() -> BatchBudgetExceededError:
 def test_batch_budget_error_wire_round_trip():
     exc = _batch_error()
     assert len(exc.responses) == 2
-    doc = wire.loads(wire.dumps(wire.error_to_wire(exc)))
-    back = wire.exception_from_wire(doc)
+    back = wire.exception_from_wire(_round_trip(wire.error_to_wire(exc)))
     assert isinstance(back, BatchBudgetExceededError)
     assert isinstance(back, BudgetExceededError)
     assert str(back) == str(exc)
@@ -413,9 +412,7 @@ def test_plain_error_kinds_round_trip():
         (ValueError("bad value"), ValueError),
         (KeyError("missing"), KeyError),
     ):
-        back = wire.exception_from_wire(
-            wire.loads(wire.dumps(wire.error_to_wire(exc)))
-        )
+        back = wire.exception_from_wire(_round_trip(wire.error_to_wire(exc)))
         assert isinstance(back, kind)
     unknown = wire.exception_from_wire({"kind": "Exotic", "message": "boom"})
     assert isinstance(unknown, wire.RemoteError)
