@@ -34,7 +34,7 @@ from repro.data.columnar import ColumnarDatabase
 from repro.data.store import shm_available
 from repro.data.workers import ShardWorkerPool
 from repro.evaluation.runner import format_table
-from repro.queries.histogram import IntegerBinning
+from repro.queries.histogram import HistogramQuery, IntegerBinning
 from repro.service import ReleaseServer
 from repro.service.rpc import RpcServer
 
@@ -67,6 +67,7 @@ def _time_pool_startup(shards, shm) -> tuple[float, dict]:
 
 BINNING_SPEC = IntegerBinning("value", 0, N_BINS, 1).to_spec()
 POLICY_SPEC = {"kind": "opt_in", "attr": "opt_in"}
+QUERY = HistogramQuery(IntegerBinning("value", 0, N_BINS, 1))
 
 
 def _request(seed: int) -> ReleaseRequest:
@@ -84,7 +85,7 @@ def _measure_startup() -> list[list]:
     rows = []
     for n in SIZES:
         sharded = _database(n).shard(N_SHARDS)
-        reference = sharded.mask(OptInPolicy())
+        reference = sharded.shard_counts(QUERY, OptInPolicy())
         for shm, label in ((False, "pickle"), (None, "shm")):
             if shm is None and not shm_available():
                 continue
@@ -92,10 +93,12 @@ def _measure_startup() -> list[list]:
             # the paths must agree bit for bit before timings mean
             # anything
             with ShardWorkerPool(sharded.shards, shm=shm) as pool:
-                assert np.array_equal(
-                    sharded.with_executor(pool).mask(OptInPolicy()),
-                    reference,
+                pairs = sharded.with_executor(pool).shard_counts(
+                    QUERY, OptInPolicy()
                 )
+                for (x, x_ns), (want_x, want_ns) in zip(pairs, reference):
+                    assert x.tobytes() == want_x.tobytes()
+                    assert x_ns.tobytes() == want_ns.tobytes()
             rows.append(
                 [
                     n,

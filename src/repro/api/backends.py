@@ -1,25 +1,24 @@
-"""The three execution substrates behind :class:`repro.api.OsdpClient`.
+"""The library-side and socket backends behind :class:`repro.api.OsdpClient`.
 
 The :class:`Backend` protocol is the seam that makes "where does the
 release run" a deployment decision instead of a call-site decision:
 
-* :class:`InProcessBackend` — one plain
-  :class:`repro.data.columnar.ColumnarDatabase`, everything in the
-  caller's process.  The notebook / unit-test substrate.
 * :class:`ShardedBackend` — a
   :class:`repro.data.sharding.ShardedColumnarDatabase` behind the
   caching :class:`repro.service.server.ReleaseServer`, optionally with
   a shard-resident :class:`repro.data.workers.ShardWorkerPool` (one
   process per shard, specs on the pipes, failover/respawn on worker
   death).  The single-machine curator substrate.
+  :class:`InProcessBackend` is its one-shard, pool-less form — the
+  notebook / unit-test substrate.
 * :class:`RemoteBackend` — a socket client speaking the
   :mod:`repro.api.wire` framing to a :class:`repro.service.rpc.RpcServer`
   on another process or machine.  The analyst substrate.
 
-All three answer the same five questions (release one, release a
-batch, true histogram, append, expire) with **bit-identical** results
-for the same request and seed — the backends differ in *where* the
-histogram pipeline runs, never in *what* it computes.
+Both answer the same five questions (release one, release a batch,
+true histogram, append, expire) with **bit-identical** results for the
+same request and seed — the backends differ in *where* the histogram
+pipeline runs, never in *what* it computes.
 """
 
 from __future__ import annotations
@@ -78,80 +77,7 @@ class Backend(Protocol):
     def close(self) -> None: ...
 
 
-class _ServerBackend:
-    """Shared plumbing of the two library-side backends.
-
-    Both own a transport-independent :class:`ReleaseServer`; they
-    differ only in how the database under it was assembled (and
-    whether a worker pool must be torn down on close).
-    """
-
-    def __init__(self, server: ReleaseServer):
-        self.server = server
-
-    def handle(self, request: ReleaseRequest) -> ReleaseResponse:
-        return self.server.handle(request)
-
-    def handle_batch(
-        self, requests: Sequence[ReleaseRequest]
-    ) -> list[ReleaseResponse]:
-        return self.server.handle_batch(requests)
-
-    def true_histogram(self, binning) -> np.ndarray:
-        return self.server.true_histogram(binning)
-
-    def histogram_counts(self, binning, policy) -> tuple[np.ndarray, np.ndarray]:
-        return self.server.histogram_counts(binning, policy)
-
-    def append_records(self, records) -> int:
-        return self.server.append_records(records)
-
-    def expire_prefix(self, n_records: int) -> list[int]:
-        return self.server.expire_prefix(n_records)
-
-    def stats(self) -> dict:
-        return self.server.stats.as_dict()
-
-    @property
-    def budget_remaining(self) -> float | None:
-        return self.server.budget_remaining
-
-    def budget(self) -> dict | None:
-        """The full ledger view (None when unmetered)."""
-        return self.server.budget_view()
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class InProcessBackend(_ServerBackend):
-    """A plain single-shard columnar database in the caller's process."""
-
-    def __init__(
-        self,
-        db,
-        registry=None,
-        accountant=None,
-        cache_limit: int = 128,
-    ):
-        super().__init__(
-            ReleaseServer(
-                db,
-                registry=registry,
-                accountant=accountant,
-                n_shards=1,
-                cache_limit=cache_limit,
-            )
-        )
-
-
-class ShardedBackend(_ServerBackend):
+class ShardedBackend:
     """The sharded engine, optionally on a shard-resident worker pool.
 
     ``workers=True`` builds a :class:`ShardWorkerPool` over the shards
@@ -231,7 +157,7 @@ class ShardedBackend(_ServerBackend):
             # now, not whenever the cyclic GC gets to them.
             self.close()
             raise
-        super().__init__(server)
+        self.server = server
 
     @property
     def store_mode(self) -> str:
@@ -248,12 +174,69 @@ class ShardedBackend(_ServerBackend):
         stats = self.pool.stats
         return "shm" if stats.shm_shards == self.pool.n_workers else "pickle"
 
+    def handle(self, request: ReleaseRequest) -> ReleaseResponse:
+        return self.server.handle(request)
+
+    def handle_batch(
+        self, requests: Sequence[ReleaseRequest]
+    ) -> list[ReleaseResponse]:
+        return self.server.handle_batch(requests)
+
+    def true_histogram(self, binning) -> np.ndarray:
+        return self.server.true_histogram(binning)
+
+    def histogram_counts(self, binning, policy) -> tuple[np.ndarray, np.ndarray]:
+        return self.server.histogram_counts(binning, policy)
+
+    def append_records(self, records) -> int:
+        return self.server.append_records(records)
+
+    def expire_prefix(self, n_records: int) -> list[int]:
+        return self.server.expire_prefix(n_records)
+
+    def stats(self) -> dict:
+        return self.server.stats.as_dict()
+
+    @property
+    def budget_remaining(self) -> float | None:
+        return self.server.budget_remaining
+
+    def budget(self) -> dict | None:
+        """The full ledger view (None when unmetered)."""
+        return self.server.budget_view()
+
     def close(self) -> None:
         if self.pool is not None:
             self.pool.close()
         for store in self._shared_stores:
             store.unlink()
         self._shared_stores = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class InProcessBackend(ShardedBackend):
+    """A :class:`ShardedBackend` with one shard and no worker pool.
+
+    A database that arrives already sharded keeps its shards.
+    """
+
+    def __init__(
+        self, db, registry=None, accountant=None, cache_limit: int = 128
+    ):
+        from repro.data.sharding import ShardedColumnarDatabase
+
+        super().__init__(
+            db,
+            n_shards=None if isinstance(db, ShardedColumnarDatabase) else 1,
+            registry=registry,
+            accountant=accountant,
+            cache_limit=cache_limit,
+        )
 
 
 def _default_shards() -> int:

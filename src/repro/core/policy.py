@@ -15,7 +15,6 @@ constituent policy protected it.
 
 from __future__ import annotations
 
-import functools
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -65,29 +64,6 @@ def _iter_bundle_records(columns) -> Iterable[Record]:
 def _mask_from_bool(sensitive: np.ndarray) -> np.ndarray:
     """bool 'is sensitive' array -> {0, 1} mask (0 = sensitive)."""
     return np.where(sensitive, SENSITIVE, NON_SENSITIVE).astype(MASK_DTYPE)
-
-
-def _shard_aware(impl: Callable) -> Callable:
-    """Wrap an ``evaluate_batch`` implementation with sharded dispatch.
-
-    A sharded column bundle (anything exposing ``map_shards``, i.e.
-    :class:`repro.data.sharding.ShardedColumnarDatabase`) is evaluated
-    shard by shard — serially or on the bundle's worker pool — and the
-    per-shard masks are concatenated in record order, which is
-    bit-identical to single-node evaluation.  Non-sharded bundles fall
-    straight through to the wrapped implementation, so the dispatch
-    costs one attribute lookup on the hot path.
-    """
-
-    @functools.wraps(impl)
-    def evaluate_batch(self, columns) -> np.ndarray:
-        map_shards = getattr(columns, "map_shards", None)
-        if map_shards is not None:
-            return np.concatenate(map_shards(self.evaluate_batch))
-        return impl(self, columns)
-
-    evaluate_batch._shard_aware = True  # type: ignore[attr-defined]
-    return evaluate_batch
 
 
 class BatchUnsupported(Exception):
@@ -171,21 +147,6 @@ class Policy(ABC):
 
     name: str = "policy"
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        """Make every ``evaluate_batch`` override shard-aware.
-
-        Subclasses override ``evaluate_batch`` freely with single-node
-        numpy formulations; the wrapper added here routes sharded column
-        bundles through per-shard evaluation first, so the whole policy
-        algebra (and any user subclass) works on
-        :class:`repro.data.sharding.ShardedColumnarDatabase` without
-        each implementation knowing sharding exists.
-        """
-        super().__init_subclass__(**kwargs)
-        impl = cls.__dict__.get("evaluate_batch")
-        if impl is not None and not getattr(impl, "_shard_aware", False):
-            cls.evaluate_batch = _shard_aware(impl)
-
     @abstractmethod
     def __call__(self, record: Record) -> int:
         """Return 0 if ``record`` is sensitive, 1 if non-sensitive."""
@@ -230,16 +191,15 @@ class Policy(ABC):
             "language (repro.core.policy_language) to make it portable"
         )
 
-    @_shard_aware
     def evaluate_batch(self, columns) -> np.ndarray:
         """Vectorized evaluation over a column bundle.
 
         ``columns`` is anything indexable by attribute name that yields
         per-record numpy arrays — a :class:`repro.data.columnar.ColumnarDatabase`
-        or a plain ``dict`` of arrays — or a sharded database, which is
-        evaluated per shard and concatenated.  Returns an int8 array of
-        ``SENSITIVE``/``NON_SENSITIVE`` labels, one per record,
-        bit-identical to calling the policy on each record.
+        or a plain ``dict`` of arrays; a sharded database evaluates its
+        shards one by one (``ShardedColumnarDatabase.mask``).  Returns an
+        int8 array of ``SENSITIVE``/``NON_SENSITIVE`` labels, one per
+        record, bit-identical to calling the policy on each record.
 
         Subclasses with a natural numpy formulation override this; the
         base implementation is the per-record fallback, so every policy

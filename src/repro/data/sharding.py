@@ -12,11 +12,10 @@ rebase for free on contiguous slices).
 :class:`~repro.data.columnar.ColumnarDatabase` shards and reassembles
 their per-shard results:
 
-* ``Policy.evaluate_batch`` on a sharded database evaluates per shard
-  and concatenates the masks (the dispatch lives in
-  :mod:`repro.core.policy`, so *every* policy — including user
-  subclasses — is shard-aware for free);
-* binnings' ``bin_indices`` concatenate per-shard index arrays;
+* :meth:`~ShardedColumnarDatabase.mask` evaluates a policy per shard
+  and concatenates the masks; ``bin_indices`` concatenates per-shard
+  index arrays (policies and binnings themselves know nothing of
+  shards);
 * histograms and :class:`repro.queries.histogram.HistogramInput` merge
   by summing per-shard ``np.bincount`` results.
 
@@ -25,16 +24,17 @@ semantics are preserved record by record, and bincount merging is exact
 integer addition.  Sharding therefore never forks the privacy
 semantics; it only changes where the work runs.
 
-Execution has two modes: with no executor, shards run serially
-in-process; with a shard-resident executor — anything exposing
-``map_resident``, i.e. :class:`repro.data.workers.ShardWorkerPool`:
-persistent worker processes holding the shards, answering
-``map_shards`` requests with policy/binning *specs* on the wire instead
-of re-shipped columns — the per-shard work runs where the shards live.
-A resident executor is built *from* the shard objects, so it is
-installed with :meth:`ShardedColumnarDatabase.with_executor` after
+Every per-shard operation runs in this process over the shard objects
+this database holds.  The one exception is the read every release
+makes, :meth:`ShardedColumnarDatabase.shard_counts`: with a
+shard-resident executor installed (anything exposing ``map_resident``,
+i.e. :class:`repro.data.workers.ShardWorkerPool`, whose persistent
+worker processes hold the same shards) each shard's ``(x, x_ns)`` count
+pair is computed where the shard lives, from a binning/policy *spec* on
+the wire.  A resident executor is built *from* the shard objects, so it
+is installed with :meth:`ShardedColumnarDatabase.with_executor` after
 sharding; databases derived from this one's shards (``non_sensitive``,
-``sensitive``, ``share``) hold new objects and are always serial.
+``sensitive``, ``share``) hold new objects and have no executor.
 
 The database is no longer frozen at construction: :meth:`append_records`
 extends the tail shard and :meth:`expire_prefix` trims the oldest
@@ -47,33 +47,17 @@ counts forward by them.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.core.policy import NON_SENSITIVE, SENSITIVE, Policy
+from repro.core.policy import NON_SENSITIVE, SENSITIVE, Policy, SpecUnsupported
+from repro.core.policy_language import PolicySpecError
 from repro.data.columnar import ColumnarDatabase
 
 T = TypeVar("T")
 
 ShardSlice = tuple[int, int]
-
-
-def _shard_histogram(shard: ColumnarDatabase, binning, n_bins: int) -> np.ndarray:
-    """Module-level per-shard histogram (a worker pool sends it as a spec)."""
-    return shard.histogram(binning, n_bins)
-
-
-def _shard_non_sensitive(shard: ColumnarDatabase, policy: Policy) -> ColumnarDatabase:
-    """Module-level (picklable) per-shard non-sensitive selection: a
-    worker pool ships it as a pickled callable, never the shard."""
-    return shard.non_sensitive(policy)
-
-
-def _shard_sensitive(shard: ColumnarDatabase, policy: Policy) -> ColumnarDatabase:
-    """Module-level (picklable) per-shard sensitive selection."""
-    return shard.sensitive(policy)
 
 
 def shard_slices(n_records: int, n_shards: int) -> list[ShardSlice]:
@@ -154,7 +138,7 @@ class ShardedColumnarDatabase:
         return cls.from_columnar(ColumnarDatabase.from_records(records), n_shards)
 
     def with_executor(self, executor) -> "ShardedColumnarDatabase":
-        """The same shards, mapped on a shard-resident executor (or None)."""
+        """The same shards, counted on a shard-resident executor (or None)."""
         return ShardedColumnarDatabase(self._shards, executor=executor)
 
     def share(self) -> "ShardedColumnarDatabase":
@@ -221,33 +205,52 @@ class ShardedColumnarDatabase:
         return ColumnarDatabase.concat(list(self._shards))
 
     # ------------------------------------------------------------------
-    # The sharded execution primitive
+    # Per-shard execution
     # ------------------------------------------------------------------
     def map_shards(
         self,
         fn: Callable[[ColumnarDatabase], T],
         indices: Sequence[int] | None = None,
     ) -> list[T]:
-        """``[fn(shard) for shard in shards]`` — serial or on the executor.
+        """``[fn(shard) for shard in shards]``, in this process.
 
-        The single choke point every sharded operation funnels through;
-        results come back in shard order, so ``np.concatenate`` on them
+        Results come back in shard order, so ``np.concatenate`` on them
         reproduces the single-node record order.  ``indices`` restricts
         the pass to a subset of shards (cache refills after an
         incremental update touch only the stale shards).
-
-        The executor — :class:`repro.data.workers.ShardWorkerPool` —
-        receives only ``fn``, translated to a spec request against its
-        resident copy of the shards.
         """
-        if self._executor is not None:
-            return self._executor.map_resident(self._shards, fn, indices)
         shards = (
             self._shards
             if indices is None
             else [self._shards[i] for i in indices]
         )
         return [fn(shard) for shard in shards]
+
+    def shard_counts(
+        self, query, policy: Policy, indices: Sequence[int] | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each shard's ``(x, x_ns)`` int64 count pair, in shard order.
+
+        The one call that reaches the executor: a worker pool answers
+        from its resident shards with the pairs alone.  With no
+        executor, or for a binning or policy without a wire spec (an
+        opaque predicate cannot cross a process boundary), the shards
+        this database holds are counted here — the pool's authoritative
+        copies, so the bytes are the same.
+        """
+        from repro.queries.histogram import _shard_histogram_counts
+
+        if self._executor is not None:
+            try:
+                return self._executor.map_resident(
+                    self._shards, query, policy, indices
+                )
+            except (SpecUnsupported, PolicySpecError):
+                pass
+        return self.map_shards(
+            lambda shard: _shard_histogram_counts(shard, query, policy),
+            indices,
+        )
 
     # ------------------------------------------------------------------
     # Incremental updates (append new data, expire the oldest)
@@ -365,7 +368,7 @@ class ShardedColumnarDatabase:
     # ------------------------------------------------------------------
     def mask(self, policy: Policy) -> np.ndarray:
         """Per-record {0, 1} labels; per-shard evaluation, concatenated."""
-        return policy.evaluate_batch(self)
+        return np.concatenate(self.map_shards(policy.evaluate_batch))
 
     def sensitive_indices(self, policy: Policy) -> np.ndarray:
         return np.flatnonzero(self.mask(policy) == SENSITIVE)
@@ -376,16 +379,17 @@ class ShardedColumnarDatabase:
     def non_sensitive(self, policy: Policy) -> "ShardedColumnarDatabase":
         """Shard-preserving ``D_ns``: each shard keeps its survivors.
 
-        The result is serial: its shards are new objects, and a resident
-        executor only answers for the exact shard objects it holds.
+        The result has no executor: its shards are new objects, and a
+        resident executor only answers for the exact shard objects it
+        holds.
         """
         return ShardedColumnarDatabase(
-            self.map_shards(functools.partial(_shard_non_sensitive, policy=policy))
+            self.map_shards(lambda shard: shard.non_sensitive(policy))
         )
 
     def sensitive(self, policy: Policy) -> "ShardedColumnarDatabase":
         return ShardedColumnarDatabase(
-            self.map_shards(functools.partial(_shard_sensitive, policy=policy))
+            self.map_shards(lambda shard: shard.sensitive(policy))
         )
 
     # ------------------------------------------------------------------
@@ -397,9 +401,7 @@ class ShardedColumnarDatabase:
 
     def histogram(self, binning, n_bins: int | None = None) -> np.ndarray:
         n_bins = binning.n_bins if n_bins is None else n_bins
-        parts = self.map_shards(
-            functools.partial(_shard_histogram, binning=binning, n_bins=n_bins)
-        )
+        parts = self.map_shards(lambda shard: shard.histogram(binning, n_bins))
         return np.sum(parts, axis=0, dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,10 +1,10 @@
 """Shard-resident worker runtime: persistent processes, specs on the wire.
 
-Evaluating a :class:`repro.data.sharding.ShardedColumnarDatabase` in
+Counting a :class:`repro.data.sharding.ShardedColumnarDatabase` in
 other processes by shipping ``(fn, shard)`` per call re-pickles every
-shard's columns on every ``map_shards`` — at million-record scale the
-wire cost dwarfs the mask kernels it parallelizes.
-:class:`ShardWorkerPool` inverts the data flow:
+shard's columns on every call — at million-record scale the wire cost
+dwarfs the count kernels it parallelizes.  :class:`ShardWorkerPool`
+inverts the data flow:
 
 * **Columns cross the wire once — or not at all.**  By default (and
   whenever the platform offers POSIX shared memory), each shard's
@@ -21,13 +21,14 @@ wire cost dwarfs the mask kernels it parallelizes.
   descriptor of the fresh segments when the shard was remapped, the
   prefix trim when the headroom segments were extended in place — and
   an expire is a pure view trim on both sides.
-* **Requests are specs.**  A mask, bin-index, histogram or
-  ``(x, x_ns)`` request is a small dict built from the policy/binning
-  wire format (:func:`repro.core.policy_language.policy_to_spec`,
-  :func:`repro.queries.histogram.binning_to_spec`); the worker rebuilds
-  the object and evaluates it against its resident columns.  Responses
-  are result arrays only.  Per-request traffic is therefore independent
-  of the shard size (``stats`` proves it: ``request_bytes`` vs
+* **One question, asked in specs.**  A read asks a worker for one
+  thing: its shard's ``(x, x_ns)`` count pair for a binning and a
+  policy, sent as their wire specs
+  (:func:`repro.queries.histogram.binning_to_spec`,
+  :func:`repro.core.policy_language.policy_to_spec`); the worker
+  rebuilds both and counts its resident columns.  Responses are the
+  O(bins) pair.  Per-request traffic is therefore independent of the
+  shard size (``stats`` proves it: ``request_bytes`` vs
   ``startup_bytes``).
 * **A worker holds a shard, not a cache.**  Every request evaluates
   its spec on the resident shard and returns; a write swaps the shard.
@@ -46,31 +47,26 @@ wire cost dwarfs the mask kernels it parallelizes.
   reassemble into shard order, overlapping parent-side
   deserialization/merge with the slower shards' compute.
 
-The pool plugs in behind ``ShardedColumnarDatabase.map_shards`` as an
-executor: callables the pool recognizes (``Policy.evaluate_batch``,
-``binning.bin_indices``, the histogram partials of
-:mod:`repro.queries.histogram` and :mod:`repro.data.sharding`) are
-translated to spec requests; anything else falls back to pickling the
-callable itself (still without re-shipping the shard).  Every result is
-**bit-identical** to serial ``map_shards``: the spec round-trip is
-lossless and the kernels run unchanged, just in another process.
+The pool plugs in behind ``ShardedColumnarDatabase.shard_counts`` as
+the database's executor (:meth:`ShardWorkerPool.map_resident`).  Every
+other sharded operation — masks, bin indices, selections — runs in the
+parent over the shards it holds, the same bytes the workers hold; so
+does a count pair whose binning or policy has no spec (an opaque
+predicate never crosses the pipe).  Every pair is **bit-identical** to
+the parent's: the spec round-trip is lossless and the kernels run
+unchanged, just in another process.
 """
 
 from __future__ import annotations
 
-import functools
 import pickle
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.policy import Policy, SpecUnsupported
-from repro.core.policy_language import (
-    PolicySpecError,
-    policy_from_spec,
-    policy_to_spec,
-)
+from repro.core.policy import Policy
+from repro.core.policy_language import policy_from_spec, policy_to_spec
 from repro.data.columnar import ColumnarDatabase
 from repro.data.store import ColumnStore, placeable, shm_available
 
@@ -109,19 +105,6 @@ class _WorkerState:
             "summary_answers": 0,
             "summary_builds": 0,
         }
-
-    def mask(self, spec: dict) -> np.ndarray:
-        return policy_from_spec(spec).evaluate_batch(self.shard)
-
-    def bin_indices(self, spec: dict) -> np.ndarray:
-        from repro.queries.histogram import binning_from_spec
-
-        return binning_from_spec(spec).bin_indices(self.shard)
-
-    def histogram(self, binning_spec: dict, n_bins: int) -> np.ndarray:
-        from repro.queries.histogram import binning_from_spec
-
-        return self.shard.histogram(binning_from_spec(binning_spec), n_bins)
 
     def hist_counts(
         self, binning_spec: dict, policy_spec: dict
@@ -215,16 +198,8 @@ def _worker_main(conn) -> None:
                     )
                 state.shard = _trimmed(store.refresh(), msg[1])
                 result = len(state.shard)
-            elif op == "mask":
-                result = state.mask(msg[1])
-            elif op == "bin_indices":
-                result = state.bin_indices(msg[1])
             elif op == "hist_counts":
                 result = state.hist_counts(msg[1], msg[2])
-            elif op == "histogram":
-                result = state.histogram(msg[1], msg[2])
-            elif op == "call":
-                result = msg[1](state.shard)
             elif op == "append":
                 result = state.append(msg[1])
             elif op == "expire":
@@ -236,16 +211,7 @@ def _worker_main(conn) -> None:
             reply = ("ok", result)
         except BaseException as exc:  # ship the failure, keep serving
             reply = ("err", f"{type(exc).__name__}: {exc}")
-        try:
-            payload = pickle.dumps(reply, _PICKLE_PROTOCOL)
-        except Exception as exc:
-            # An unpicklable result (possible on the generic "call"
-            # path) must not kill the worker — ship the failure too.
-            payload = pickle.dumps(
-                ("err", f"unpicklable result: {type(exc).__name__}: {exc}"),
-                _PICKLE_PROTOCOL,
-            )
-        conn.send_bytes(payload)
+        conn.send_bytes(pickle.dumps(reply, _PICKLE_PROTOCOL))
 
 
 # ----------------------------------------------------------------------
@@ -284,8 +250,6 @@ class WorkerPoolStats:
     request_bytes: int = 0
     response_bytes: int = 0
     requests: int = 0
-    spec_requests: int = 0
-    pickled_callables: int = 0
     last_request_bytes: int = 0
     respawns: int = 0
     shm_shards: int = 0
@@ -303,12 +267,13 @@ def shard_shm_eligible(shard: ColumnarDatabase, shm: bool | None) -> bool:
     :class:`repro.api.backends.ShardedBackend` (which pre-shares
     eligible shards so parent and workers reference one physical
     copy).  ``shm=None`` (auto) requires fixed-width columns **and** no
-    attached row-record objects — records have no segment form, and
-    the pickle path ships them so per-record fallbacks (opaque
-    policies through the generic ``call`` request) keep working;
+    attached row-record objects — records have no segment form, and a
+    spec'd policy may still count by its per-record fallback in the
+    worker (a registered kind with no batch form, over ragged columns
+    that cannot rebuild the records), so the pickle path ships them;
     ``shm=True`` insists on segments (rejecting object-dtype columns
-    loudly, and knowingly dropping worker-side records — every spec
-    request is unaffected); ``shm=False`` never uses segments.
+    loudly, and knowingly dropping worker-side records — vectorized
+    policies are unaffected); ``shm=False`` never uses segments.
     """
     if shm is False or not shm_available():
         return False
@@ -334,11 +299,10 @@ class ShardWorkerPool:
     the database's executor::
 
         pool = ShardWorkerPool(sharded.shards)
-        db = sharded.with_executor(pool)   # map_shards now runs on it
+        db = sharded.with_executor(pool)   # shard_counts now runs on it
 
-    The pool recognizes the hot callables of the sharded engine and
-    sends them as specs; see the module docstring for the wire
-    contract.  Use as a context manager or call :meth:`close`.
+    See the module docstring for the wire contract.  Use as a context
+    manager or call :meth:`close`.
     """
 
     def __init__(
@@ -657,7 +621,7 @@ class ShardWorkerPool:
         return self._round_trip(("cache_stats",), range(self.n_workers))
 
     # ------------------------------------------------------------------
-    # The executor face seen by ShardedColumnarDatabase.map_shards
+    # The executor face seen by ShardedColumnarDatabase.shard_counts
     # ------------------------------------------------------------------
     def resident_matches(self, shards: Sequence[ColumnarDatabase]) -> bool:
         """True when ``shards`` are exactly the resident shard objects."""
@@ -668,16 +632,22 @@ class ShardWorkerPool:
     def map_resident(
         self,
         shards: Sequence[ColumnarDatabase],
-        fn: Callable,
+        query,
+        policy: Policy,
         indices: Sequence[int] | None = None,
-    ) -> list:
-        """``[fn(shard) for shard in shards]`` on the resident workers.
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each resident shard's ``(x, x_ns)`` pair, from the workers.
 
         ``shards`` must be the pool's resident shard objects (the
         sharded database passes its own) — a pool cannot answer for
-        data it does not hold.  ``indices`` restricts the call to a
-        subset of workers (the incremental-update path).
+        data it does not hold.  ``indices`` restricts the request to a
+        subset of workers (the refill after an incremental update).  A
+        binning or policy without a wire spec raises
+        :class:`repro.core.policy_language.PolicySpecError` before
+        anything is sent.
         """
+        from repro.queries.histogram import binning_to_spec
+
         shards = tuple(getattr(shards, "shards", shards))
         if not self.resident_matches(shards):
             raise WorkerError(
@@ -685,55 +655,13 @@ class ShardWorkerPool:
                 "rebuild the pool (or route updates through the "
                 "database so the pool sees them)"
             )
-        request = self._request_for(fn)
-        workers = (
-            list(range(self.n_workers)) if indices is None else list(indices)
+        request = (
+            "hist_counts",
+            binning_to_spec(query.binning),
+            policy_to_spec(policy),
         )
-        if request[0] == "call":
-            self.stats.pickled_callables += len(workers)
-        else:
-            self.stats.spec_requests += len(workers)
+        workers = range(self.n_workers) if indices is None else indices
         return self._round_trip(request, workers)
-
-    def _request_for(self, fn: Callable) -> tuple:
-        """Translate a map_shards callable into a wire request.
-
-        Recognized shapes become pure-spec requests; everything else is
-        pickled whole (the callable, never the shard).
-        """
-        owner = getattr(fn, "__self__", None)
-        name = getattr(fn, "__name__", "")
-        try:
-            if owner is not None and name == "evaluate_batch" and isinstance(
-                owner, Policy
-            ):
-                return ("mask", policy_to_spec(owner))
-            if owner is not None and name == "bin_indices":
-                return ("bin_indices", owner.to_spec())
-            if isinstance(fn, functools.partial):
-                from repro.data.sharding import _shard_histogram
-                from repro.queries.histogram import (
-                    _shard_histogram_counts,
-                    binning_to_spec,
-                )
-
-                kw = fn.keywords or {}
-                if fn.func is _shard_histogram_counts and not fn.args:
-                    query, policy = kw["query"], kw["policy"]
-                    return (
-                        "hist_counts",
-                        binning_to_spec(query.binning),
-                        policy_to_spec(policy),
-                    )
-                if fn.func is _shard_histogram and not fn.args:
-                    return (
-                        "histogram",
-                        binning_to_spec(kw["binning"]),
-                        int(kw["n_bins"]),
-                    )
-        except (SpecUnsupported, PolicySpecError, AttributeError, KeyError):
-            pass  # fall through to the pickled-callable path
-        return ("call", fn)
 
     # ------------------------------------------------------------------
     # Incremental updates (driven by ShardedColumnarDatabase)

@@ -19,7 +19,6 @@ DP mechanisms read only ``x``; OSDP mechanisms use ``x_ns`` and the mask.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,27 +95,6 @@ def binning_from_spec(spec: Mapping):
     return loader(spec)
 
 
-def _shard_aware_bin_indices(impl: Callable) -> Callable:
-    """Give a ``bin_indices`` implementation sharded dispatch.
-
-    The binning-side analog of ``repro.core.policy._shard_aware``
-    (binnings share no base class, so each vectorized ``bin_indices``
-    opts in with this decorator): a sharded bundle is binned per shard
-    and the index arrays concatenate in record order — bit-identical to
-    the single-node array, since a record's bin depends only on that
-    record.  Single-node bundles fall straight through.
-    """
-
-    @functools.wraps(impl)
-    def bin_indices(self, columns) -> np.ndarray:
-        map_shards = getattr(columns, "map_shards", None)
-        if map_shards is not None:
-            return np.concatenate(map_shards(self.bin_indices))
-        return impl(self, columns)
-
-    return bin_indices
-
-
 class CategoricalBinning:
     """Bin by the value of a categorical attribute with a fixed domain."""
 
@@ -150,7 +128,6 @@ class CategoricalBinning:
     def bin_of(self, record: object) -> int:
         return self._lookup(record[self.attribute])  # type: ignore[index]
 
-    @_shard_aware_bin_indices
     def bin_indices(self, columns) -> np.ndarray:
         """Vectorized ``bin_of`` over a column bundle.
 
@@ -232,7 +209,6 @@ class IntegerBinning:
             )
         return (value - self.low) // self.width
 
-    @_shard_aware_bin_indices
     def bin_indices(self, columns) -> np.ndarray:
         """Vectorized ``bin_of``: range check + integer division."""
         values = np.asarray(columns[self.attribute])
@@ -288,9 +264,6 @@ class Product2DBinning:
             record
         )
 
-    # Dispatch at the product level so each shard computes its full
-    # 2-D index in one pass instead of concatenating twice.
-    @_shard_aware_bin_indices
     def bin_indices(self, columns) -> np.ndarray:
         return (
             self.first.bin_indices(columns) * self.second.n_bins
@@ -435,17 +408,13 @@ class HistogramInput:
 
         Sharded (:class:`repro.data.sharding.ShardedColumnarDatabase`):
         each shard produces its ``(x, x_ns)`` pair independently —
-        serially or on the database's executor — and the pairs merge by
-        exact integer addition, bit-identical to the single-node
-        histograms.
+        in this process or on the database's worker pool
+        (``shard_counts``) — and the pairs merge by exact integer
+        addition, bit-identical to the single-node histograms.
         """
-        map_shards = getattr(db, "map_shards", None)
-        if map_shards is not None:
-            pairs = map_shards(
-                functools.partial(
-                    _shard_histogram_counts, query=query, policy=policy
-                )
-            )
+        shard_counts = getattr(db, "shard_counts", None)
+        if shard_counts is not None:
+            pairs = shard_counts(query, policy)
         else:
             pairs = [_shard_histogram_counts(db, query, policy)]
         return cls.from_shard_counts(pairs)
@@ -505,10 +474,10 @@ def _shard_histogram_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(x, x_ns)`` int64 counts for one columnar database (or shard).
 
-    A module-level function (not a closure) so a shard worker pool
-    recognizes the partial over it and sends a spec request instead.
-    From the shard's distinct rows when :func:`_summary_counts` can,
-    from every record (:func:`_scan_counts`) otherwise: the same bytes.
+    What ``ShardedColumnarDatabase.shard_counts`` computes per shard, in
+    this process or in a shard worker.  From the shard's distinct rows
+    when :func:`_summary_counts` can, from every record
+    (:func:`_scan_counts`) otherwise: the same bytes.
     """
     pair = _summary_counts(db, query, policy)
     return _scan_counts(db, query, policy) if pair is None else pair

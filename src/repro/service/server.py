@@ -8,8 +8,8 @@ are the wire format a transport would serialize):
 
 * **Sharded evaluation.**  The database is a
   :class:`repro.data.sharding.ShardedColumnarDatabase`; masks and bin
-  indices are computed shard by shard (on the database's executor when
-  it has one) and merged bit-identically to single-node evaluation.
+  indices are computed shard by shard and merged bit-identically to
+  single-node evaluation.
 * **Cross-request caching.**  Policy masks are cached per
   ``(shard, policy)`` and bin indices per ``(shard, binning)``, so a
   burst of requests over the same policy pays the mask once; the
@@ -55,7 +55,8 @@ are the wire format a transport would serialize):
   executor, histogram assembly skips the parent-side mask arrays
   entirely: each worker answers a spec request with its shard's
   ``(x, x_ns)`` pair, so per-request traffic stays O(bins), not
-  O(records).  The workers compute and forget: this server's counts
+  O(records); a policy or binning without a spec is counted here, over
+  the same shards.  The workers compute and forget: this server's counts
   cache is the only copy of a pair, and ``_carry_counts`` the only
   carry of it across a write.
 
@@ -76,7 +77,6 @@ mechanism samples a release from them.
 
 from __future__ import annotations
 
-import functools
 import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -382,11 +382,12 @@ class ReleaseServer:
         Writes carry live pairs to the new shard version, so after the
         first read of a ``(binning, policy)`` nothing here is stale
         until a key is evicted.  Two refill routes for stale shards:
-        with a shard-resident worker pool as the executor, the partial
-        below travels as a pure spec request and only the O(bins) count
-        pairs come back; otherwise the counts derive from the cached
-        per-shard masks and bin indices (which themselves refresh only
-        their stale shards).
+        with a shard-resident worker pool as the executor,
+        ``ShardedColumnarDatabase.shard_counts`` asks the workers for
+        the O(bins) count pairs (or counts here, for a binning or
+        policy without a spec); otherwise the counts derive from the
+        cached per-shard masks and bin indices (which themselves
+        refresh only their stale shards).
         """
         versions = self._db.shard_versions
         cache = self._counts_cache
@@ -396,14 +397,9 @@ class ReleaseServer:
             if cache.get((i, bkey, pkey), (None,))[0] != versions[i]
         ]
         if stale:
-            if getattr(self._db.executor, "map_resident", None) is not None:
-                pairs = self._db.map_shards(
-                    functools.partial(
-                        _shard_histogram_counts,
-                        query=HistogramQuery(binning),
-                        policy=policy,
-                    ),
-                    indices=stale,
+            if self._db.executor is not None:
+                pairs = self._db.shard_counts(
+                    HistogramQuery(binning), policy, indices=stale
                 )
             else:
                 n_bins = binning.n_bins

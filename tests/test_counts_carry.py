@@ -297,16 +297,22 @@ def test_fixed_sequence_on_a_worker_pool(shm):
         # A carried pair needs no fan-out: the parent evaluated the
         # moved rows itself, so the read after a write asks no worker.
         _assert_matches_cold(server, rows, FLAT_PAIRS[0])
-        fanned_out = pool.stats.spec_requests + pool.stats.pickled_callables
+        requests = pool.stats.requests
+        written = []
+
+        def write(op, arg):
+            # an append is one request, an expire one per touched shard
+            touched = getattr(server, op)(arg)
+            written.append(1 if op == "append_records" else len(touched))
+
         _play(
             server,
             rows,
             [("append", _flat_rows(4, seed=15), 0), ("expire", 5, 0)],
             FLAT_PAIRS[:1],
+            write,
         )
-        assert (
-            pool.stats.spec_requests + pool.stats.pickled_callables == fanned_out
-        )
+        assert pool.stats.requests - requests == sum(written)
 
 
 def test_fixed_sequence_across_wal_recovery(tmp_path):

@@ -24,6 +24,7 @@ from repro.queries.histogram import (
     HistogramInput,
     HistogramQuery,
     IntegerBinning,
+    _shard_histogram_counts,
 )
 from repro.service import (
     BatchBudgetExceededError,
@@ -73,9 +74,9 @@ class _Shard1ExpireFails:
     """A serial resident executor whose expire hook fails on shard 1 (a
     resident worker that died between two shards of one expiry)."""
 
-    def map_resident(self, shards, fn, indices=None):
+    def map_resident(self, shards, query, policy, indices=None):
         picked = range(len(shards)) if indices is None else indices
-        return [fn(shards[i]) for i in picked]
+        return [_shard_histogram_counts(shards[i], query, policy) for i in picked]
 
     def expire_shard_prefix(self, index, take, new_shard):
         if index == 1:

@@ -170,7 +170,7 @@ class TestShardedDatabase:
             IntegerBinning("age", 0, 100, 25),
         )
         assert np.array_equal(
-            binning.bin_indices(db), binning.bin_indices(db.shard(6))
+            binning.bin_indices(db), db.shard(6).bin_indices(binning)
         )
 
     def test_empty_shards_are_harmless(self):

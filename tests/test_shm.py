@@ -101,6 +101,15 @@ def _db(n: int = 900, seed: int = 0) -> ColumnarDatabase:
     )
 
 
+def _assert_pool_counts_match(pooled, policy) -> None:
+    """The workers' count pairs equal the ones counted in the parent."""
+    query = HistogramQuery(IntegerBinning("age", 0, 100, 10))
+    want = pooled.with_executor(None).shard_counts(query, policy)
+    for got, pair in zip(pooled.shard_counts(query, policy), want):
+        assert got[0].tobytes() == pair[0].tobytes()
+        assert got[1].tobytes() == pair[1].tobytes()
+
+
 def _policy():
     return MinimumRelaxationPolicy(
         [
@@ -238,6 +247,7 @@ class TestPoolLifecycle:
         with ShardWorkerPool(sharded.shards) as pool:
             assert pool.stats.shm_shards == 3
             sharded.with_executor(pool).mask(_policy())
+            _assert_pool_counts_match(sharded.with_executor(pool), _policy())
 
     def test_no_leaked_segments_after_worker_death(self, leak_guard):
         sharded = _db(1_500).shard(3)
@@ -250,6 +260,7 @@ class TestPoolLifecycle:
             pool._procs[1].join()
             # respawn re-attaches by descriptor — bit-identical, and no
             # segment is duplicated or dropped along the way
+            _assert_pool_counts_match(pooled, policy)
             assert np.array_equal(pooled.mask(policy), reference)
             assert pool.stats.respawns == 1
 
@@ -365,6 +376,7 @@ class TestPoolLifecycle:
                 pool._procs[index].join()
             # the respawned workers attach the untouched segments and
             # re-apply the recorded prefix trim
+            _assert_pool_counts_match(pooled, policy)
             assert np.array_equal(pooled.mask(policy), reference)
             assert pool.stats.respawns == 2
 

@@ -2,14 +2,15 @@
 
 Three contracts under test:
 
-* **Equivalence** — every ``map_shards`` consumer (masks, bin indices,
-  histograms, ``HistogramInput``, full releases through the server)
-  returns bit-identical results whether the sharded database runs
-  serially or on a :class:`repro.data.workers.ShardWorkerPool`.
+* **Equivalence** — the one thing a pool answers, each shard's
+  ``(x, x_ns)`` count pair (``shard_counts``, ``HistogramInput``, full
+  releases through the server), is bit-identical to the pair the parent
+  counts from its own masks and bin indices; everything else a sharded
+  database does runs in the parent.
 * **Wire discipline** — after the one-time shard shipment, requests are
   specs: per-request bytes are small and *independent of the record
-  count* (the instrumented transfer-size test), and the recognized
-  callables never fall back to pickled closures.
+  count* (the instrumented transfer-size test), and a binning or policy
+  without a spec never reaches a worker.
 * **Incremental updates** — appends/expires forwarded to the workers
   keep pool results bit-identical to a from-scratch rebuild on the
   updated data.
@@ -21,12 +22,14 @@ import numpy as np
 import pytest
 
 from repro.core.policy import (
+    NON_SENSITIVE,
     AttributePolicy,
     MinimumRelaxationPolicy,
     OptInPolicy,
+    Policy,
     SensitiveValuePolicy,
 )
-from repro.core.policy_language import compile_policy
+from repro.core.policy_language import compile_policy, register_policy_kind
 from repro.data.columnar import ColumnarDatabase
 from repro.data.sharding import ShardedColumnarDatabase
 from repro.data.tippers import SensitiveAPPolicy, Trajectory, trajectory_columns
@@ -38,6 +41,7 @@ from repro.queries.histogram import (
     IntegerBinning,
     Product2DBinning,
     CategoricalBinning,
+    counts_from_mask,
     histogram_input_for,
 )
 from repro.service import ReleaseRequest, ReleaseServer
@@ -67,9 +71,56 @@ def _policy():
 BINNING = IntegerBinning("age", 0, 100, 10)
 
 
-def _long_trajectory_sensitive(record) -> bool:
-    """Module-level (picklable) per-record predicate over Trajectory."""
-    return record.duration_slots > 2
+class _LongTrip(Policy):
+    """A spec'd policy with no batch form: trajectories longer than
+    ``slots`` are sensitive.  Its only evaluation is the per-record
+    fallback, which needs the shard's ``Trajectory`` objects."""
+
+    def __init__(self, slots: int):
+        self.slots = slots
+
+    def __call__(self, record) -> int:
+        return 0 if record.duration_slots > self.slots else 1
+
+    def cache_key(self) -> tuple:
+        return ("long_trip", self.slots)
+
+    def to_spec(self) -> dict:
+        return {"kind": "test_long_trip", "slots": self.slots}
+
+
+register_policy_kind("test_long_trip", lambda spec: _LongTrip(spec["slots"]))
+
+
+def _trajectory_db(n: int, n_aps: int) -> ColumnarDatabase:
+    trajs = [
+        Trajectory(
+            user_id=i,
+            day=i % 5,
+            slots=tuple((j, (i + j) % n_aps) for j in range(1 + i % 4)),
+        )
+        for i in range(n)
+    ]
+    return ColumnarDatabase(trajectory_columns(trajs), records=trajs)
+
+
+def _parent_pairs(sharded, binning, policy) -> list:
+    """Each shard's pair from the parent's own masks and bin indices."""
+    return [
+        counts_from_mask(
+            binning.bin_indices(shard),
+            policy.evaluate_batch(shard) == NON_SENSITIVE,
+            binning.n_bins,
+        )
+        for shard in sharded.shards
+    ]
+
+
+def _assert_same_pairs(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for (x, x_ns), (wx, wx_ns) in zip(got, want):
+        assert x.dtype == wx.dtype and x.tobytes() == wx.tobytes()
+        assert x_ns.dtype == wx_ns.dtype and x_ns.tobytes() == wx_ns.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +134,21 @@ def pooled():
 
 class TestEquivalence:
     def test_masks_bit_identical(self, pooled):
-        serial, on_pool, _ = pooled
+        """A mask is computed in the parent; the workers' pairs agree
+        with the pairs counted from it."""
+        serial, on_pool, pool = pooled
         policy = _policy()
+        before = pool.stats.requests
         a = serial.mask(policy)
         b = on_pool.mask(policy)
         assert np.array_equal(a, b)
         assert a.dtype == b.dtype
+        assert pool.stats.requests == before
+        _assert_same_pairs(
+            on_pool.shard_counts(HistogramQuery(BINNING), policy),
+            _parent_pairs(serial, BINNING, policy),
+        )
+        assert pool.stats.requests == before + on_pool.n_shards
 
     def test_bin_indices_bit_identical(self, pooled):
         serial, on_pool, _ = pooled
@@ -96,72 +156,76 @@ class TestEquivalence:
         assert np.array_equal(
             serial.bin_indices(binning), on_pool.bin_indices(binning)
         )
+        _assert_same_pairs(
+            on_pool.shard_counts(HistogramQuery(binning), _policy()),
+            _parent_pairs(serial, binning, _policy()),
+        )
 
     def test_histogram_bit_identical(self, pooled):
         serial, on_pool, _ = pooled
+        pairs = on_pool.shard_counts(HistogramQuery(BINNING), OptInPolicy())
+        x = np.sum([pair[0] for pair in pairs], axis=0, dtype=np.int64)
+        assert x.tobytes() == serial.histogram(BINNING).tobytes()
         assert np.array_equal(
             serial.histogram(BINNING), on_pool.histogram(BINNING)
         )
 
     def test_histogram_input_bit_identical(self, pooled):
-        serial, on_pool, _ = pooled
+        serial, on_pool, pool = pooled
         query = HistogramQuery(BINNING)
         a = histogram_input_for(serial, query, _policy())
+        before = pool.stats.requests
         b = histogram_input_for(on_pool, query, _policy())
+        assert pool.stats.requests == before + on_pool.n_shards
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.x_ns, b.x_ns)
         assert np.array_equal(a.sensitive_bin_mask, b.sensitive_bin_mask)
 
     def test_ragged_trajectories_on_pool(self):
-        trajs = [
-            Trajectory(
-                user_id=i, day=0, slots=tuple((j, (i + j) % 7) for j in range(1 + i % 4))
-            )
-            for i in range(41)
-        ]
-        db = ColumnarDatabase(trajectory_columns(trajs), records=trajs)
+        db = _trajectory_db(41, n_aps=7)
         sharded = db.shard(2)
         policy = SensitiveAPPolicy({1, 5})
-        reference = sharded.mask(policy)
+        binning = IntegerBinning("day", 0, 5)
+        reference = histogram_input_for(sharded, HistogramQuery(binning), policy)
         with ShardWorkerPool(sharded.shards) as pool:
-            assert np.array_equal(
-                sharded.with_executor(pool).mask(policy), reference
+            got = histogram_input_for(
+                sharded.with_executor(pool), HistogramQuery(binning), policy
             )
+            assert pool.stats.requests == 2
+        assert got.x.tobytes() == reference.x.tobytes()
+        assert got.x_ns.tobytes() == reference.x_ns.tobytes()
 
     def test_record_carrying_shards_keep_the_pickle_path(self):
         """Auto shm must not drop row-record objects: a shard with
-        attached records ships pickled (records intact), so per-record
-        fallbacks — opaque policies through the generic call request —
-        keep working exactly as before shm existed."""
+        attached records ships pickled (records intact), so a spec'd
+        policy whose only evaluation is per record counts in the worker
+        exactly as in the parent."""
         from repro.data.workers import shard_shm_eligible
 
-        trajs = [
-            Trajectory(
-                user_id=i, day=0, slots=tuple((j, (i + j) % 5) for j in range(2))
-            )
-            for i in range(30)
-        ]
-        db = ColumnarDatabase(trajectory_columns(trajs), records=trajs)
-        sharded = db.shard(2)
+        sharded = _trajectory_db(30, n_aps=5).shard(2)
         assert not shard_shm_eligible(sharded.shards[0], None)
-        # a picklable per-record policy: no spec, no batch form — it
-        # reaches the worker as a pickled callable and iterates the
-        # shipped record objects (which an shm descriptor cannot carry)
-        from repro.core.policy import LambdaPolicy
-
-        opaque = LambdaPolicy(_long_trajectory_sensitive, name="per-record")
-        reference = sharded.mask(opaque)
+        query = HistogramQuery(IntegerBinning("day", 0, 5))
+        reference = sharded.shard_counts(query, _LongTrip(2))
         with ShardWorkerPool(sharded.shards) as pool:
             assert pool.stats.shm_shards == 0
-            assert np.array_equal(
-                sharded.with_executor(pool).mask(opaque), reference
+            _assert_same_pairs(
+                sharded.with_executor(pool).shard_counts(query, _LongTrip(2)),
+                reference,
             )
+            assert pool.stats.requests == 2
 
-    def test_generic_callable_fallback(self, pooled):
-        serial, on_pool, pool = pooled
-        before = pool.stats.pickled_callables
-        assert on_pool.map_shards(len) == serial.map_shards(len)
-        assert pool.stats.pickled_callables == before + on_pool.n_shards
+    @pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
+    def test_segments_carry_no_record_objects(self):
+        """Why the rule above exists: forced onto segments, the same
+        shards reach the workers without their records, and the
+        per-record fallback of that spec'd policy has nothing to
+        iterate."""
+        sharded = _trajectory_db(30, n_aps=5).shard(2)
+        query = HistogramQuery(IntegerBinning("day", 0, 5))
+        with ShardWorkerPool(sharded.shards, shm=True) as pool:
+            assert pool.stats.shm_shards == 2
+            with pytest.raises(WorkerError, match="reconstruct records"):
+                sharded.with_executor(pool).shard_counts(query, _LongTrip(2))
 
 
 class TestWireDiscipline:
@@ -176,7 +240,9 @@ class TestWireDiscipline:
         for n in (300, 30_000):
             sharded = _db(n).shard(2)
             with ShardWorkerPool(sharded.shards) as pool:
-                sharded.with_executor(pool).mask(policy)
+                histogram_input_for(
+                    sharded.with_executor(pool), HistogramQuery(BINNING), policy
+                )
                 sizes[n] = pool.stats.as_dict()
         small, large = sizes[300], sizes[30_000]
         assert large["request_bytes"] == small["request_bytes"]
@@ -185,23 +251,24 @@ class TestWireDiscipline:
             # (the few-byte wiggle is the shape integers' digit count)
             assert abs(large["startup_bytes"] - small["startup_bytes"]) < 100
             assert large["startup_bytes"] < 2_000
-        # a mask request is a ~hundreds-of-bytes spec
+        # a count-pair request is a ~hundreds-of-bytes spec
+        assert small["requests"] == large["requests"] == 2
         assert small["request_bytes"] < 2_000
-        assert small["pickled_callables"] == 0
 
     def test_pickle_startup_scales_with_data_shm_startup_does_not(self):
         """The forced pickle path still ships the columns once (its
         startup scales with the table); the shm path ships descriptors
-        regardless of scale — both serve bit-identical masks."""
+        regardless of scale — both serve bit-identical count pairs."""
         policy = _policy()
+        query = HistogramQuery(BINNING)
         stats = {}
         for n in (300, 30_000):
             sharded = _db(n).shard(2)
-            reference = sharded.mask(policy)
+            reference = sharded.shard_counts(query, policy)
             for shm in (False, None):
                 with ShardWorkerPool(sharded.shards, shm=shm) as pool:
-                    got = sharded.with_executor(pool).mask(policy)
-                    assert np.array_equal(got, reference)
+                    got = sharded.with_executor(pool).shard_counts(query, policy)
+                    _assert_same_pairs(got, reference)
                     stats[(n, shm)] = pool.stats.as_dict()
         assert (
             stats[(30_000, False)]["startup_bytes"]
@@ -218,23 +285,34 @@ class TestWireDiscipline:
             )
             assert stats[(30_000, None)]["startup_bytes"] < 2_000
 
-    def test_spec_requests_counted(self, pooled):
-        _, on_pool, pool = pooled
-        before = pool.stats.spec_requests
-        on_pool.mask(OptInPolicy())
-        assert pool.stats.spec_requests == before + on_pool.n_shards
-
-    def test_opaque_policy_cannot_cross(self, pooled):
-        _, on_pool, _ = pooled
-        opaque = AttributePolicy("age", lambda v: v < 18)
-        with pytest.raises(Exception):
-            on_pool.mask(opaque)
+    def test_opaque_policy_is_counted_in_the_parent(self):
+        """A policy with no spec cannot cross the pipe: a pooled server
+        counts its pairs from the parent's shard copies — the response a
+        server without a pool gives, and no worker is asked."""
+        db = _db()
+        request = ReleaseRequest(
+            "osdp_laplace_l1",
+            0.5,
+            BINNING,
+            AttributePolicy("age", lambda v: v < 18),
+            n_trials=3,
+            seed=5,
+        )
+        serial = ReleaseServer(db.shard(2)).handle(request)
+        sharded = db.shard(2)
+        with ShardWorkerPool(sharded.shards) as pool:
+            before = pool.stats.requests
+            pooled = ReleaseServer(sharded, executor=pool).handle(request)
+            assert pool.stats.requests == before
+        assert pooled.estimates.tobytes() == serial.estimates.tobytes()
 
     def test_foreign_shards_rejected(self, pooled):
         _, _, pool = pooled
         other = _db(97, seed=5).shard(3)
         with pytest.raises(WorkerError):
-            pool.map_resident(other.shards, OptInPolicy().evaluate_batch)
+            pool.map_resident(
+                other.shards, HistogramQuery(BINNING), OptInPolicy()
+            )
 
 
 class TestIncrementalUpdates:
@@ -249,14 +327,15 @@ class TestIncrementalUpdates:
         query = HistogramQuery(BINNING)
         with ShardWorkerPool(sharded.shards) as pool:
             pooled = sharded.with_executor(pool)
-            pooled.mask(policy)  # a read before the writes
+            histogram_input_for(pooled, query, policy)  # a read before the writes
             extra = _db(48, seed=9)
             pooled.append_records(extra)
             pooled.expire_prefix(130)
             reference = self._reference(db, extra, 130)
             assert len(pooled) == len(reference)
-            assert np.array_equal(
-                pooled.mask(policy), policy.evaluate_batch(reference)
+            _assert_same_pairs(
+                pooled.shard_counts(query, policy),
+                _parent_pairs(pooled, BINNING, policy),
             )
             a = histogram_input_for(pooled, query, policy)
             b = histogram_input_for(reference.shard(1), query, policy)
@@ -271,9 +350,9 @@ class TestIncrementalUpdates:
             assert pooled.n_shards == 3
             assert pool.n_workers == 3
             assert len(pooled.shards[0]) == 0
-            assert np.array_equal(
-                pooled.mask(OptInPolicy()),
-                pooled.to_columnar().mask(OptInPolicy()),
+            _assert_same_pairs(
+                pooled.shard_counts(HistogramQuery(BINNING), OptInPolicy()),
+                _parent_pairs(pooled, BINNING, OptInPolicy()),
             )
 
     def test_updates_ship_only_the_delta(self):
@@ -289,19 +368,21 @@ class TestIncrementalUpdates:
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
-        pool = ShardWorkerPool(_db(50).shard(2).shards)
+        shards = _db(50).shard(2).shards
+        pool = ShardWorkerPool(shards)
         pool.close()
         pool.close()
-        with pytest.raises(WorkerError):
-            pool.map_resident([], OptInPolicy().evaluate_batch)
+        with pytest.raises(WorkerError, match="closed"):
+            pool.map_resident(shards, HistogramQuery(BINNING), OptInPolicy())
 
     def test_worker_error_reports_and_pool_survives(self, pooled):
         _, on_pool, _ = pooled
         bad = IntegerBinning("age", 0, 10)  # most ages out of range
         with pytest.raises(WorkerError, match="outside"):
-            on_pool.bin_indices(bad)
+            on_pool.shard_counts(HistogramQuery(bad), OptInPolicy())
         # the pool still answers afterwards
-        assert len(on_pool.mask(OptInPolicy())) == len(on_pool)
+        hist = histogram_input_for(on_pool, HistogramQuery(BINNING), OptInPolicy())
+        assert hist.x.sum() == len(on_pool)
 
 
 class TestServerOnPool:
@@ -317,9 +398,10 @@ class TestServerOnPool:
             server = ReleaseServer(sharded, executor=pool)
             response = server.handle(request)
             assert np.array_equal(response.estimates, serial.estimates)
-            # histogram assembly went through spec requests, and the
-            # parent never pulled per-record arrays
-            assert pool.stats.pickled_callables == 0
+            # histogram assembly was one count-pair request per worker,
+            # and the parent built no per-record arrays
+            assert pool.stats.requests == sharded.n_shards
+            assert server.stats.mask_misses == server.stats.index_misses == 0
 
     def test_server_spec_requests_and_updates(self):
         db = _db(640, seed=8)
@@ -397,15 +479,12 @@ class TestOneOwner:
             assert touched == [0, 1]
             assert server.stats.counts_carried == 3
             served(server)
+            # one read fan-out (3), the append (1) and the expire's two
+            # shards (2): the reads after the writes asked no worker
+            assert pool.stats.requests == 6
             for stats in pool.worker_cache_stats():
                 assert stats["counts_misses"] == 1
                 assert stats["counts_hits"] == 0
-            assert pool.stats.pickled_callables == 0
-
-
-def _return_unpicklable(shard):
-    """Module-level (picklable) callable whose *result* cannot pickle."""
-    return lambda: shard
 
 
 class TestReviewRegressions:
@@ -422,12 +501,16 @@ class TestReviewRegressions:
             derived.mask(OptInPolicy()), reference.mask(OptInPolicy())
         )
 
-    def test_unpicklable_result_does_not_kill_worker(self, pooled):
-        _, on_pool, _ = pooled
-        with pytest.raises(WorkerError, match="unpicklable"):
-            on_pool.map_shards(_return_unpicklable)
+    def test_deleted_ops_are_unknown_and_workers_survive(self, pooled):
+        """A worker answers count pairs and writes only: each op of the
+        deleted generic-executor vocabulary is refused, not served."""
+        _, on_pool, pool = pooled
+        for worker, op in enumerate(["mask", "bin_indices", "histogram", "call"]):
+            with pytest.raises(WorkerError, match="unknown worker op"):
+                pool._request_one(worker % pool.n_workers, (op, None))
         # the workers survived and keep serving
-        assert len(on_pool.mask(OptInPolicy())) == len(on_pool)
+        hist = histogram_input_for(on_pool, HistogramQuery(BINNING), OptInPolicy())
+        assert hist.x.sum() == len(on_pool)
 
     def test_expire_commits_per_shard(self):
         """A hook failure must leave already-trimmed shards committed."""
@@ -487,15 +570,16 @@ class TestCountsCacheAndFailover:
         on_pool, pool = self._fresh(n=1200)
         with pool:
             policy = _policy()
-            reference = on_pool.mask(policy)
+            query = HistogramQuery(BINNING)
+            reference = on_pool.shard_counts(query, policy)
             os.kill(pool._procs[2].pid, signal.SIGKILL)
             pool._procs[2].join()
             # the dead worker is respawned from the parent's resident
             # copy and the request answered bit-identically (a
             # recompute, never a crash)
-            again = on_pool.mask(policy)
+            again = on_pool.shard_counts(query, policy)
             assert pool.stats.respawns == 1
-            assert np.array_equal(again, reference)
+            _assert_same_pairs(again, reference)
             # subsequent updates and requests keep working on the
             # respawned worker
             rng = np.random.default_rng(5)
@@ -508,7 +592,8 @@ class TestCountsCacheAndFailover:
                     }
                 )
             )
-            assert len(on_pool.mask(policy)) == len(on_pool)
+            hist = histogram_input_for(on_pool, query, policy)
+            assert hist.x.sum() == len(on_pool)
 
     def test_killed_worker_respawns_for_single_worker_ops(self):
         import os
@@ -543,10 +628,10 @@ class TestCountsCacheAndFailover:
         on_pool, pool = self._fresh(n=800, n_shards=4)
         with pool:
             serial = ShardedColumnarDatabase(on_pool.shards)
+            wide = IntegerBinning("age", 0, 100, 5)
             for _ in range(3):
-                assert np.array_equal(
-                    on_pool.mask(_policy()), serial.mask(_policy())
-                )
-                assert np.array_equal(
-                    on_pool.bin_indices(BINNING), serial.bin_indices(BINNING)
-                )
+                for binning in (BINNING, wide):
+                    _assert_same_pairs(
+                        on_pool.shard_counts(HistogramQuery(binning), _policy()),
+                        _parent_pairs(serial, binning, _policy()),
+                    )
