@@ -11,8 +11,8 @@ protocol-first Python surface:
   client for :class:`repro.service.rpc.RpcServer`) and
   :class:`ClusterBackend` (replicated shard-range fleet with
   failover; see :mod:`repro.api.cluster` and ``docs/OPERATIONS.md``).
-* :mod:`repro.api.resilience` — retry/backoff/deadline, circuit
-  breaker and endpoint-health primitives the remote tiers build on.
+* :mod:`repro.api.resilience` — retry/backoff/deadline and
+  endpoint-health primitives the remote tiers build on.
 * :mod:`repro.api.wire` — the canonical JSON / length-prefixed-frame
   wire format of :class:`~repro.service.server.ReleaseRequest` and
   :class:`~repro.service.server.ReleaseResponse`.

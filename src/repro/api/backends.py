@@ -24,7 +24,6 @@ pipeline runs, never in *what* it computes.
 from __future__ import annotations
 
 import threading
-import time
 import uuid
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -32,7 +31,6 @@ import numpy as np
 
 from repro.api.resilience import (
     Deadline,
-    DeadlineExceeded,
     RetryPolicy,
     ServerOverloaded,
     call_with_retries,
@@ -56,6 +54,8 @@ DEFAULT_CONNECT_RETRY = RetryPolicy(
 _ONE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 _UNSET = object()
+
+_CLOSED = "rpc connection is closed or broken; open a new RemoteBackend"
 
 
 @runtime_checkable
@@ -348,10 +348,7 @@ class RemoteBackend:
         with self._registry_lock:
             if self._closed:
                 sock.close()
-                raise ConnectionError(
-                    "rpc connection is closed or broken; open a new "
-                    "RemoteBackend"
-                )
+                raise ConnectionError(_CLOSED)
             # Prune connections whose threads are gone, so a long-lived
             # backend driven from short-lived threads holds one socket
             # per *live* thread, not per thread ever seen.
@@ -366,10 +363,7 @@ class RemoteBackend:
 
     def _thread_sock(self):
         if self._closed:
-            raise ConnectionError(
-                "rpc connection is closed or broken; open a new "
-                "RemoteBackend"
-            )
+            raise ConnectionError(_CLOSED)
         sock = getattr(self._local, "sock", None)
         if sock is None:
             sock = self._local.sock = self._connect()
@@ -419,6 +413,8 @@ class RemoteBackend:
         """One logical request under the retry policy — the one path."""
         from repro.api.wire import WireError
 
+        if self._closed:
+            raise ConnectionError(_CLOSED)
         message = {"op": op, **payload}
         if self._analyst is not None:
             message["analyst"] = self._analyst
@@ -428,55 +424,44 @@ class RemoteBackend:
             # the server runs the op once and replays the cached reply.
             message["req_id"] = uuid.uuid4().hex
         deadline = Deadline(policy.deadline)
-        last: BaseException | None = None
-        for attempt in range(policy.max_attempts):
-            if deadline.expired():
-                break
+
+        def attempt():
             remaining = deadline.remaining()
             if remaining is not None:
                 message["deadline"] = remaining
             try:
                 return self._exchange_once(message)
-            except (ServerOverloaded, OSError, EOFError, WireError) as exc:
-                # An admission-gate refusal completed cleanly (framed
-                # request, framed error reply): keep the socket and back
-                # off, floored at the server's hint.  A transport
-                # failure left this thread's stream unsynchronized — a
-                # reply that failed to decode leaves the rest of its
-                # frame, or the server's eventual reply, to pair with
-                # the *next* request — so drop it and retry on a fresh
-                # connection (other threads' sockets stay live).
-                last = exc
-                if not isinstance(exc, ServerOverloaded):
-                    self._invalidate_thread_sock()
-                if self._closed or attempt + 1 >= policy.max_attempts:
-                    break
-                pause = policy.delay(attempt, rng=self._retry_rng)
-                hint = getattr(exc, "retry_after", None)
-                if hint is not None:
-                    pause = max(pause, float(hint))
-                if remaining is not None:
-                    pause = min(pause, deadline.remaining() or 0.0)
-                if pause > 0:
-                    time.sleep(pause)
-        if deadline.expired():
-            raise DeadlineExceeded(
-                f"rpc {op!r} to {self.address[0]}:"
-                f"{self.address[1]} exceeded its {policy.deadline}s deadline"
-            ) from last
-        assert last is not None
-        if isinstance(last, ServerOverloaded):
-            # The backend is healthy — the server is just full.  Leave
-            # every connection open so the caller can retry later.
-            raise last
-        # Transport failures spent every attempt: the backend dies, never
-        # to be reused (close() tears down every thread's socket).
-        self.close()
-        raise ConnectionError(
-            f"rpc {op!r} failed mid-flight after "
-            f"{policy.max_attempts} attempt(s) ({last}); the connection "
-            "has been closed"
-        ) from last
+            except (OSError, EOFError, WireError):
+                # A transport failure left this thread's stream
+                # unsynchronized — a reply that failed to decode leaves
+                # the rest of its frame, or the server's eventual reply,
+                # to pair with the *next* request — so the resend goes
+                # out on a fresh connection (other threads' sockets stay
+                # live).  An admission-gate refusal (ServerOverloaded)
+                # completed cleanly and keeps the socket.
+                self._invalidate_thread_sock()
+                raise
+
+        try:
+            return call_with_retries(
+                attempt,
+                policy,
+                retryable=(ServerOverloaded, OSError, EOFError, WireError),
+                rng=self._retry_rng,
+                describe=f"rpc {op!r} to {self.address[0]}:{self.address[1]}",
+                deadline=deadline,
+            )
+        except (OSError, EOFError, WireError) as exc:
+            # Transport failures spent every attempt: the backend dies,
+            # never to be reused (close() tears down every thread's
+            # socket).  A ServerOverloaded propagates as is — the
+            # backend is healthy, the server is just full.
+            self.close()
+            raise ConnectionError(
+                f"rpc {op!r} failed mid-flight after "
+                f"{policy.max_attempts} attempt(s) ({exc}); the connection "
+                "has been closed"
+            ) from exc
 
     # ------------------------------------------------------------------
     # The Backend surface

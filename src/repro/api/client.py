@@ -101,7 +101,7 @@ class OsdpClient:
         ``endpoints`` is a sequence of
         :class:`repro.api.cluster.ClusterEndpoint`; keywords reach
         :class:`~repro.api.cluster.ClusterBackend` (``accountant=``,
-        ``retry=``, ``health_interval=``, ...).  Noise is sampled once
+        ``retry=``, ``timeout=``, ...).  Noise is sampled once
         at this coordinator, so responses are bit-identical to a
         single server holding all the shards.
         """

@@ -19,15 +19,15 @@ accounting) in one place, the coordinator:
   all the shards; the accountant (the coordinator's) is charged
   exactly once per release, just as in-process.
 * When an endpoint fails mid-call (refused, reset, truncated frame,
-  killed process), its range is re-served from a replica: failures
-  demote the endpoint in the :class:`repro.api.resilience.HealthMonitor`
-  state machine (healthy → suspect → dead), a per-endpoint
-  :class:`~repro.api.resilience.CircuitBreaker` stops paying connect
-  timeouts to an endpoint that keeps failing, and an optional
-  background health-check thread pings demoted endpoints back into
-  rotation.  A range with **no** reachable replica degrades to an
-  explicit :class:`PartialClusterError` — carrying any already-charged
-  responses — never a hang.
+  killed process), its range is re-served from a replica.  A failed
+  call marks the endpoint failing in the
+  :class:`repro.api.resilience.HealthMonitor`, so later sweeps try its
+  healthy peers first; its next successful call marks it healthy
+  again.  The sweeps back off through
+  :func:`repro.api.resilience.call_with_retries`, the one retry loop
+  of the remote tier.  A range with **no** reachable replica degrades
+  to an explicit :class:`PartialClusterError` — carrying any
+  already-charged responses — never a hang.
 
 Writes are replicated with a durable commit protocol:
 ``append_records`` routes to the tail shard range and
@@ -49,6 +49,7 @@ and failure-mode reference.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import uuid
@@ -59,10 +60,11 @@ import numpy as np
 
 from repro.api.backends import RemoteBackend, _append_payload
 from repro.api.resilience import (
-    CircuitBreaker,
     Deadline,
+    DeadlineExceeded,
     HealthMonitor,
     RetryPolicy,
+    call_with_retries,
 )
 from repro.api.wire import RemoteError, WireError
 from repro.core.accountant import BudgetExceededError, PrivacyAccountant
@@ -106,7 +108,7 @@ class ClusterEndpoint:
 
     @property
     def key(self) -> str:
-        """The endpoint's identity in health/breaker bookkeeping."""
+        """The endpoint's identity in health bookkeeping."""
         return self.name or f"{self.host}:{self.port}"
 
 
@@ -155,7 +157,6 @@ class ClusterStats:
     range_calls: int = 0
     failovers: int = 0
     sweep_retries: int = 0
-    breaker_skips: int = 0
     unserved_ranges: int = 0
     hist_merges: int = 0
     hist_memo_hits: int = 0
@@ -180,9 +181,8 @@ class ClusterBackend:
     budget.
 
     ``retry`` paces the per-range failover sweep (each attempt walks
-    every candidate replica, healthiest first); ``health_interval``
-    (seconds) turns on the background ping loop that returns demoted
-    endpoints to rotation.
+    every live replica, healthy ones first) and the commit resends;
+    ``timeout`` bounds each endpoint exchange.
 
     ``accountant`` may be a plain
     :class:`~repro.core.accountant.PrivacyAccountant` or a
@@ -201,11 +201,6 @@ class ClusterBackend:
         accountant: PrivacyAccountant | None = None,
         retry: RetryPolicy | None = None,
         timeout: float | None = 5.0,
-        health_interval: float | None = None,
-        probe_timeout: float = 1.0,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 1.0,
-        dead_after: int = 3,
         rng=None,
         clock=None,
     ):
@@ -252,26 +247,12 @@ class ClusterBackend:
         self._write_locks = {
             shard_range: threading.Lock() for shard_range in self._replicas
         }
-        self._probe_timeout = probe_timeout
         self.stats = ClusterStats()
         self._stats_lock = threading.Lock()
         self._clients: dict[str, RemoteBackend] = {}
         self._clients_lock = threading.Lock()
         self._closed = False
-        self._breakers = {
-            key: CircuitBreaker(
-                failure_threshold=breaker_threshold, reset_after=breaker_reset
-            )
-            for key in keys
-        }
-        self._health = HealthMonitor(
-            keys,
-            probe=self._probe,
-            interval=health_interval or 0.5,
-            dead_after=dead_after,
-        )
-        if health_interval is not None:
-            self._health.start()
+        self._health = HealthMonitor(keys)
 
     # ------------------------------------------------------------------
     # Endpoint plumbing
@@ -311,21 +292,6 @@ class ClusterBackend:
         if client is not None:
             client.close()
 
-    def _probe(self, key: str) -> None:
-        """One health-check ping (short-lived connection, fail fast)."""
-        endpoint = self._by_key[key]
-        probe = RemoteBackend(
-            endpoint.host,
-            endpoint.port,
-            timeout=self._probe_timeout,
-            retry=None,
-            connect_retry=None,
-        )
-        try:
-            probe.ping()
-        finally:
-            probe.close()
-
     def _bump(self, counter: str, by: int = 1) -> None:
         with self._stats_lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + by)
@@ -334,17 +300,16 @@ class ClusterBackend:
     # The failover core: call one shard range, walking its replicas
     # ------------------------------------------------------------------
     def _range_call(self, shard_range, fn, describe: str):
-        """Run ``fn(client)`` against the healthiest live replica.
+        """Run ``fn(client)`` against the first live replica that answers.
 
-        Each sweep tries every candidate once, healthiest first (a
-        stale "dead" verdict never *excludes* a replica — it only
-        deprioritizes it); open circuit breakers are skipped unless
-        they would leave no candidate at all.  Failed sweeps back off
-        under the cluster retry policy; exhaustion raises
-        :class:`PartialClusterError` — bounded time, never a hang.
+        Each sweep tries every live replica once, healthy ones first (a
+        failing verdict only deprioritizes a replica, never skips it);
+        the cluster retry policy paces the sweeps.  A range that no
+        sweep served — every replica failed, every replica is stale, or
+        the policy's deadline ran out — raises
+        :class:`PartialClusterError`: bounded time, never a hang, and
+        one exception for a batch to attach its charged prefix to.
         """
-        policy = self._retry
-        deadline = Deadline(policy.deadline)
         live = [
             ep
             for ep in self._replicas[shard_range]
@@ -358,50 +323,55 @@ class ClusterBackend:
                 "resync(); see ClusterBackend.stale())",
                 shard_range,
             )
-        last: BaseException | None = None
-        for attempt in range(policy.max_attempts):
-            if deadline.expired():
-                break
-            ranked = self._health.ranked(live, key=lambda ep: ep.key)
-            candidates = [
-                ep for ep in ranked if self._breakers[ep.key].allow()
-            ]
-            if not candidates:
-                # Every breaker is open: force-try the healthiest one
-                # anyway — fail-fast must not become fail-always.
-                self._bump("breaker_skips")
-                candidates = ranked[:1]
-            for endpoint in candidates:
+        deadline = Deadline(self._retry.deadline)
+        sweeps = itertools.count()
+
+        def sweep():
+            if next(sweeps):
+                self._bump("sweep_retries")
+            last: BaseException | None = None
+            for endpoint in self._health.ranked(live, key=lambda ep: ep.key):
                 deadline.require(describe)
                 self._bump("range_calls")
                 try:
                     result = fn(self._client(endpoint))
                 except FAILOVER_ERRORS as exc:
                     last = exc
-                    self._bump("failovers")
-                    self._health.record_failure(endpoint.key, exc)
-                    self._breakers[endpoint.key].record_failure()
-                    self._drop_client(endpoint)
+                    self._endpoint_failed(endpoint, exc)
                     continue
                 self._health.record_success(endpoint.key)
-                self._breakers[endpoint.key].record_success()
                 return result
-            if attempt + 1 < policy.max_attempts:
-                self._bump("sweep_retries")
-                pause = policy.delay(attempt, rng=self._rng)
-                remaining = deadline.remaining()
-                if remaining is not None:
-                    pause = min(pause, remaining)
-                if pause > 0:
-                    self._sleep(pause)
-        self._bump("unserved_ranges")
-        raise PartialClusterError(
-            f"shard range {shard_range!r} has no serving replica for "
-            f"{describe} (replicas: "
-            f"{[ep.key for ep in self._replicas[shard_range]]}; "
-            f"last error: {type(last).__name__ if last else None}: {last})",
-            shard_range,
-        ) from last
+            raise last
+
+        try:
+            return self._with_retries(sweep, describe, deadline)
+        except (DeadlineExceeded, *FAILOVER_ERRORS) as exc:
+            self._bump("unserved_ranges")
+            raise PartialClusterError(
+                f"shard range {shard_range!r} has no serving replica for "
+                f"{describe} (replicas: "
+                f"{[ep.key for ep in self._replicas[shard_range]]}; "
+                f"last error: {type(exc).__name__}: {exc})",
+                shard_range,
+            ) from exc
+
+    def _with_retries(self, fn, describe: str, deadline: Deadline):
+        """``fn`` under the cluster retry policy, retrying failovers."""
+        return call_with_retries(
+            fn,
+            self._retry,
+            retryable=FAILOVER_ERRORS,
+            rng=self._rng,
+            sleep=self._sleep,
+            describe=describe,
+            deadline=deadline,
+        )
+
+    def _endpoint_failed(self, endpoint: ClusterEndpoint, exc) -> None:
+        """Book one failed endpoint call and drop its connection."""
+        self._bump("failovers")
+        self._health.record_failure(endpoint.key, exc)
+        self._drop_client(endpoint)
 
     # ------------------------------------------------------------------
     # The merge tier
@@ -690,24 +660,18 @@ class ClusterBackend:
         stream), so each retry drops it and reconnects fresh; the
         commit's stable ``req_id`` turns a retry after a truncated ack
         into an idempotent replay of the cached reply — the op itself
-        runs at most once.
+        runs at most once.  No deadline applies: once a write has
+        prepared, finishing its commit is what keeps replicas equal.
         """
-        policy = self._retry
-        last: BaseException | None = None
-        for attempt in range(policy.max_attempts):
+
+        def commit():
             try:
                 return self._client(endpoint).commit_write(write_id)
             except FAILOVER_ERRORS as exc:
-                last = exc
-                self._bump("failovers")
-                self._health.record_failure(endpoint.key, exc)
-                self._drop_client(endpoint)
-                if attempt + 1 < policy.max_attempts:
-                    pause = policy.delay(attempt, rng=self._rng)
-                    if pause > 0:
-                        self._sleep(pause)
-        assert last is not None
-        raise last
+                self._endpoint_failed(endpoint, exc)
+                raise
+
+        return self._with_retries(commit, "commit_write", Deadline(None))
 
     def resync(self, shard_range=None) -> dict[str, bool]:
         """Catch stale replicas back up from their healthy peers.
@@ -830,7 +794,6 @@ class ClusterBackend:
         with self._stale_lock:
             stale = dict(self._stale)
         for key, doc in snapshot.items():
-            doc["breaker"] = self._breakers[key].state
             doc["shard_range"] = self._by_key[key].shard_range
             doc["stale"] = stale.get(key)
         return snapshot
@@ -843,7 +806,6 @@ class ClusterBackend:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self._health.close()
         with self._clients_lock:
             if self._closed:
                 return

@@ -14,18 +14,14 @@ build that behavior from:
   charge budget — for a caller that has already given up.
 * :class:`Deadline` — a monotonic-clock countdown shared by retry
   loops and socket timeouts.
-* :class:`CircuitBreaker` — a per-endpoint fail-fast gate: after
-  ``failure_threshold`` consecutive failures the breaker *opens* and
-  calls skip the endpoint without paying a connect timeout; after
-  ``reset_after`` seconds one probe is let through (half-open) and a
-  success closes it again.
-* :class:`HealthMonitor` — the healthy/suspect/dead endpoint state
-  machine.  Call-path failures demote an endpoint (healthy → suspect →
-  dead after ``dead_after`` consecutive failures); a background thread
-  re-probes non-healthy endpoints (the RPC ``ping`` op in practice)
-  and one successful probe restores it.  :meth:`HealthMonitor.ranked`
-  orders candidate endpoints so live replicas are tried before
-  suspects, and dead endpoints only as a last resort.
+* :func:`call_with_retries` — the one backoff loop.  The remote tier
+  retries nowhere else: the TCP connect, ``RemoteBackend``'s exchange
+  resends, the cluster's per-range failover sweep and its commit
+  resends each hand one attempt to it.
+* :class:`HealthMonitor` — per-endpoint healthy/failing tracking.  A
+  failed call marks an endpoint failing, a successful one healthy
+  again; :meth:`HealthMonitor.ranked` tries failing endpoints after
+  healthy ones but never skips them.
 
 None of these classes know about sockets or the wire format;
 :class:`repro.api.backends.RemoteBackend` and
@@ -180,84 +176,21 @@ def call_with_retries(
     raise last
 
 
-class CircuitBreaker:
-    """Consecutive-failure fail-fast gate with timed half-open probes.
-
-    Thread-safe.  ``allow()`` answers "should a call be attempted right
-    now": always while closed; while open, only once per
-    ``reset_after`` window (the half-open probe).  Callers report the
-    outcome back via :meth:`record_success` / :meth:`record_failure`.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_after: float = 1.0,
-        clock=time.monotonic,
-    ):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        if reset_after < 0:
-            raise ValueError("reset_after must be non-negative")
-        self._threshold = failure_threshold
-        self._reset_after = reset_after
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._opened_at: float | None = None
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            if self._opened_at is None:
-                return "closed"
-            if self._clock() - self._opened_at >= self._reset_after:
-                return "half-open"
-            return "open"
-
-    def allow(self) -> bool:
-        with self._lock:
-            if self._opened_at is None:
-                return True
-            if self._clock() - self._opened_at >= self._reset_after:
-                # Half-open: let exactly one probe through per window
-                # by pushing the window forward before releasing the
-                # lock — concurrent callers stay blocked.
-                self._opened_at = self._clock()
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._opened_at = None
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            if self._failures >= self._threshold:
-                self._opened_at = self._clock()
-
-
 # ----------------------------------------------------------------------
-# Endpoint health state machine
+# Endpoint health
 # ----------------------------------------------------------------------
 
 HEALTHY = "healthy"
-SUSPECT = "suspect"
-DEAD = "dead"
-
-_STATE_ORDER = {HEALTHY: 0, SUSPECT: 1, DEAD: 2}
+FAILING = "failing"
 
 
 @dataclass
 class EndpointStatus:
-    """One endpoint's view in the health state machine."""
+    """One endpoint's health as the call path last saw it."""
 
     state: str = HEALTHY
     consecutive_failures: int = 0
     last_error: str | None = None
-    probes: int = 0
     transitions: int = 0
 
     def as_dict(self) -> dict:
@@ -265,64 +198,41 @@ class EndpointStatus:
 
 
 class HealthMonitor:
-    """healthy/suspect/dead tracking plus background re-probing.
+    """Per-endpoint healthy/failing tracking, driven by live calls.
 
-    Call-path outcomes drive the machine passively
-    (:meth:`record_success` / :meth:`record_failure`); when a ``probe``
-    callable is given and :meth:`start` is called, a daemon thread
-    additionally probes every *non-healthy* endpoint each ``interval``
-    seconds — healthy endpoints are validated by live traffic, so
-    probing them would be redundant load — and one successful probe
-    restores the endpoint to healthy.  A dead endpoint is therefore
-    never abandoned: it re-enters rotation the moment it answers a
-    ping again.
+    An endpoint is ``failing`` from a failed call until its next
+    successful one; nothing probes it in between.  The verdict only
+    orders candidates (:meth:`ranked`): a failing endpoint is tried
+    after the healthy ones, never skipped, so the sweep that runs out
+    of healthy replicas is also the call that finds a recovered one.
     """
 
-    def __init__(
-        self,
-        keys: Iterable[str],
-        probe: Callable[[str], None] | None = None,
-        interval: float = 0.5,
-        dead_after: int = 3,
-    ):
-        if dead_after < 1:
-            raise ValueError("dead_after must be at least 1")
+    def __init__(self, keys: Iterable[str]):
         self._status = {key: EndpointStatus() for key in keys}
-        self._probe = probe
-        self._interval = interval
-        self._dead_after = dead_after
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
-    # -- passive transitions (driven by real traffic) -------------------
     def record_success(self, key: str) -> None:
-        with self._lock:
-            status = self._status[key]
-            if status.state != HEALTHY:
-                status.transitions += 1
-            status.state = HEALTHY
-            status.consecutive_failures = 0
-            status.last_error = None
+        self._record(key, HEALTHY, None)
 
     def record_failure(self, key: str, error: object = None) -> None:
+        if isinstance(error, BaseException):
+            error = f"{type(error).__name__}: {error}"
+        self._record(key, FAILING, error)
+
+    def _record(self, key: str, state: str, error) -> None:
         with self._lock:
             status = self._status[key]
-            status.consecutive_failures += 1
-            new_state = (
-                DEAD
-                if status.consecutive_failures >= self._dead_after
-                else SUSPECT
-            )
-            if status.state != new_state:
+            if status.state != state:
                 status.transitions += 1
-            status.state = new_state
-            if error is not None:
-                status.last_error = f"{type(error).__name__}: {error}" if isinstance(
-                    error, BaseException
-                ) else str(error)
+            status.state = state
+            if state == HEALTHY:
+                status.consecutive_failures = 0
+                status.last_error = None
+            else:
+                status.consecutive_failures += 1
+                if error is not None:
+                    status.last_error = str(error)
 
-    # -- queries --------------------------------------------------------
     def state(self, key: str) -> str:
         with self._lock:
             return self._status[key].state
@@ -333,59 +243,8 @@ class HealthMonitor:
             return {key: s.as_dict() for key, s in self._status.items()}
 
     def ranked(self, items: Sequence, key=lambda item: item) -> list:
-        """``items`` stably sorted healthy-first, dead-last.
-
-        The selection order of the failover path: live replicas are
-        tried before suspects, and dead endpoints only when nothing
-        better remains (a stale "dead" verdict must not turn a
-        servable request into a failure).
-        """
+        """``items`` stably sorted healthy-first (the failover order)."""
         with self._lock:
             return sorted(
-                items,
-                key=lambda item: _STATE_ORDER[self._status[key(item)].state],
+                items, key=lambda item: self._status[key(item)].state != HEALTHY
             )
-
-    # -- background probing ---------------------------------------------
-    def start(self) -> "HealthMonitor":
-        if self._probe is None:
-            raise ValueError("no probe callable; cannot start the monitor")
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-health-monitor", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self._interval):
-            with self._lock:
-                unhealthy = [
-                    key
-                    for key, status in self._status.items()
-                    if status.state != HEALTHY
-                ]
-            for key in unhealthy:
-                if self._stop.is_set():
-                    return
-                with self._lock:
-                    self._status[key].probes += 1
-                try:
-                    self._probe(key)
-                except Exception as exc:
-                    self.record_failure(key, exc)
-                else:
-                    self.record_success(key)
-
-    def close(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "HealthMonitor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

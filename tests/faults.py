@@ -408,10 +408,16 @@ class ChaosProxy:
             if self._closed:
                 return
             self._closed = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        # shutdown() wakes the accept loop (a bare close() of the
+        # listening fd does not on Linux), so the join below is prompt.
+        for end in (
+            lambda: self._listener.shutdown(socket.SHUT_RDWR),
+            self._listener.close,
+        ):
+            try:
+                end()
+            except OSError:
+                pass
         self.reset_connections()
         self._accept_thread.join(timeout=5)
 

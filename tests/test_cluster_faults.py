@@ -289,6 +289,107 @@ class TestEndpointDeath:
 
 
 # ----------------------------------------------------------------------
+# One failure state per endpoint, one failure exception per range call
+# ----------------------------------------------------------------------
+
+
+def _refused_port() -> int:
+    reserve = socket.socket()
+    reserve.bind(("127.0.0.1", 0))
+    port = reserve.getsockname()[1]
+    reserve.close()
+    return port
+
+
+@pytest.fixture
+def full_table_server():
+    """One in-process RpcServer over all the rows."""
+    with RpcServer(ReleaseServer(make_db(N, SEED).shard(2))).start() as rpc:
+        yield rpc
+
+
+class TestFailoverOrder:
+    def test_a_recovered_replica_is_served_while_its_peer_stays_down(
+        self, full_table_server
+    ):
+        """Both replicas of a range fail, then one comes back: the very
+        next request reaches it.  A failing replica is tried after the
+        healthy ones but never skipped, so no window exists in which a
+        range with a live replica goes unserved."""
+        rpc = full_table_server
+        gone = _refused_port()
+        with ChaosProxy(*rpc.address) as proxy:
+            endpoints = [
+                ClusterEndpoint("127.0.0.1", gone, shard_range="all", name="gone"),
+                ClusterEndpoint(proxy.host, proxy.port, shard_range="all", name="back"),
+            ]
+            with ClusterBackend(
+                endpoints,
+                accountant=PrivacyAccountant(10.0),
+                retry=RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0),
+                timeout=5.0,
+            ) as backend:
+                proxy.upstream = ("127.0.0.1", gone)  # "back" is down too
+                with pytest.raises(PartialClusterError):
+                    backend.handle(_request(10))
+                assert backend.health()["back"]["state"] == "failing"
+                proxy.upstream = rpc.address  # ... and recovers
+                response = backend.handle(_request(20))
+                health = backend.health()
+                spent = backend.accountant.spent
+        assert np.array_equal(
+            response.estimates, _mirror().handle(_request(20)).estimates
+        )
+        assert spent == pytest.approx(0.25)
+        assert health["back"]["state"] == "healthy"
+        assert health["gone"]["state"] == "failing"
+        assert health["gone"]["consecutive_failures"] == 4
+
+    def test_a_deadline_spent_mid_sweep_keeps_the_charged_prefix(
+        self, full_table_server
+    ):
+        """The retry deadline runs out between two replicas of a sweep:
+        the range is unserved, so the batch raises PartialClusterError
+        with its charged prefix, as for any other unserved range."""
+        rpc = full_table_server
+        with ChaosProxy(*rpc.address) as first, ChaosProxy(
+            *rpc.address
+        ) as second:
+            endpoints = [
+                ClusterEndpoint(p.host, p.port, shard_range="all", name=name)
+                for p, name in ((first, "r0"), (second, "r1"))
+            ]
+            requests = [_request(10), _request(20)]
+            with ClusterBackend(
+                endpoints,
+                accountant=PrivacyAccountant(10.0),
+                retry=RetryPolicy(
+                    max_attempts=3, base_delay=0.01, jitter=0.0, deadline=0.3
+                ),
+                timeout=0.5,
+            ) as backend:
+                original = backend._merged_histogram
+
+                def blackhole_second_fanout(request, memo):
+                    if request is requests[1]:
+                        first.set_drop(True)
+                        second.set_drop(True)
+                    return original(request, memo)
+
+                backend._merged_histogram = blackhole_second_fanout
+                with pytest.raises(PartialClusterError) as excinfo:
+                    backend.handle_batch(requests)
+                spent = backend.accountant.spent
+                stats = backend.cluster_stats()
+        error = excinfo.value
+        assert isinstance(error.__cause__.__cause__, DeadlineExceeded)
+        assert error.failed_request is requests[1]
+        _assert_batch_identical(error.responses, [_mirror().handle(requests[0])])
+        assert spent == pytest.approx(0.25)
+        assert stats["unserved_ranges"] == 1
+
+
+# ----------------------------------------------------------------------
 # Truncation, retries, and the exactly-once charge
 # ----------------------------------------------------------------------
 

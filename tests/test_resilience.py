@@ -1,21 +1,17 @@
 """Unit lane for :mod:`repro.api.resilience` (no sockets, no skips).
 
-Clock-injected throughout: breaker windows and deadlines advance via a
-fake monotonic clock, and retry sleeps are recorded, not slept — the
-whole lane is deterministic and fast.
+Clock-injected throughout: deadlines advance via a fake monotonic
+clock, and retry sleeps are recorded, not slept — the whole lane is
+deterministic and fast.
 """
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.api.resilience import (
-    DEAD,
+    FAILING,
     HEALTHY,
-    SUSPECT,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
     HealthMonitor,
@@ -167,145 +163,32 @@ class TestCallWithRetries:
             )
 
 
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_half_opens_after_reset(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=3, reset_after=10.0, clock=clock
-        )
-        assert breaker.state == "closed"
-        for _ in range(3):
-            assert breaker.allow()
-            breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()  # fail-fast while open
-        clock.advance(10.0)
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # exactly one probe per window
-        assert not breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError, match="reset_after"):
-            CircuitBreaker(reset_after=-1)
-
-
 class TestHealthMonitor:
-    def test_state_machine_healthy_suspect_dead_and_back(self):
-        monitor = HealthMonitor(["a"], dead_after=3)
+    def test_one_failure_state_and_back(self):
+        monitor = HealthMonitor(["a"])
         assert monitor.state("a") == HEALTHY
         monitor.record_failure("a", OSError("refused"))
-        assert monitor.state("a") == SUSPECT
+        assert monitor.state("a") == FAILING
         monitor.record_failure("a")
-        assert monitor.state("a") == SUSPECT
-        monitor.record_failure("a")
-        assert monitor.state("a") == DEAD
-        assert "OSError: refused" in monitor.status()["a"]["last_error"]
+        assert monitor.state("a") == FAILING
+        status = monitor.status()["a"]
+        assert status["consecutive_failures"] == 2
+        assert status["transitions"] == 1
+        assert "OSError: refused" in status["last_error"]
         monitor.record_success("a")
         assert monitor.state("a") == HEALTHY
         assert monitor.status()["a"]["consecutive_failures"] == 0
+        assert monitor.status()["a"]["last_error"] is None
 
     def test_ranked_puts_live_replicas_first_and_is_stable(self):
-        monitor = HealthMonitor(["a", "b", "c", "d"], dead_after=2)
+        monitor = HealthMonitor(["a", "b", "c", "d"])
         for _ in range(2):
             monitor.record_failure("a")
         monitor.record_failure("c")
         ranked = monitor.ranked(["a", "b", "c", "d"])
-        assert ranked == ["b", "d", "c", "a"]  # healthy, suspect, dead
-
-    def test_background_probe_restores_a_dead_endpoint(self):
-        healthy_again = threading.Event()
-        outcomes = {"a": OSError("still down")}
-
-        def probe(key):
-            error = outcomes[key]
-            if error is not None:
-                raise error
-            healthy_again.set()
-
-        monitor = HealthMonitor(
-            ["a"], probe=probe, interval=0.01, dead_after=1
-        )
-        monitor.record_failure("a")
-        assert monitor.state("a") == DEAD
-        with monitor.start():
-            # first let a failing probe run (state stays dead) ...
-            deadline = threading.Event()
-            deadline.wait(0.05)
-            assert monitor.state("a") == DEAD
-            # ... then the endpoint comes back and one probe heals it
-            outcomes["a"] = None
-            assert healthy_again.wait(5.0)
-        assert monitor.state("a") == HEALTHY
-        assert monitor.status()["a"]["probes"] >= 1
-
-    def test_probes_target_only_unhealthy_endpoints(self):
-        probed: list[str] = []
-        done = threading.Event()
-
-        def probe(key):
-            probed.append(key)
-            done.set()
-
-        monitor = HealthMonitor(
-            ["well", "sick"], probe=probe, interval=0.01, dead_after=1
-        )
-        monitor.record_failure("sick")
-        with monitor.start():
-            assert done.wait(5.0)
-        assert set(probed) == {"sick"}
-
-    def test_start_without_probe_is_an_error(self):
-        with pytest.raises(ValueError, match="probe"):
-            HealthMonitor(["a"]).start()
-
-
-class TestHalfOpenUnderContention:
-    def test_exactly_one_probe_per_window_under_thread_hammer(self):
-        """Many threads race ``allow()`` on a half-open breaker: the
-        window must admit exactly one probe — a thundering herd onto a
-        barely recovered endpoint would re-kill it.  The clock is
-        frozen per window, so any over-admission is deterministic."""
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_after=1.0, clock=clock
-        )
-        breaker.record_failure()  # open
-        n_threads = 16
-        for window in range(5):
-            clock.advance(1.0)  # the window elapses: half-open
-            assert breaker.state == "half-open"
-            barrier = threading.Barrier(n_threads)
-            admitted: list[bool] = []
-            lock = threading.Lock()
-
-            def hammer():
-                barrier.wait()
-                verdict = breaker.allow()
-                with lock:
-                    admitted.append(verdict)
-
-            threads = [
-                threading.Thread(target=hammer) for _ in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert admitted.count(True) == 1, f"window {window}"
-            # The failed probe re-opens the same accounting.
-            breaker.record_failure()
+        # healthy in listing order, then failing in listing order: a
+        # longer failure streak does not push an endpoint further back
+        assert ranked == ["b", "d", "a", "c"]
 
 
 class TestRetryDeterminism:
