@@ -1,21 +1,20 @@
-"""Pool startup (pickle-ship vs shm-attach) + concurrent-RPC throughput.
+"""Pool startup (shm-attach) + concurrent-RPC throughput.
 
-Two PR-5 claims, measured:
+Two claims, measured:
 
-* **Startup.**  `ShardWorkerPool` over pickled columns ships a full
-  copy per worker (bytes and wall-clock scale with the table);
-  shared-memory backing ships a ~100-byte descriptor per worker and
-  attaches in O(1) — the table records both, at two database sizes, so
-  the scaling difference is visible in one file
-  (`benchmarks/results/pool_startup.txt`).
+* **Startup.**  `ShardWorkerPool` ships each worker a ~100-byte
+  segment descriptor and the worker attaches in O(1) — the table
+  records startup time and bytes per worker next to the shard's column
+  bytes, at two database sizes, so the flat startup is visible in one
+  file (`benchmarks/results/pool_startup.txt`).
 * **Concurrent reads.**  The RPC tier serves the read path under a
   shared lock; four warm-cache analyst threads against one server must
   beat the same request stream issued serially.  The aggregate
   throughput row lands in the same results file, as a record only.
 
-The assertions are load-insensitive: bit-identical masks on both
-startup paths, descriptor-sized shm startup independent of record count
-and ≥100× smaller than the pickle shipment, and every concurrent
+The assertions are load-insensitive: pool count pairs bit-identical to
+the parent's, descriptor-sized startup independent of record count and
+≥100× smaller than the columns it stands for, and every concurrent
 response matching its serial twin.
 """
 
@@ -31,7 +30,6 @@ from conftest import write_result
 from repro.api import OsdpClient, ReleaseRequest
 from repro.core.policy import OptInPolicy
 from repro.data.columnar import ColumnarDatabase
-from repro.data.store import shm_available
 from repro.data.workers import ShardWorkerPool
 from repro.evaluation.runner import format_table
 from repro.queries.histogram import HistogramQuery, IntegerBinning
@@ -56,9 +54,9 @@ def _database(n: int) -> ColumnarDatabase:
     )
 
 
-def _time_pool_startup(shards, shm) -> tuple[float, dict]:
+def _time_pool_startup(shards) -> tuple[float, dict]:
     start = time.perf_counter()
-    pool = ShardWorkerPool(shards, shm=shm)
+    pool = ShardWorkerPool(shards)
     elapsed = time.perf_counter() - start
     stats = pool.stats.as_dict()
     pool.close()
@@ -86,28 +84,25 @@ def _measure_startup() -> list[list]:
     for n in SIZES:
         sharded = _database(n).shard(N_SHARDS)
         reference = sharded.shard_counts(QUERY, OptInPolicy())
-        for shm, label in ((False, "pickle"), (None, "shm")):
-            if shm is None and not shm_available():
-                continue
-            elapsed, stats = _time_pool_startup(sharded.shards, shm)
-            # the paths must agree bit for bit before timings mean
-            # anything
-            with ShardWorkerPool(sharded.shards, shm=shm) as pool:
-                pairs = sharded.with_executor(pool).shard_counts(
-                    QUERY, OptInPolicy()
-                )
-                for (x, x_ns), (want_x, want_ns) in zip(pairs, reference):
-                    assert x.tobytes() == want_x.tobytes()
-                    assert x_ns.tobytes() == want_ns.tobytes()
-            rows.append(
-                [
-                    n,
-                    label,
-                    elapsed * 1e3,
-                    stats["startup_bytes"] / N_SHARDS,
-                    stats["shm_shards"],
-                ]
+        elapsed, stats = _time_pool_startup(sharded.shards)
+        # the pool must agree with the parent bit for bit before
+        # timings mean anything
+        with ShardWorkerPool(sharded.shards) as pool:
+            pairs = sharded.with_executor(pool).shard_counts(
+                QUERY, OptInPolicy()
             )
+            for (x, x_ns), (want_x, want_ns) in zip(pairs, reference):
+                assert x.tobytes() == want_x.tobytes()
+                assert x_ns.tobytes() == want_ns.tobytes()
+        shard = sharded.shards[0]
+        rows.append(
+            [
+                n,
+                elapsed * 1e3,
+                stats["startup_bytes"] / N_SHARDS,
+                sum(shard[name].nbytes for name in shard.column_names),
+            ]
+        )
     return rows
 
 
@@ -168,7 +163,7 @@ def test_pool_startup_and_concurrent_rpc(benchmark):
     result = benchmark.pedantic(_measured, rounds=1, iterations=1)
     rows = result["startup_rows"]
     table = format_table(
-        ["records", "path", "startup ms", "B/worker", "shm shards"],
+        ["records", "startup ms", "B/worker", "column B/shard"],
         rows,
         float_format="{:.2f}",
     )
@@ -185,29 +180,19 @@ def test_pool_startup_and_concurrent_rpc(benchmark):
     write_result("pool_startup", header + "\n" + table)
 
     # Load-insensitive contracts only:
-    by_key = {(r[0], r[1]): r for r in rows}
-    if (SIZES[0], "shm") in by_key:
-        small, large = by_key[(SIZES[0], "shm")], by_key[(SIZES[1], "shm")]
-        # descriptors, not columns: O(1) request bytes per worker,
-        # independent of a 4x record growth (acceptance criterion)
-        assert abs(large[3] - small[3]) < 100
-        assert large[3] < 2_000
-        assert large[4] == N_SHARDS
-        # the zero-copy claim: >=100x fewer startup bytes per worker
-        # than the pickle shipment of the same table.  Bytes are
-        # deterministic where startup wall-clock is process spawn: a
-        # silent fallback to pickled columns, or a bloated descriptor,
-        # trips this regardless of machine load.
-        pickle_bytes = by_key[(SIZES[1], "pickle")][3]
-        assert pickle_bytes / large[3] >= 100.0, {
-            "pickle_bytes_per_worker": pickle_bytes,
-            "shm_bytes_per_worker": large[3],
-        }
-    # the pickle path ships the columns: per-worker bytes scale ~4x
-    assert (
-        by_key[(SIZES[1], "pickle")][3]
-        > 3 * by_key[(SIZES[0], "pickle")][3]
-    )
+    small, large = rows
+    # descriptors, not columns: O(1) startup bytes per worker,
+    # independent of a 4x record growth
+    assert abs(large[2] - small[2]) < 100
+    assert large[2] < 2_000
+    # the zero-copy claim: >=100x fewer startup bytes per worker than
+    # the columns of its shard.  Bytes are deterministic where startup
+    # wall-clock is process spawn: a pool that ships columns again, or
+    # a bloated descriptor, trips this regardless of machine load.
+    assert large[3] / large[2] >= 100.0, {
+        "column_bytes_per_shard": large[3],
+        "startup_bytes_per_worker": large[2],
+    }
     # concurrency must never corrupt a response: every concurrent
     # seeded release matches its serial twin bit for bit
     for got, want in zip(rpc["concurrent"], rpc["serial"]):

@@ -80,12 +80,16 @@ class Backend(Protocol):
 class ShardedBackend:
     """The sharded engine, optionally on a shard-resident worker pool.
 
-    ``workers=True`` builds a :class:`ShardWorkerPool` over the shards
-    and installs it as the executor — columns ship to the worker
-    processes once, requests cross as specs, and a killed worker is
-    respawned from the parent's shard copy (the request degrades to a
-    recompute, not a crash).  The backend owns the pool: ``close()``
-    stops the processes.
+    ``workers=True`` places the shards into shared-memory segments,
+    builds a :class:`ShardWorkerPool` that attaches them and installs
+    it as the executor — parent and workers read one physical copy,
+    requests cross as specs, and a killed worker is respawned onto the
+    segments (the request degrades to a recompute, not a crash).  A
+    table the segments cannot hold (object-dtype columns, attached row
+    records: :func:`repro.data.workers.shard_shm_eligible`) gets no
+    pool and is served from the parent — the same bytes, with
+    ``store_mode == "heap"``.  The backend owns the pool and the
+    segments: ``close()`` stops the one and unlinks the other.
     """
 
     def __init__(
@@ -96,17 +100,11 @@ class ShardedBackend:
         registry=None,
         accountant=None,
         cache_limit: int = 128,
-        mp_context: str | None = None,
-        shm: bool | None = None,
     ):
         from repro.data.columnar import ColumnarDatabase
         from repro.data.sharding import ShardedColumnarDatabase
+        from repro.data.workers import ShardWorkerPool, shard_shm_eligible
 
-        if shm is not None and not workers:
-            raise ValueError(
-                "shm backing only applies to the worker pool; pass "
-                "workers=True (or drop shm=)"
-            )
         if not isinstance(db, ShardedColumnarDatabase):
             if not isinstance(db, ColumnarDatabase):
                 db = ColumnarDatabase.from_database(db)
@@ -119,21 +117,15 @@ class ShardedBackend:
         self.pool = None
         self._shared_stores: list = []
         try:
-            if workers:
-                from repro.data.workers import (
-                    ShardWorkerPool,
-                    shard_shm_eligible,
-                )
-
-                # Share eligible shards *before* building the pool (the
-                # same per-shard eligibility rule the pool applies): the
+            if workers and all(map(shard_shm_eligible, db.shards)):
+                # Share the shards *before* building the pool: the
                 # parent-side engine then reads the exact segments the
                 # workers attach — one physical copy — instead of
                 # keeping heap originals next to pool-placed shm copies.
                 # The backend owns these stores; close() unlinks them.
                 shared_shards = []
                 for shard in db.shards:
-                    if shard_shm_eligible(shard, shm) and shard.store is None:
+                    if shard.store is None:
                         shard = shard.share()
                         # only stores created *here* are the backend's
                         # to unlink — shards that arrived shm-backed
@@ -142,9 +134,7 @@ class ShardedBackend:
                     shared_shards.append(shard)
                 if self._shared_stores:
                     db = ShardedColumnarDatabase(shared_shards)
-                self.pool = ShardWorkerPool(
-                    db.shards, mp_context=mp_context, shm=shm
-                )
+                self.pool = ShardWorkerPool(db.shards)
             server = ReleaseServer(
                 db,
                 registry=registry,
@@ -164,15 +154,12 @@ class ShardedBackend:
         """How the columns reach the release path — the operator-facing
         answer to "which storage path is live?".
 
-        ``"shm"``: every worker attached shared-memory segments
-        (zero-copy, one physical copy); ``"pickle"``: at least one
-        shard shipped as a pickled copy; ``"heap"``: no worker pool,
-        the engine reads this process's arrays directly.
+        ``"shm"``: a worker pool whose workers attached shared-memory
+        segments (zero-copy, one physical copy); ``"heap"``: no worker
+        pool — none was asked for, or the table's shards cannot live in
+        segments — and the engine reads this process's arrays directly.
         """
-        if self.pool is None:
-            return "heap"
-        stats = self.pool.stats
-        return "shm" if stats.shm_shards == self.pool.n_workers else "pickle"
+        return "heap" if self.pool is None else "shm"
 
     def handle(self, request: ReleaseRequest) -> ReleaseResponse:
         return self.server.handle(request)

@@ -229,11 +229,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
     from repro.core.accountant import PrivacyAccountant
     from repro.service.rpc import RpcServer
 
-    if args.shm and not args.workers:
-        raise SystemExit(
-            "--shm selects the worker pool's column transport; "
-            "it requires --workers"
-        )
     if args.wal_dir and args.workers:
         raise SystemExit(
             "--wal-dir is incompatible with --workers: WAL recovery "
@@ -279,7 +274,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
         n_shards=args.shards,
         workers=args.workers,
         accountant=accountant,
-        shm=args.shm if args.workers else None,
     )
     wal = None
     if args.wal_dir:
@@ -310,13 +304,12 @@ def cmd_serve(args: argparse.Namespace) -> None:
     store_lines = {
         "shm": "store: shared-memory segments (zero-copy worker attach, "
         "one physical copy)",
-        "pickle": "store: heap (columns pickled to the workers once)",
         "heap": "store: heap (in-process engine, no worker pool)",
     }
     print(
         f"serving {len(backend.server.db)} records on {host}:{port} "
         f"({backend.server.n_shards} shards"
-        f"{', worker pool' if args.workers else ''}"
+        f"{', worker pool' if backend.pool is not None else ''}"
         f"{f', budget {args.budget}' if args.budget else ''}) — "
         f"connect with repro.api.OsdpClient.connect({host!r}, {port})"
     )
@@ -522,11 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", action="store_true",
         help="shard-resident worker processes with failover",
-    )
-    p_serve.add_argument(
-        "--shm", action=argparse.BooleanOptionalAction, default=None,
-        help="force (--shm) or forbid (--no-shm) shared-memory column "
-        "segments for the worker pool; default auto-detects",
     )
     p_serve.add_argument(
         "--budget", type=float, default=None,

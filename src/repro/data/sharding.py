@@ -146,8 +146,8 @@ class ShardedColumnarDatabase:
 
         Shards already backed by a :class:`repro.data.store.ColumnStore`
         are kept as-is.  Worker pools built over a shared database
-        attach to the same physical segments instead of receiving
-        pickled copies, and co-hosted pools share one copy of the data.
+        attach to its segments instead of placing their own, so the
+        parent and co-hosted pools share one copy of the data.
         The executor does not carry over: a shard-resident pool answers
         only for the exact shard objects it was built on.
         """

@@ -1,9 +1,8 @@
 """Zero-copy column storage: shared-memory segments behind columnar data.
 
-:class:`repro.data.workers.ShardWorkerPool` historically shipped every
-shard's columns to its worker process as one pickle — a full physical
-copy per worker, and startup bytes proportional to the table size.
-:class:`ColumnStore` removes the copy: it places a
+Every :class:`repro.data.workers.ShardWorkerPool` worker reads its
+shard through this module, never through a pickled copy of the columns.
+:class:`ColumnStore` places a
 :class:`~repro.data.columnar.ColumnarDatabase`'s flat buffers into
 POSIX shared-memory segments (:mod:`multiprocessing.shared_memory`)
 and renders the whole database as a **descriptor** — a ~100-byte plain
@@ -79,8 +78,8 @@ def placeable(db) -> bool:
     """True when every column of ``db`` has a fixed-width buffer.
 
     Object-dtype columns (mixed-type record values) have no raw-buffer
-    form and keep the pickle path; numeric, boolean and fixed-width
-    string columns all place.
+    form and cannot place; numeric, boolean and fixed-width string
+    columns all do.
     """
     from repro.data.columnar import RaggedColumn
 

@@ -6,21 +6,21 @@ shard's columns on every call — at million-record scale the wire cost
 dwarfs the count kernels it parallelizes.  :class:`ShardWorkerPool`
 inverts the data flow:
 
-* **Columns cross the wire once — or not at all.**  By default (and
-  whenever the platform offers POSIX shared memory), each shard's
-  buffers are placed into :class:`repro.data.store.ColumnStore`
-  shared-memory segments and the worker receives only a ~100-byte
-  **descriptor**: it attaches the segments by name — zero copy, O(1)
-  startup bytes regardless of the record count, and co-hosted pools
-  over a shared database (``sharded.share()``) reference one physical
-  copy.  Columns that cannot place (object dtype) fall back to the
-  one-time pickle shipment; ``shm=False`` forces it.  Incremental
-  updates (:meth:`append_shard_chunk`, :meth:`expire_shard_prefix`)
-  ship only what the worker lacks: a heap append ships the chunk (the
-  worker has no other copy); an shm append ships **no rows** — a
-  descriptor of the fresh segments when the shard was remapped, the
-  prefix trim when the headroom segments were extended in place — and
-  an expire is a pure view trim on both sides.
+* **Columns never cross the wire.**  Each shard's buffers live in
+  :class:`repro.data.store.ColumnStore` shared-memory segments and the
+  worker receives only a ~100-byte **descriptor**: it attaches the
+  segments by name — zero copy, O(1) startup bytes regardless of the
+  record count, and co-hosted pools over a shared database
+  (``sharded.share()``) reference one physical copy.  A shard the
+  segments cannot hold (:func:`shard_shm_eligible`: an object-dtype
+  column, attached row records, no POSIX shared memory) is refused
+  with :class:`TypeError`; :class:`repro.api.backends.ShardedBackend`
+  serves such a table from the parent instead.  Incremental updates
+  (:meth:`append_shard_chunk`, :meth:`expire_shard_prefix`) ship **no
+  rows**: an append extends the headroom segments in place (the worker
+  re-reads the length headers) or remaps the shard into fresh segments
+  (the worker attaches their descriptor), and an expire is a view trim
+  on both sides.
 * **One question, asked in specs.**  A read asks a worker for one
   thing: its shard's ``(x, x_ns)`` count pair for a binning and a
   policy, sent as their wire specs
@@ -39,9 +39,9 @@ inverts the data flow:
   shard: from its distinct rows when ``_summary_counts`` can, from one
   fused pass over the records (``_scan_counts``) otherwise — the same
   bytes; ``worker_cache_stats()`` counts pairs, routes and summaries.
-* **Failover, not failure.**  The parent keeps the authoritative
-  resident-shard copies; a worker that dies mid-request is respawned
-  from its copy and the request resent, so a killed process degrades
+* **Failover, not failure.**  The parent keeps each shard's segments
+  and prefix trim; a worker that dies mid-request is respawned onto
+  them and the request resent, so a killed process degrades
   to a recompute — never a crashed request.  Fan-out replies drain in
   arrival order (:func:`multiprocessing.connection.wait`) and
   reassemble into shard order, overlapping parent-side
@@ -128,11 +128,6 @@ class _WorkerState:
         self.counters["summary_answers"] += 1
         return pair
 
-    def append(self, chunk: ColumnarDatabase) -> int:
-        """Extend the resident shard by the chunk (the heap path)."""
-        self.shard = ColumnarDatabase.concat([self.shard, chunk])
-        return len(self.shard)
-
     def expire(self, n: int) -> int:
         """Drop the first ``n`` resident records: a view slice."""
         self.shard = self.shard.slice_records(n, len(self.shard))
@@ -172,11 +167,7 @@ def _worker_main(conn) -> None:
             conn.send_bytes(pickle.dumps(("ok", None), _PICKLE_PROTOCOL))
             return
         try:
-            if op == "shard":
-                swap_store(None)
-                state = _WorkerState(msg[1])
-                result = len(state.shard)
-            elif op == "shard_shm":
+            if op == "shard_shm":
                 swap_store(ColumnStore.attach(msg[1]))
                 state = _WorkerState(_trimmed(store.database, msg[2]))
                 result = len(state.shard)
@@ -192,16 +183,10 @@ def _worker_main(conn) -> None:
                 # The parent extended the shared headroom segments in
                 # place; re-reading the length headers is the whole
                 # append.  msg[1] is the accumulated prefix trim.
-                if store is None:
-                    raise RuntimeError(
-                        "extend_shm without attached segments"
-                    )
                 state.shard = _trimmed(store.refresh(), msg[1])
                 result = len(state.shard)
             elif op == "hist_counts":
                 result = state.hist_counts(msg[1], msg[2])
-            elif op == "append":
-                result = state.append(msg[1])
             elif op == "expire":
                 result = state.expire(msg[1])
             elif op == "cache_stats":
@@ -237,13 +222,12 @@ class WorkerDied(WorkerError):
 class WorkerPoolStats:
     """Wire-traffic accounting, the proof of the runtime's contract.
 
-    ``startup_bytes`` is the one-time shard shipment — a pickled copy
-    of the columns on the heap path, a ~100-byte segment descriptor per
-    shard on the shared-memory path (``shm_shards`` counts the latter,
-    so O(1)-startup claims are checkable); ``request_bytes`` is
-    everything the parent sent after startup (specs and deltas only —
-    it must not scale with the resident shard size) and
-    ``response_bytes`` the result arrays that came back.
+    ``startup_bytes`` is the startup messages — a ~100-byte segment
+    descriptor per shard, plus one per respawn — so O(1)-startup claims
+    are checkable; ``request_bytes`` is everything the parent sent
+    after startup (specs, descriptors and trims only — it must not
+    scale with the resident shard size) and ``response_bytes`` the
+    result arrays that came back.
     """
 
     startup_bytes: int = 0
@@ -252,7 +236,6 @@ class WorkerPoolStats:
     requests: int = 0
     last_request_bytes: int = 0
     respawns: int = 0
-    shm_shards: int = 0
     forced_kills: int = 0
     in_place_appends: int = 0
 
@@ -260,40 +243,28 @@ class WorkerPoolStats:
         return dict(self.__dict__)
 
 
-def shard_shm_eligible(shard: ColumnarDatabase, shm: bool | None) -> bool:
-    """Would the pool back this shard with shared-memory segments?
+def shard_shm_eligible(shard: ColumnarDatabase) -> bool:
+    """Can a worker pool serve this shard from shared-memory segments?
 
-    The single decision point shared by :class:`ShardWorkerPool` and
-    :class:`repro.api.backends.ShardedBackend` (which pre-shares
-    eligible shards so parent and workers reference one physical
-    copy).  ``shm=None`` (auto) requires fixed-width columns **and** no
-    attached row-record objects — records have no segment form, and a
-    spec'd policy may still count by its per-record fallback in the
-    worker (a registered kind with no batch form, over ragged columns
-    that cannot rebuild the records), so the pickle path ships them;
-    ``shm=True`` insists on segments (rejecting object-dtype columns
-    loudly, and knowingly dropping worker-side records — vectorized
-    policies are unaffected); ``shm=False`` never uses segments.
+    The one eligibility rule: :class:`ShardWorkerPool` refuses a shard
+    that fails it, and :class:`repro.api.backends.ShardedBackend` then
+    serves the table from the parent.  A shard already backed by an
+    open store is eligible; any other needs POSIX shared memory,
+    fixed-width columns **and** no attached row-record objects —
+    records have no segment form, and a spec'd policy may still count
+    by its per-record fallback (a registered kind with no batch form,
+    over ragged columns that cannot rebuild the records), which needs
+    them.
     """
-    if shm is False or not shm_available():
+    if not shm_available():
         return False
-    existing = getattr(shard, "store", None)
-    if existing is not None and not existing.closed:
+    if shard.store is not None and not shard.store.closed:
         return True
-    if not placeable(shard):
-        if shm is True:
-            raise TypeError(
-                "shard has object-dtype columns; shared-memory backing "
-                "needs fixed-width buffers"
-            )
-        return False
-    if shm is None and getattr(shard, "_records", None) is not None:
-        return False
-    return True
+    return placeable(shard) and shard._records is None
 
 
 class ShardWorkerPool:
-    """Persistent worker processes, one per shard, columns shipped once.
+    """Persistent worker processes, one per shard, over shared segments.
 
     Build one from the shards (or a sharded database) and install it as
     the database's executor::
@@ -305,36 +276,47 @@ class ShardWorkerPool:
     manager or call :meth:`close`.
     """
 
-    def __init__(
-        self,
-        shards,
-        mp_context: str | None = None,
-        shm: bool | None = None,
-    ):
+    def __init__(self, shards):
         import multiprocessing
 
         shard_list = tuple(getattr(shards, "shards", shards))
         if not shard_list:
             raise ValueError("need at least one shard")
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
+        for i, shard in enumerate(shard_list):
+            if not shard_shm_eligible(shard):
+                raise TypeError(
+                    f"shard {i} cannot live in shared-memory segments "
+                    "(object-dtype columns, attached row records, or no "
+                    "POSIX shared memory); serve it without a worker pool"
+                )
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         self.stats = WorkerPoolStats()
         self._resident: list[ColumnarDatabase] = list(shard_list)
-        # Per-shard shared-memory state: the ColumnStore whose segments
-        # the worker attached (None on the pickle path), whether this
-        # pool created it (and must unlink it), and the prefix-trim a
-        # respawned worker must re-apply after attaching (expires are
-        # view slices, never segment rewrites).
-        self._stores: list[ColumnStore | None] = [None] * len(shard_list)
-        self._owned: list[bool] = [False] * len(shard_list)
+        # Per-shard segment state: the ColumnStore whose segments the
+        # worker attached, whether this pool created it (and must
+        # unlink it), and the prefix trim a respawned worker must
+        # re-apply after attaching (expires are view slices, never
+        # segment rewrites).
+        self._stores: list[ColumnStore] = []
+        self._owned: list[bool] = []
         self._trim: list[int] = [0] * len(shard_list)
         self._conns = []
         self._procs = []
         self._closed = False
         try:
-            self._resolve_backing(shm)
+            for shard in shard_list:
+                # A shard already shm-backed is referenced in place —
+                # one physical copy shared with the parent and any
+                # co-hosted pool — and never unlinked by this pool.
+                existing = shard.store
+                owned = existing is None or existing.closed
+                self._stores.append(
+                    ColumnStore.place(shard) if owned else existing
+                )
+                self._owned.append(owned)
             for _ in shard_list:
                 parent_conn, proc = self._spawn_process()
                 self._conns.append(parent_conn)
@@ -343,9 +325,6 @@ class ShardWorkerPool:
                 self._startup_payload(i) for i in range(len(shard_list))
             ]
             self.stats.startup_bytes = sum(len(p) for p in payloads)
-            self.stats.shm_shards = sum(
-                store is not None for store in self._stores
-            )
             for conn, payload in zip(self._conns, payloads):
                 conn.send_bytes(payload)
             for conn in self._conns:
@@ -354,38 +333,11 @@ class ShardWorkerPool:
             self.close()
             raise
 
-    def _resolve_backing(self, shm: bool | None) -> None:
-        """Decide, per shard, how its columns reach the worker.
-
-        Eligibility is :func:`shard_shm_eligible` (auto by default,
-        forced either way by ``shm``).  A shard that is already
-        shm-backed (``shard.store``) is referenced in place — one
-        physical copy shared with the parent and any co-hosted pool —
-        and is never unlinked by this pool; anything else eligible is
-        placed into pool-owned segments.
-        """
-        if shm is True and not shm_available():  # pragma: no cover
-            raise RuntimeError(
-                "shared-memory backing requested but "
-                "multiprocessing.shared_memory is unavailable"
-            )
-        for i, shard in enumerate(self._resident):
-            if not shard_shm_eligible(shard, shm):
-                continue
-            existing = getattr(shard, "store", None)
-            if existing is not None and not existing.closed:
-                self._stores[i] = existing
-                continue
-            self._stores[i] = ColumnStore.place(shard)
-            self._owned[i] = True
-
     def _startup_payload(self, index: int) -> bytes:
-        """The one-time shard shipment: a descriptor, or the columns."""
-        store = self._stores[index]
-        if store is not None:
-            message = ("shard_shm", store.descriptor(), self._trim[index])
-        else:
-            message = ("shard", self._resident[index])
+        """The startup message: the shard's segment descriptor and trim."""
+        message = (
+            "shard_shm", self._stores[index].descriptor(), self._trim[index]
+        )
         return pickle.dumps(message, _PICKLE_PROTOCOL)
 
     def _spawn_process(self):
@@ -426,7 +378,7 @@ class ShardWorkerPool:
         for conn in self._conns:
             conn.close()
         for store, owned in zip(self._stores, self._owned):
-            if store is not None and owned:
+            if owned:
                 store.unlink()
 
     def __enter__(self) -> "ShardWorkerPool":
@@ -444,21 +396,16 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------
-    def _send_payload(
-        self, worker: int, payload: bytes, startup: bool = False
-    ) -> None:
+    def _send_payload(self, worker: int, payload: bytes) -> None:
         if self._closed:
             raise WorkerError("pool is closed")
         try:
             self._conns[worker].send_bytes(payload)
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
             raise WorkerDied(f"shard worker {worker} died mid-send") from exc
-        if startup:
-            self.stats.startup_bytes += len(payload)
-        else:
-            self.stats.request_bytes += len(payload)
-            self.stats.last_request_bytes = len(payload)
-            self.stats.requests += 1
+        self.stats.request_bytes += len(payload)
+        self.stats.last_request_bytes = len(payload)
+        self.stats.requests += 1
 
     def _receive(self, conn):
         status, value = self._receive_any(conn)
@@ -498,9 +445,10 @@ class ShardWorkerPool:
     def _respawn(self, index: int) -> None:
         """Replace a dead worker with a fresh process holding its shard.
 
-        The parent keeps the authoritative resident-shard copy, so the
-        replacement starts from exact data, degrading the retried
-        request to a recompute — never a crash.
+        The replacement attaches the shard's segments and re-applies
+        its prefix trim, so it starts from the parent's last committed
+        state, degrading the retried request to a recompute — never a
+        crash.
         """
         try:
             self._conns[index].close()
@@ -674,44 +622,26 @@ class ShardWorkerPool:
         ``tail`` is the parent's current last shard; the return value is
         the extended shard the database must commit — the pool records
         the same object so the residency check keeps passing after the
-        update (worker and parent extend in lockstep).  A heap shard
-        ships the chunk, never the shard.  An shm-backed shard ships no
-        rows: it **extends in place** when its headroom segments still
-        have capacity for the chunk — the parent writes the new values
-        past the live length, bumps the length headers, and the worker
-        re-reads the headers (no new segments, no re-attach, O(chunk)
-        on the parent, O(1) on the worker).  On overflow the shard is
-        **remapped**: the extended columns are placed into fresh
-        headroom segments (``APPEND_HEADROOM`` spare capacity, so the
-        *next* appends extend in place), the worker attaches them by
-        descriptor and the old segments are unlinked.
+        update (worker and parent extend in lockstep).  No rows cross
+        the pipe: the shard **extends in place** when its headroom
+        segments still have capacity for the chunk — the parent writes
+        the new values past the live length, bumps the length headers,
+        and the worker re-reads the headers (no new segments, no
+        re-attach, O(chunk) on the parent, O(1) on the worker).
+        Otherwise the shard is **remapped**: the extended columns are
+        placed into fresh headroom segments (``APPEND_HEADROOM`` spare
+        capacity, so the *next* appends extend in place), the worker
+        attaches them by descriptor and the old segments are unlinked.
+        A chunk the segments cannot hold (an object-dtype column) raises
+        :class:`TypeError` from :meth:`ColumnStore.place` before
+        anything commits.
         """
-        store = self._stores[index]
-        if store is not None:
-            committed = self._extend_in_place(index, chunk)
-            if committed is not None:
-                return committed
-        new_shard = ColumnarDatabase.concat([tail, chunk])
-        if store is None or not placeable(new_shard):
-            n = self._request_one(index, ("append", chunk))
-            if n != len(new_shard):
-                raise WorkerError(
-                    f"worker {index} shard has {n} records after append, "
-                    f"parent expects {len(new_shard)}"
-                )
-            self._resident[index] = new_shard
-            if store is not None:
-                # The chunk introduced an unplaceable column; the shard
-                # demotes to the heap path (the worker concatenated
-                # locally, so its copy is already off the segments).
-                if self._owned[index]:
-                    store.unlink()
-                self._stores[index] = None
-                self._owned[index] = False
-                self._trim[index] = 0
-                self.stats.shm_shards -= 1
-            return new_shard
-        placed = ColumnStore.place(new_shard, headroom=APPEND_HEADROOM)
+        committed = self._extend_in_place(index, chunk)
+        if committed is not None:
+            return committed
+        placed = ColumnStore.place(
+            ColumnarDatabase.concat([tail, chunk]), headroom=APPEND_HEADROOM
+        )
         try:
             n = self._request_one(index, ("append_shm", placed.descriptor()))
             if n != len(placed.database):
@@ -786,6 +716,5 @@ class ShardWorkerPool:
                 f"worker {index} shard has {remaining} records after "
                 f"expire, parent expects {len(new_shard)}"
             )
-        if self._stores[index] is not None:
-            self._trim[index] += int(n)
+        self._trim[index] += int(n)
         self._resident[index] = new_shard

@@ -158,22 +158,18 @@ class TestServe:
             cmd_serve(args)
 
     def test_serve_shm_and_reader_flags_parse(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.shm is None and not hasattr(args, "max_readers")
-        args = build_parser().parse_args(["serve", "--workers", "--shm"])
-        assert args.shm is True
-        args = build_parser().parse_args(["serve", "--workers", "--no-shm"])
-        assert args.shm is False
+        args = build_parser().parse_args(["serve", "--workers"])
+        assert not hasattr(args, "shm") and not hasattr(args, "max_readers")
         # --max-inflight is the one concurrency bound
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--max-readers", "8"])
 
     def test_serve_shm_without_workers_fails_loudly(self):
-        from repro.cli import cmd_serve
-
-        args = build_parser().parse_args(["serve", "--shm"])
-        with pytest.raises(SystemExit, match="--workers"):
-            cmd_serve(args)
+        """A worker pool always attaches shared-memory segments: there
+        is no column-transport flag to set, with or without --workers."""
+        for argv in (["--shm"], ["--workers", "--shm"], ["--workers", "--no-shm"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", *argv])
 
     def test_serve_budget_flags_parse(self):
         args = build_parser().parse_args(["serve"])

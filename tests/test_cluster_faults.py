@@ -674,7 +674,6 @@ class TestCliSigtermDrain:
                 "--records", "600",
                 "--shards", "2",
                 "--workers",
-                "--shm",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -693,6 +692,9 @@ class TestCliSigtermDrain:
                     address = (match.group(1), int(match.group(2)))
                     break
             assert address is not None
+            # the line after the banner names the live store
+            store = proc.stdout.readline()
+            assert store.startswith("store: shared-memory segments"), store
             # Prove it serves, then stop it the orchestrator's way.
             with RemoteBackend(*address, timeout=10.0) as backend:
                 response = backend.handle(_request())

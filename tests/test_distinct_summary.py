@@ -415,8 +415,8 @@ def _assert_hist(got: HistogramInput, want: HistogramInput) -> None:
     _assert_same_bits((got.x, got.x_ns), (want.x, want.x_ns))
 
 
+# One leg: a pool is always segment-backed.
 POOL_KINDS = [
-    False,
     pytest.param(
         True,
         marks=[
@@ -442,7 +442,7 @@ class TestWorkerPools:
         binning, policy = _never_seen(0)
         traffic = []
         for sharded in (plain, warmed):
-            with ShardWorkerPool(sharded.shards, shm=shm) as pool:
+            with ShardWorkerPool(sharded.shards) as pool:
                 HistogramInput.from_columnar(
                     sharded.with_executor(pool), HistogramQuery(binning), policy
                 )
@@ -451,7 +451,7 @@ class TestWorkerPools:
 
     def test_the_cache_stats_say_which_path_answered(self, shm):
         sharded = _flat(9).shard(2)
-        with ShardWorkerPool(sharded.shards, shm=shm) as pool:
+        with ShardWorkerPool(sharded.shards) as pool:
             on_pool = sharded.with_executor(pool)
             for i in range(3):
                 binning, policy = _never_seen(i)
@@ -482,7 +482,7 @@ def _chunk(seed: int, n: int) -> ColumnarDatabase:
     return ColumnarDatabase(columns)
 
 
-DOORS = ["serial", "heap-pool"] + [
+DOORS = ["serial"] + [
     pytest.param(
         "shm-pool",
         marks=[
@@ -501,7 +501,7 @@ def test_a_never_seen_pair_is_right_after_every_write(door):
     sharded = table.shard(2)
     pool = None
     if door.endswith("pool"):
-        pool = ShardWorkerPool(sharded.shards, shm=door == "shm-pool")
+        pool = ShardWorkerPool(sharded.shards)
     server = ReleaseServer(sharded, executor=pool)
     fresh = iter(range(100))
 
@@ -542,12 +542,12 @@ def test_a_never_seen_pair_is_right_after_every_write(door):
 
     try:
         read_never_seen()
-        # the shm pool remaps on the first append and extends the
+        # the pool remaps on the first append and extends the
         # headroom in place on the next two; the last chunk is large
         # enough to be summarised itself when the carry counts it
         for n in (300, 200, 100, SUMMARY_MIN_ROWS):
             write(lambda: server.append_records(_chunk(n, n)))
-        if door == "shm-pool":
+        if pool is not None:
             assert pool.stats.in_place_appends >= 2
         write(lambda: server.expire_prefix(500))
         write(lambda: server.expire_prefix(len(server.db.shards[0]) + 10))

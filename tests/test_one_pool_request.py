@@ -2,7 +2,9 @@
 
 A shard worker answers ``hist_counts`` and the ops that keep its shard
 in step with the parent (startup, writes, respawn, stats), nothing
-else.  ``ShardedColumnarDatabase.shard_counts`` is the only caller of
+else.  Its columns reach it one way, as shared-memory segments: no op
+ships a pickled shard or chunk, and no signature offers a transport
+knob (``shm``, ``mp_context``).  ``ShardedColumnarDatabase.shard_counts`` is the only caller of
 ``map_resident``; every other sharded operation runs in the parent
 through ``map_shards``, which never looks at the executor.  Policies and
 binnings know nothing of shards: no ``__init_subclass__`` rewrites
@@ -22,9 +24,7 @@ from repro.core.policy import Policy
 
 SRC = Path(repro.__file__).parent
 WORKER_OPS = {
-    "shard",
     "shard_shm",
-    "append",
     "append_shm",
     "extend_shm",
     "expire",
@@ -33,6 +33,7 @@ WORKER_OPS = {
     "stop",
 }
 NO_SHARD_DISPATCH = (Path("core/policy.py"), Path("queries/histogram.py"))
+TRANSPORT_KNOBS = {"shm", "mp_context"}
 
 
 def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
@@ -41,6 +42,39 @@ def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == name
     )
+
+
+def _method(source: str, cls: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse(source)
+    owner = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == cls
+    )
+    return _function(owner, name)
+
+
+def _parameters(function: ast.FunctionDef) -> list[str]:
+    """Every parameter name but ``self``, in declaration order."""
+    args = function.args
+    every = args.posonlyargs + args.args + args.kwonlyargs
+    every += [a for a in (args.vararg, args.kwarg) if a is not None]
+    return [a.arg for a in every if a.arg != "self"]
+
+
+def _options(function: ast.FunctionDef, parser: str) -> set[str]:
+    """The option strings ``function`` adds to the parser named ``parser``."""
+    return {
+        arg.value
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == parser
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    }
 
 
 def _worker_ops(source: str) -> set[str]:
@@ -107,6 +141,16 @@ def test_the_guards_see_what_they_guard():
         "_shard_aware:1"
     ]
     assert _map_resident_calls("pool.map_resident(s, q, p)\n") == [1]
+    pool = "class P:\n    def __init__(self, shards, *, shm=None):\n        pass\n"
+    assert _parameters(_method(pool, "P", "__init__")) == ["shards", "shm"]
+    parser = (
+        "def build_parser():\n"
+        "    p_serve.add_argument('--shm', action='store_true')\n"
+        "    other.add_argument('--port')\n"
+    )
+    assert _options(_function(ast.parse(parser), "build_parser"), "p_serve") == {
+        "--shm"
+    }
     mapper = _function(
         ast.parse("def map_shards(self, fn):\n    return self._executor\n"),
         "map_shards",
@@ -149,3 +193,23 @@ def test_map_shards_never_reads_the_executor():
         and node.name == "ShardedColumnarDatabase"
     )
     assert not _reads_executor(_function(database, "map_shards"))
+
+
+def test_a_pool_takes_only_its_shards():
+    workers = (SRC / "data" / "workers.py").read_text()
+    assert _parameters(_method(workers, "ShardWorkerPool", "__init__")) == [
+        "shards"
+    ]
+    backends = (SRC / "api" / "backends.py").read_text()
+    backend = _parameters(_method(backends, "ShardedBackend", "__init__"))
+    assert "workers" in backend
+    assert not TRANSPORT_KNOBS & set(backend)
+
+
+def test_serve_has_no_transport_flag():
+    build_parser = _function(
+        ast.parse((SRC / "cli.py").read_text()), "build_parser"
+    )
+    options = _options(build_parser, "p_serve")
+    assert "--workers" in options
+    assert not {"--shm", "--no-shm", "--mp-context"} & options

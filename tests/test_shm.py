@@ -8,8 +8,8 @@ Three contracts under test:
   shutdown, worker death mid-run, or append-driven segment remaps
   (``tests/conftest.py`` additionally sweeps at suite exit).
 * **Wire discipline** — pool startup ships ~100-byte descriptors:
-  startup bytes are independent of the record count (the acceptance
-  bar; the pickled-columns comparison lives in ``tests/test_workers.py``).
+  startup bytes are independent of the record count (the 100x-records
+  comparison lives in ``tests/test_workers.py``).
 * **Bit-identity** — a hypothesis sweep over the policy algebra pins
   shm-backed databases (place → attach round trips, pools, the release
   server) to their heap twins bit for bit.
@@ -245,7 +245,7 @@ class TestPoolLifecycle:
     def test_no_leaked_segments_after_pool_close(self, leak_guard):
         sharded = _db(2_000).shard(3)
         with ShardWorkerPool(sharded.shards) as pool:
-            assert pool.stats.shm_shards == 3
+            assert all(pool._owned)  # the pool placed every shard
             sharded.with_executor(pool).mask(_policy())
             _assert_pool_counts_match(sharded.with_executor(pool), _policy())
 
@@ -380,15 +380,44 @@ class TestPoolLifecycle:
             assert np.array_equal(pooled.mask(policy), reference)
             assert pool.stats.respawns == 2
 
-    def test_shm_true_rejects_object_columns(self, leak_guard):
+    def test_the_pool_rejects_object_columns(self, leak_guard):
         db = ColumnarDatabase.from_records(
             [{"v": 5, "opt_in": True}, {"v": "NA", "opt_in": False}]
         )
-        with pytest.raises(TypeError, match="object-dtype"):
-            ShardWorkerPool(db.shard(2).shards, shm=True)
-        # auto mode falls back to the pickle shipment instead
-        with ShardWorkerPool(db.shard(2).shards) as pool:
-            assert pool.stats.shm_shards == 0
+        columns = ColumnarDatabase({n: db[n] for n in db.column_names})
+        for table in (db, columns):  # with and without row records
+            with pytest.raises(TypeError, match="object-dtype"):
+                ShardWorkerPool(table.shard(2).shards)
+
+    def test_an_append_the_segments_cannot_hold_changes_nothing(
+        self, leak_guard
+    ):
+        """A chunk that turns a column object-dtype has no segment form:
+        the append raises before anything commits, and the pool keeps
+        serving the shards it had."""
+        db = _db(900, seed=6)
+        sharded = db.shard(3)
+        request = ReleaseRequest(
+            "osdp_laplace_l1", 0.5, BINNING, _policy(), n_trials=3, seed=11
+        )
+        with ShardWorkerPool(sharded.shards) as pool:
+            server = ReleaseServer(sharded, executor=pool)
+            server.handle(request)
+            n, versions = len(server.db), server.db.shard_versions
+            resident = list(pool._resident)
+            mixed = [
+                {"age": 7, "city": "a", "opt_in": True},
+                {"age": "NA", "city": "b", "opt_in": False},
+            ]
+            with pytest.raises(TypeError, match="object-dtype"):
+                server.append_records(mixed)
+            assert len(server.db) == n
+            assert server.db.shard_versions == versions
+            assert all(a is b for a, b in zip(pool._resident, resident))
+            assert pool.resident_matches(server.db.shards)
+            after = server.handle(request)
+        reference = ReleaseServer(db.shard(3)).handle(request)
+        assert after.estimates.tobytes() == reference.estimates.tobytes()
 
     def test_sharded_backend_serves_from_one_physical_copy(self, leak_guard):
         """The backend shares the db *before* building the pool: the
@@ -400,7 +429,6 @@ class TestPoolLifecycle:
         backend = ShardedBackend(_db(2_000), n_shards=2, workers=True)
         try:
             assert backend.store_mode == "shm"
-            assert backend.pool.stats.shm_shards == 2
             for shard in backend.server.db.shards:
                 assert shard.store is not None
             # the pool attached the backend's stores in place; it owns
@@ -410,19 +438,21 @@ class TestPoolLifecycle:
             backend.close()
 
     def test_sharded_backend_unlinks_its_stores_when_the_pool_fails(
-        self, leak_guard
+        self, leak_guard, monkeypatch
     ):
         """The shards are shared before the pool is built; a pool that
         fails to start must not leave them to the cyclic GC."""
         from repro.api.backends import ShardedBackend
 
+        def no_process(self):
+            raise OSError("no process for you")
+
+        monkeypatch.setattr(ShardWorkerPool, "_spawn_process", no_process)
         before = _segments()
         gc.disable()
         try:
-            with pytest.raises(ValueError, match="bogus"):
-                ShardedBackend(
-                    _db(2_000), n_shards=2, workers=True, mp_context="bogus"
-                )
+            with pytest.raises(OSError, match="no process"):
+                ShardedBackend(_db(2_000), n_shards=2, workers=True)
             assert _segments() == before
         finally:
             gc.enable()
@@ -462,7 +492,6 @@ class TestBitIdentity:
         heap = ReleaseServer(db.shard(3)).handle(request)
         sharded = db.shard(3)
         with ShardWorkerPool(sharded.shards) as pool:
-            assert pool.stats.shm_shards == 3
             shm_response = ReleaseServer(
                 sharded.with_executor(pool), executor=pool
             ).handle(request)

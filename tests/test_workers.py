@@ -92,7 +92,7 @@ class _LongTrip(Policy):
 register_policy_kind("test_long_trip", lambda spec: _LongTrip(spec["slots"]))
 
 
-def _trajectory_db(n: int, n_aps: int) -> ColumnarDatabase:
+def _trajectory_db(n: int, n_aps: int, records: bool = True) -> ColumnarDatabase:
     trajs = [
         Trajectory(
             user_id=i,
@@ -101,7 +101,9 @@ def _trajectory_db(n: int, n_aps: int) -> ColumnarDatabase:
         )
         for i in range(n)
     ]
-    return ColumnarDatabase(trajectory_columns(trajs), records=trajs)
+    return ColumnarDatabase(
+        trajectory_columns(trajs), records=trajs if records else None
+    )
 
 
 def _parent_pairs(sharded, binning, policy) -> list:
@@ -182,7 +184,7 @@ class TestEquivalence:
         assert np.array_equal(a.sensitive_bin_mask, b.sensitive_bin_mask)
 
     def test_ragged_trajectories_on_pool(self):
-        db = _trajectory_db(41, n_aps=7)
+        db = _trajectory_db(41, n_aps=7, records=False)
         sharded = db.shard(2)
         policy = SensitiveAPPolicy({1, 5})
         binning = IntegerBinning("day", 0, 5)
@@ -195,46 +197,35 @@ class TestEquivalence:
         assert got.x.tobytes() == reference.x.tobytes()
         assert got.x_ns.tobytes() == reference.x_ns.tobytes()
 
-    def test_record_carrying_shards_keep_the_pickle_path(self):
-        """Auto shm must not drop row-record objects: a shard with
-        attached records ships pickled (records intact), so a spec'd
-        policy whose only evaluation is per record counts in the worker
-        exactly as in the parent."""
-        from repro.data.workers import shard_shm_eligible
+    def test_record_carrying_shards_are_served_without_a_pool(self):
+        """Row records have no segment form, and a spec'd policy whose
+        only evaluation is per record needs them: the pool refuses such
+        a shard, and a backend asked for workers serves the table from
+        the parent instead — the same bytes as without workers."""
+        from repro.api.backends import ShardedBackend
 
-        sharded = _trajectory_db(30, n_aps=5).shard(2)
-        assert not shard_shm_eligible(sharded.shards[0], None)
-        query = HistogramQuery(IntegerBinning("day", 0, 5))
-        reference = sharded.shard_counts(query, _LongTrip(2))
-        with ShardWorkerPool(sharded.shards) as pool:
-            assert pool.stats.shm_shards == 0
-            _assert_same_pairs(
-                sharded.with_executor(pool).shard_counts(query, _LongTrip(2)),
-                reference,
-            )
-            assert pool.stats.requests == 2
-
-    @pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
-    def test_segments_carry_no_record_objects(self):
-        """Why the rule above exists: forced onto segments, the same
-        shards reach the workers without their records, and the
-        per-record fallback of that spec'd policy has nothing to
-        iterate."""
-        sharded = _trajectory_db(30, n_aps=5).shard(2)
-        query = HistogramQuery(IntegerBinning("day", 0, 5))
-        with ShardWorkerPool(sharded.shards, shm=True) as pool:
-            assert pool.stats.shm_shards == 2
-            with pytest.raises(WorkerError, match="reconstruct records"):
-                sharded.with_executor(pool).shard_counts(query, _LongTrip(2))
+        db = _trajectory_db(30, n_aps=5)
+        with pytest.raises(TypeError, match="row records"):
+            ShardWorkerPool(db.shard(2).shards)
+        request = ReleaseRequest(
+            "osdp_rr", 0.5, IntegerBinning("day", 0, 5), _LongTrip(2),
+            n_trials=3, seed=7,
+        )
+        with ShardedBackend(db, n_shards=2, workers=True) as pooled:
+            assert pooled.pool is None
+            assert pooled.store_mode == "heap"
+            got = pooled.handle(request)
+        with ShardedBackend(db, n_shards=2) as plain:
+            want = plain.handle(request)
+        assert got.estimates.tobytes() == want.estimates.tobytes()
 
 
 class TestWireDiscipline:
     def test_request_bytes_independent_of_record_count(self):
         """Per-request wire traffic is specs only: the same request
-        costs the same bytes on a 100x larger database.  On the default
-        shared-memory path the one-time startup shipment is a segment
-        descriptor, so it does not scale with the data either — O(1)
-        bytes per worker, the PR-5 acceptance bar."""
+        costs the same bytes on a 100x larger database.  The one-time
+        startup shipment is a segment descriptor, so it does not scale
+        with the data either — O(1) bytes per worker."""
         policy = _policy()
         sizes = {}
         for n in (300, 30_000):
@@ -246,44 +237,13 @@ class TestWireDiscipline:
                 sizes[n] = pool.stats.as_dict()
         small, large = sizes[300], sizes[30_000]
         assert large["request_bytes"] == small["request_bytes"]
-        if small["shm_shards"]:
-            # zero-copy attach: descriptors only, whatever the size
-            # (the few-byte wiggle is the shape integers' digit count)
-            assert abs(large["startup_bytes"] - small["startup_bytes"]) < 100
-            assert large["startup_bytes"] < 2_000
+        # zero-copy attach: descriptors only, whatever the size (the
+        # few-byte wiggle is the shape integers' digit count)
+        assert abs(large["startup_bytes"] - small["startup_bytes"]) < 100
+        assert large["startup_bytes"] < 2_000
         # a count-pair request is a ~hundreds-of-bytes spec
         assert small["requests"] == large["requests"] == 2
         assert small["request_bytes"] < 2_000
-
-    def test_pickle_startup_scales_with_data_shm_startup_does_not(self):
-        """The forced pickle path still ships the columns once (its
-        startup scales with the table); the shm path ships descriptors
-        regardless of scale — both serve bit-identical count pairs."""
-        policy = _policy()
-        query = HistogramQuery(BINNING)
-        stats = {}
-        for n in (300, 30_000):
-            sharded = _db(n).shard(2)
-            reference = sharded.shard_counts(query, policy)
-            for shm in (False, None):
-                with ShardWorkerPool(sharded.shards, shm=shm) as pool:
-                    got = sharded.with_executor(pool).shard_counts(query, policy)
-                    _assert_same_pairs(got, reference)
-                    stats[(n, shm)] = pool.stats.as_dict()
-        assert (
-            stats[(30_000, False)]["startup_bytes"]
-            > 50 * stats[(300, False)]["startup_bytes"]
-        )
-        assert stats[(30_000, False)]["shm_shards"] == 0
-        if stats[(300, None)]["shm_shards"]:
-            assert (
-                abs(
-                    stats[(30_000, None)]["startup_bytes"]
-                    - stats[(300, None)]["startup_bytes"]
-                )
-                < 100
-            )
-            assert stats[(30_000, None)]["startup_bytes"] < 2_000
 
     def test_opaque_policy_is_counted_in_the_parent(self):
         """A policy with no spec cannot cross the pipe: a pooled server
@@ -434,8 +394,9 @@ class TestServerOnPool:
             assert not np.array_equal(first.estimates, updated.estimates)
 
 
+# One leg: a pool is always segment-backed.  The cold count over the
+# whole table in the body is the reference.
 POOL_KINDS = [
-    pytest.param(False, id="heap"),
     pytest.param(
         True,
         id="shm",
@@ -466,7 +427,7 @@ class TestOneOwner:
             assert hist.x.tobytes() == cold.x.tobytes()
             assert hist.x_ns.tobytes() == cold.x_ns.tobytes()
 
-        with ShardWorkerPool(sharded.shards, shm=shm) as pool:
+        with ShardWorkerPool(sharded.shards) as pool:
             server = ReleaseServer(sharded, executor=pool)
             for _ in range(3):
                 served(server)
