@@ -1,12 +1,12 @@
 """Fault-tolerant multi-endpoint serving: one client, N curators.
 
-The single :class:`repro.service.rpc.RpcServer` owning every shard is
-the scale-out blocker ROADMAP item 1 names: one process is both the
-whole serving capacity and a single point of failure.  This module
-splits the data plane across N ``repro.cli serve`` endpoints — each
-owning a contiguous **shard range**, each range served by one or more
-**replicas** — and keeps the trust plane (noise sampling, budget
-accounting) in one place, the coordinator:
+A single :class:`repro.service.rpc.RpcServer` owning every shard is
+both the whole serving capacity and a single point of failure.  This
+module splits the data plane across N ``repro.cli serve`` endpoints —
+each owning a contiguous **shard range**, each range served by one or
+more **replicas** — and keeps the trust plane (noise sampling, budget
+accounting) in one place, the coordinator, whose read loop is the
+single server's (:class:`repro.service.server.ReleaseLoop`):
 
 * Each release resolves to one ``hist_counts`` call per shard range:
   the endpoint answers with its merged ``(x, x_ns)`` int64 pair.
@@ -67,15 +67,13 @@ from repro.api.resilience import (
     call_with_retries,
 )
 from repro.api.wire import RemoteError, WireError
-from repro.core.accountant import BudgetExceededError, PrivacyAccountant
+from repro.core.accountant import PrivacyAccountant
 from repro.core.policy_language import canonical_spec, policy_to_spec
 from repro.queries.histogram import HistogramInput, binning_to_spec
 from repro.service.server import (
-    BatchBudgetExceededError,
     MechanismRegistry,
+    ReleaseLoop,
     ReleaseRequest,
-    ReleaseResponse,
-    ReleaseServer,
     default_registry,
 )
 
@@ -158,8 +156,6 @@ class ClusterStats:
     failovers: int = 0
     sweep_retries: int = 0
     unserved_ranges: int = 0
-    hist_merges: int = 0
-    hist_memo_hits: int = 0
     writes: int = 0
     write_prepares: int = 0
     write_commits: int = 0
@@ -170,11 +166,13 @@ class ClusterStats:
         return dict(self.__dict__)
 
 
-class ClusterBackend:
+class ClusterBackend(ReleaseLoop):
     """Route one :class:`~repro.api.OsdpClient` across N endpoints.
 
-    Implements the read side of the :class:`~repro.api.Backend`
-    protocol over a replicated topology; noise sampling and budget
+    Implements the :class:`~repro.api.Backend` protocol over a
+    replicated topology.  Reads run the single server's release loop
+    (:class:`~repro.service.server.ReleaseLoop`) with the range
+    fan-out as its histogram source, so noise sampling and budget
     accounting happen here, at the merge tier, with this backend's
     ``registry``/``accountant`` — endpoints only ever answer exact
     count queries, so an endpoint crash can never half-charge a
@@ -292,10 +290,6 @@ class ClusterBackend:
         if client is not None:
             client.close()
 
-    def _bump(self, counter: str, by: int = 1) -> None:
-        with self._stats_lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + by)
-
     # ------------------------------------------------------------------
     # The failover core: call one shard range, walking its replicas
     # ------------------------------------------------------------------
@@ -374,18 +368,18 @@ class ClusterBackend:
         self._drop_client(endpoint)
 
     # ------------------------------------------------------------------
-    # The merge tier
+    # The merge tier: the release loop's data hook
     # ------------------------------------------------------------------
-    def _merged_histogram(self, request: ReleaseRequest, memo: dict | None):
+    def _histogram(self, request: ReleaseRequest, memo: dict):
         """The cluster-wide :class:`HistogramInput` for one request.
 
         One ``hist_counts`` per shard range, then the canonical
         :meth:`HistogramInput.from_shard_counts` merge.  ``memo``
-        (per-batch) plays the role of the single server's histogram
+        (per batch) plays the role of the single server's histogram
         cache: requests sharing a ``(binning, policy)`` pair pay the
         fan-out once and report ``cache_hit`` like the in-process path.
         """
-        binning, policy = ReleaseServer._resolve(request)
+        binning, policy = self._resolve(request)
         bspec = (
             dict(request.binning)
             if isinstance(request.binning, Mapping)
@@ -397,8 +391,7 @@ class ClusterBackend:
             else policy_to_spec(policy)
         )
         key = canonical_spec({"binning": bspec, "policy": pspec})
-        if memo is not None and key in memo:
-            self._bump("hist_memo_hits")
+        if key in memo:
             return memo[key], policy, True
         pairs = [
             self._range_call(
@@ -410,84 +403,21 @@ class ClusterBackend:
         ]
         hist = HistogramInput.from_shard_counts(pairs)
         hist.ns_support_sorted  # warm the release fast-path views
-        self._bump("hist_merges")
-        if memo is not None:
-            memo[key] = hist
+        memo[key] = hist
         return hist, policy, False
 
-    def _handle_one(
-        self, request: ReleaseRequest, memo: dict | None
-    ) -> ReleaseResponse:
-        # Mirrors ReleaseServer.handle step for step: same merge
-        # product, same registry.create, same rng construction and
-        # mechanism.run call — the bit-identity contract.
-        if request.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
-        hist, policy, cache_hit = self._merged_histogram(request, memo)
-        mechanism = self._registry.create(request.mechanism, request.epsilon)
-        accountant = self.accountant
-        if accountant is not None and request.analyst:
-            # Book the charge under the requesting analyst (quota
-            # enforcement included) — same binding as ReleaseServer.
-            accountant = accountant.for_analyst(request.analyst)
-        estimates = mechanism.run(
-            hist,
-            np.random.default_rng(request.seed),
-            n_trials=request.n_trials,
-            policy=policy,
-            accountant=accountant,
-            label=request.label or request.mechanism,
-        )
-        self._bump("requests")
-        return ReleaseResponse(
-            request=request,
-            estimates=estimates,
-            epsilon_spent=request.epsilon,
-            budget_remaining=self.budget_remaining,
-            cache_hit=cache_hit,
-        )
+    def _batch_error(self, exc, responses, request):
+        """An unserved range stops a batch with its charged prefix."""
+        if isinstance(exc, PartialClusterError):
+            return PartialClusterError(
+                str(exc), exc.shard_range, responses, request
+            )
+        return super()._batch_error(exc, responses, request)
 
     # ------------------------------------------------------------------
-    # The Backend surface (read path)
+    # The Backend surface (read path); handle / handle_batch are the
+    # release loop's
     # ------------------------------------------------------------------
-    def handle(self, request: ReleaseRequest) -> ReleaseResponse:
-        return self._handle_one(request, memo=None)
-
-    def handle_batch(
-        self, requests: Sequence[ReleaseRequest]
-    ) -> list[ReleaseResponse]:
-        """Serve a batch in order, with the single server's semantics.
-
-        Same upfront validation (no budget is charged on a batch
-        doomed by a typo), same :class:`BatchBudgetExceededError` with
-        the charged prefix on overrun; an unserved shard range raises
-        :class:`PartialClusterError` carrying the prefix instead.
-        """
-        for request in requests:
-            if request.mechanism not in self._registry:
-                raise KeyError(
-                    f"unknown mechanism {request.mechanism!r}; registered: "
-                    f"{self._registry.names()}"
-                )
-            if request.n_trials < 1:
-                raise ValueError("n_trials must be at least 1")
-            if request.epsilon <= 0:
-                raise ValueError("epsilon must be positive")
-        responses: list[ReleaseResponse] = []
-        memo: dict = {}
-        for request in requests:
-            try:
-                responses.append(self._handle_one(request, memo))
-            except BudgetExceededError as exc:
-                raise BatchBudgetExceededError(
-                    str(exc), responses, request
-                ) from exc
-            except PartialClusterError as exc:
-                raise PartialClusterError(
-                    str(exc), exc.shard_range, responses, request
-                ) from exc
-        return responses
-
     def true_histogram(self, binning) -> np.ndarray:
         spec = (
             dict(binning)
@@ -778,10 +708,6 @@ class ClusterBackend:
     # ------------------------------------------------------------------
     def mechanisms(self) -> list[str]:
         return self._registry.names()
-
-    @property
-    def budget_remaining(self) -> float | None:
-        return self.accountant.remaining if self.accountant else None
 
     def budget(self) -> dict | None:
         """The coordinator accountant's full ledger view (None when

@@ -21,12 +21,21 @@ and analysts.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.guarantees import OSDPGuarantee, sequential_composition
 from repro.core.policy import Policy
+
+
+def require_epsilon(epsilon: float, what: str = "epsilon") -> None:
+    """Refuse an ε that is not finite and positive.  ``epsilon <= 0``
+    alone passes NaN, and one NaN charge turns ``spent`` into NaN, after
+    which no affordability check fails again."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"{what} must be finite and positive, got {epsilon!r}")
 
 
 class BudgetExceededError(RuntimeError):
@@ -149,8 +158,7 @@ class PrivacyAccountant:
         two analysts can never both spend the last remaining epsilon,
         and a quota'd analyst can never overdraw the sub-budget either.
         """
-        if epsilon <= 0:
-            raise ValueError("epsilon charge must be positive")
+        require_epsilon(epsilon, "epsilon charge")
         with self._lock:
             self._check_charge(epsilon, analyst)
             self._append_entry(

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.core.accountant import PrivacyAccountant
+from repro.core.accountant import PrivacyAccountant, require_epsilon
 from repro.core.guarantees import DPGuarantee, OSDPGuarantee
 from repro.queries.histogram import HistogramInput
 
@@ -76,8 +76,7 @@ class HistogramMechanism(ABC):
     name: str = "mechanism"
 
     def __init__(self, epsilon: float):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        require_epsilon(epsilon)
         self.epsilon = epsilon
 
     def __init_subclass__(cls, **kwargs):

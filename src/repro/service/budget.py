@@ -62,6 +62,7 @@ from repro.core.accountant import (
     AnalystAccountant,
     LedgerEntry,
     PrivacyAccountant,
+    require_epsilon,
 )
 from repro.core.policy import AllSensitivePolicy, Policy
 from repro.core.policy_language import (
@@ -358,8 +359,7 @@ class DurableAccountant:
         time any caller can observe the charge (let alone receive the
         noisy release), it is on stable storage.
         """
-        if epsilon <= 0:
-            raise ValueError("epsilon charge must be positive")
+        require_epsilon(epsilon, "epsilon charge")
         with self._inner._lock:
             self._inner._check_charge(epsilon, analyst)
             entry = LedgerEntry(

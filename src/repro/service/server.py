@@ -2,9 +2,9 @@
 
 A deployment of the paper's mechanisms is not one release but a stream
 of them: many analysts, many policies, many binnings, one budget.  The
-server models exactly that traffic shape while staying in-process (no
-sockets — transport is out of scope; the request/response dataclasses
-are the wire format a transport would serialize):
+server models exactly that traffic shape in one process;
+:class:`repro.service.rpc.RpcServer` puts it behind a socket, and the
+request/response dataclasses are what :mod:`repro.api.wire` encodes:
 
 * **Sharded evaluation.**  The database is a
   :class:`repro.data.sharding.ShardedColumnarDatabase`; masks and bin
@@ -29,6 +29,8 @@ are the wire format a transport would serialize):
   nothing.  A batch that fails mid-way raises
   :class:`BatchBudgetExceededError`, which carries the responses of the
   already-charged prefix — charged noise is never silently discarded.
+  An ε that is not finite and positive is refused before anything is
+  counted or charged.
 * **Live data.**  :meth:`ReleaseServer.append_records` and
   :meth:`ReleaseServer.expire_prefix` mutate the sharded database in
   place (tail-shard extension / front-shard trim — never a full
@@ -83,7 +85,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.accountant import BudgetExceededError, PrivacyAccountant
+from repro.core.accountant import (
+    BudgetExceededError,
+    PrivacyAccountant,
+    require_epsilon,
+)
 from repro.core.policy import NON_SENSITIVE, Policy
 from repro.core.policy_language import policy_from_spec
 from repro.data.columnar import ColumnarDatabase
@@ -206,7 +212,136 @@ class ServiceStats:
         return dict(self.__dict__)
 
 
-class ReleaseServer:
+class ReleaseLoop:
+    """validate → histogram → run → respond: the one release loop.
+
+    :class:`ReleaseServer` and the cluster coordinator
+    (:class:`repro.api.cluster.ClusterBackend`) both serve through it,
+    so a clustered release is bit-identical to a single server's by
+    construction.  A subclass supplies the merged histogram
+    (``_histogram``), may widen :meth:`_batch_error`, and provides
+    ``_registry``, ``accountant``, ``stats`` and ``_stats_lock``.  The
+    loop holds no lock: ``_histogram`` takes what its data needs, and
+    concurrent requests overlap everything else.
+    """
+
+    _registry: MechanismRegistry
+    accountant: PrivacyAccountant | None
+
+    @property
+    def budget_remaining(self) -> float | None:
+        return self.accountant.remaining if self.accountant else None
+
+    def _bump(self, counter: str) -> None:
+        with self._stats_lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+
+    @staticmethod
+    def _resolve(request: ReleaseRequest) -> tuple[object, Policy]:
+        """Materialize a request's binning/policy from wire specs.
+
+        A dict-shaped ``policy``/``binning`` is what a transport
+        delivers; resolution goes through the spec loaders, and the
+        resulting objects still share cache entries with their live
+        twins via ``cache_key()`` value identity.
+        """
+        binning, policy = request.binning, request.policy
+        if isinstance(binning, Mapping):
+            binning = binning_from_spec(binning)
+        if isinstance(policy, Mapping):
+            policy = policy_from_spec(policy)
+        return binning, policy
+
+    def _check(self, request: ReleaseRequest) -> None:
+        """Refuse a malformed request before any histogram or charge."""
+        if request.mechanism not in self._registry:
+            raise KeyError(
+                f"unknown mechanism {request.mechanism!r}; registered: "
+                f"{self._registry.names()}"
+            )
+        if request.n_trials < 1:
+            raise ValueError("n_trials must be at least 1")
+        require_epsilon(request.epsilon)
+
+    def _histogram(
+        self, request: ReleaseRequest, memo: dict
+    ) -> tuple[HistogramInput, Policy, bool]:
+        """``(hist, policy, cache_hit)``; ``memo`` lives for one call
+        of ``handle``/``handle_batch``."""
+        raise NotImplementedError
+
+    def _batch_error(self, exc, responses, request) -> Exception | None:
+        """What a batch stopped by ``exc`` raises to hand back its
+        charged ``responses`` (None: ``exc`` itself)."""
+        if isinstance(exc, BudgetExceededError):
+            return BatchBudgetExceededError(str(exc), responses, request)
+        return None
+
+    def _release(self, request: ReleaseRequest, memo: dict) -> ReleaseResponse:
+        hist, policy, cache_hit = self._histogram(request, memo)
+        mechanism = self._registry.create(request.mechanism, request.epsilon)
+        accountant = self.accountant
+        if accountant is not None and request.analyst:
+            # Bind the charge to the request's credential: quota'd
+            # analysts are checked against their sub-budget atomically
+            # with the global check.
+            accountant = accountant.for_analyst(request.analyst)
+        # `run` on the merged input: the ledger records the policy
+        # whose x_ns the mechanism consumed (DP mechanisms charge under
+        # P_all per Lemma 3.1) — the composition theorem (Theorem 3.3)
+        # folds the entries into the minimum relaxation.
+        estimates = mechanism.run(
+            hist,
+            np.random.default_rng(request.seed),
+            n_trials=request.n_trials,
+            policy=policy,
+            accountant=accountant,
+            label=request.label or request.mechanism,
+        )
+        self._bump("requests")
+        return ReleaseResponse(
+            request=request,
+            estimates=estimates,
+            epsilon_spent=request.epsilon,
+            budget_remaining=self.budget_remaining,
+            cache_hit=cache_hit,
+        )
+
+    def handle(self, request: ReleaseRequest) -> ReleaseResponse:
+        """Serve one request: check, histogram, charge, release."""
+        self._check(request)
+        return self._release(request, {})
+
+    def handle_batch(
+        self, requests: Sequence[ReleaseRequest]
+    ) -> list[ReleaseResponse]:
+        """Serve a traffic batch in order.
+
+        Requests sharing a ``(binning, policy)`` pair hit the histogram
+        cache after the first.  Malformed requests (unknown mechanism,
+        bad trial count, an ε that is not finite and positive) are
+        rejected up front, before *any* request is charged — budget
+        must never be spent on a batch that was doomed by a typo.  When
+        a request fails after others were charged, the failure is
+        re-raised as :meth:`_batch_error` says, carrying the charged
+        prefix (:class:`BatchBudgetExceededError` on an overrun).
+        """
+        for request in requests:
+            self._check(request)
+        responses: list[ReleaseResponse] = []
+        memo: dict = {}
+        for request in requests:
+            try:
+                responses.append(self._release(request, memo))
+            except Exception as exc:
+                error = self._batch_error(exc, responses, request)
+                if error is None:
+                    raise
+                raise error from exc
+        return responses
+
+
+class ReleaseServer(ReleaseLoop):
     """Serve histogram-release requests from one sharded database."""
 
     def __init__(
@@ -252,14 +387,15 @@ class ReleaseServer:
         self._counts_cache: dict[tuple, tuple[int, tuple]] = {}
         self._hist_cache: dict[tuple, tuple[tuple, HistogramInput]] = {}
         self._keyed: dict[tuple, object] = {}
-        # One reentrant lock guards every structure above *and* all
-        # access to the sharded engine/executor (a worker pool's pipes
-        # serve one fan-out at a time).  handle() holds it only for
-        # histogram assembly — on a warm cache that is a dict lookup —
-        # and samples the release outside it, so concurrent analysts
-        # overlap the expensive part (see RpcServer's readers-writer
-        # discipline on top).
+        # One reentrant lock guards every structure above, the stats
+        # *and* all access to the sharded engine/executor (a worker
+        # pool's pipes serve one fan-out at a time).  handle() holds it
+        # only for histogram assembly — on a warm cache that is a dict
+        # lookup — and samples the release outside it, so concurrent
+        # analysts overlap the expensive part (see RpcServer's
+        # readers-writer discipline on top).
         self._lock = threading.RLock()
+        self._stats_lock = self._lock
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,10 +407,6 @@ class ReleaseServer:
     @property
     def n_shards(self) -> int:
         return self._db.n_shards
-
-    @property
-    def budget_remaining(self) -> float | None:
-        return self.accountant.remaining if self.accountant else None
 
     def budget_view(self) -> dict | None:
         """The full ledger document (the ``budget`` RPC op's payload):
@@ -467,93 +599,13 @@ class ReleaseServer:
         return np.asarray(hist.x), np.asarray(hist.x_ns)
 
     # ------------------------------------------------------------------
-    # Request handling
+    # The release loop's data hook
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve(request: ReleaseRequest) -> tuple[object, Policy]:
-        """Materialize a request's binning/policy from wire specs.
-
-        A dict-shaped ``policy``/``binning`` is what a transport
-        delivers; resolution goes through the spec loaders, and the
-        resulting objects still share cache entries with their live
-        twins via ``cache_key()`` value identity.
-        """
-        binning, policy = request.binning, request.policy
-        if isinstance(binning, Mapping):
-            binning = binning_from_spec(binning)
-        if isinstance(policy, Mapping):
-            policy = policy_from_spec(policy)
-        return binning, policy
-
-    def handle(self, request: ReleaseRequest) -> ReleaseResponse:
-        """Serve one request: cache-assisted histogram, charge, release."""
-        if request.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
+    def _histogram(self, request: ReleaseRequest, memo: dict):
+        """From the caches, which outlive any ``memo``."""
         binning, policy = self._resolve(request)
         hist, cache_hit = self.histogram_input(binning, policy)
-        mechanism = self._registry.create(request.mechanism, request.epsilon)
-        accountant = self.accountant
-        if accountant is not None and request.analyst:
-            # Bind the charge to the request's credential: quota'd
-            # analysts are checked against their sub-budget atomically
-            # with the global check.
-            accountant = accountant.for_analyst(request.analyst)
-        # `run` on the cache-assembled input: the ledger records the
-        # policy whose x_ns the mechanism consumed (DP mechanisms
-        # charge under P_all per Lemma 3.1) — the composition theorem
-        # (Theorem 3.3) folds the entries into the minimum relaxation.
-        estimates = mechanism.run(
-            hist,
-            np.random.default_rng(request.seed),
-            n_trials=request.n_trials,
-            policy=policy,
-            accountant=accountant,
-            label=request.label or request.mechanism,
-        )
-        with self._lock:
-            self.stats.requests += 1
-        return ReleaseResponse(
-            request=request,
-            estimates=estimates,
-            epsilon_spent=request.epsilon,
-            budget_remaining=self.budget_remaining,
-            cache_hit=cache_hit,
-        )
-
-    def handle_batch(
-        self, requests: Sequence[ReleaseRequest]
-    ) -> list[ReleaseResponse]:
-        """Serve a traffic batch in order.
-
-        Requests sharing a ``(binning, policy)`` pair hit the histogram
-        cache after the first.  Malformed requests (unknown mechanism,
-        bad trial count, non-positive epsilon) are rejected up front,
-        before *any* request is charged — budget must never be spent on
-        a batch that was doomed by a typo.  The accountant then sees
-        every request; when one overruns the budget, the
-        already-charged prefix must not be lost, so the failure is
-        re-raised as :class:`BatchBudgetExceededError` carrying those
-        responses.
-        """
-        for request in requests:
-            if request.mechanism not in self._registry:
-                raise KeyError(
-                    f"unknown mechanism {request.mechanism!r}; registered: "
-                    f"{self._registry.names()}"
-                )
-            if request.n_trials < 1:
-                raise ValueError("n_trials must be at least 1")
-            if request.epsilon <= 0:
-                raise ValueError("epsilon must be positive")
-        responses: list[ReleaseResponse] = []
-        for request in requests:
-            try:
-                responses.append(self.handle(request))
-            except BudgetExceededError as exc:
-                raise BatchBudgetExceededError(
-                    str(exc), responses, request
-                ) from exc
-        return responses
+        return hist, policy, cache_hit
 
     def query_true_histogram(self, query: HistogramQuery) -> np.ndarray:
         """The exact (non-private) histogram — for offline error audits."""

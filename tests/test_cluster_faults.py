@@ -186,7 +186,7 @@ class TestClusterSemantics:
 def _kill_before_fanout(backend, victim, fanout_index: int):
     """SIGKILL ``victim`` right before the Nth distinct histogram
     fan-out — deterministic mid-batch endpoint death."""
-    original = backend._merged_histogram
+    original = backend._histogram
     calls = {"n": 0}
 
     def hooked(request, memo):
@@ -195,7 +195,7 @@ def _kill_before_fanout(backend, victim, fanout_index: int):
             victim.kill()
         return original(request, memo)
 
-    backend._merged_histogram = hooked
+    backend._histogram = hooked
 
 
 class TestEndpointDeath:
@@ -368,7 +368,7 @@ class TestFailoverOrder:
                 ),
                 timeout=0.5,
             ) as backend:
-                original = backend._merged_histogram
+                original = backend._histogram
 
                 def blackhole_second_fanout(request, memo):
                     if request is requests[1]:
@@ -376,7 +376,7 @@ class TestFailoverOrder:
                         second.set_drop(True)
                     return original(request, memo)
 
-                backend._merged_histogram = blackhole_second_fanout
+                backend._histogram = blackhole_second_fanout
                 with pytest.raises(PartialClusterError) as excinfo:
                     backend.handle_batch(requests)
                 spent = backend.accountant.spent
