@@ -508,37 +508,29 @@ class RemoteBackend:
         ]
 
     # ------------------------------------------------------------------
-    # The cluster commit protocol (coordinator side)
+    # Replication (the cluster coordinator's side)
     # ------------------------------------------------------------------
-    def prepare_write(self, write_id: str, wop: str, payload: dict) -> dict:
-        """Stage a replicated write on this endpoint (phase one).
+    def write(self, wop: str, payload: dict, write_id: str) -> dict:
+        """Log and apply a cluster write here; its ``seq``, ``chain``
+        and ``result``.
 
-        The ``req_id`` derives from the write id, so a resent prepare
-        for the same write rides the server's idempotent-reply cache
-        instead of staging twice.
+        The ``req_id`` derives from the write id, so a resend of the
+        same write rides the server's idempotent-reply cache.
         """
         return self._call(
-            "prepare_write",
-            write_id=write_id,
-            wop=wop,
-            req_id=f"{write_id}:prepare",
-            **payload,
+            wop, write_id=write_id, req_id=f"{write_id}:write", **payload
         )
 
-    def commit_write(self, write_id: str) -> dict:
-        """Apply a staged write (phase two); retries replay, not re-run."""
-        return self._call(
-            "commit_write", write_id=write_id, req_id=f"{write_id}:commit"
-        )
+    def apply_entries(self, head_seq, head_chain, entries=(), base=None) -> dict:
+        """Ship a peer's entries (or base) here; the replica's verdict."""
+        head = {"head_seq": int(head_seq), "head_chain": int(head_chain)}
+        return self._call("apply_entries", **head, entries=list(entries), base=base)
 
     def wal_status(self) -> dict:
         return self._call("wal_status")
 
     def sync_range(self, from_seq: int) -> dict:
         return self._call("sync_range", from_seq=int(from_seq))
-
-    def sync_apply(self, base=None, entries=()) -> dict:
-        return self._call("sync_apply", base=base, entries=list(entries))
 
     # ------------------------------------------------------------------
     # Remote introspection

@@ -29,22 +29,18 @@ single server's (:class:`repro.service.server.ReleaseLoop`):
   to an explicit :class:`PartialClusterError` — carrying any
   already-charged responses — never a hang.
 
-Writes are replicated with a durable commit protocol:
-``append_records`` routes to the tail shard range and
-``expire_prefix`` walks ranges head-first (ranges follow the
-endpoints' listing order, which must match data order), each write
-running **two-phase** against the owning range's replicas — prepare
-(stage + validate) on every live replica, then commit (WAL-log,
-fsync, apply) under a stable ``write_id`` whose derived ``req_id``
-keys make every resend an idempotent replay, so a retry after a
-truncated ack applies exactly once.  A replica that misses a commit
-is marked **stale**, excluded from read rotation, and resynced from a
-healthy peer by sequence-number catch-up (``sync_range`` /
-``sync_apply``, with a chain digest guarding against silent
-divergence) before rejoining — reads stay bit-identical to a single
-server across any interleaving of writes, kills, and retries.  See
-``docs/OPERATIONS.md`` for topology, the write-path state machine,
-and failure-mode reference.
+Writes are replicated by **log shipping**: ``append_records`` routes
+to the tail shard range and ``expire_prefix`` walks ranges head-first
+(the endpoints' listing order, which must match data order).  The
+range's first live replica logs and applies each write and replies
+with its seq and chain; with the payload it sent, the coordinator
+ships that entry to every other replica with one op,
+``apply_entries`` — one round trip per replica, and a resend is a
+no-op.  A replica left short of the head is marked
+**stale**, excluded from reads until a later shipment brings it back,
+so reads stay bit-identical to a single server across any
+interleaving of writes, kills, and retries.  See
+``docs/OPERATIONS.md`` for the write path and failure modes.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.api.backends import RemoteBackend, _append_payload
+from repro.api.backends import _ONE_ATTEMPT, RemoteBackend, _append_payload
 from repro.api.resilience import (
     Deadline,
     DeadlineExceeded,
@@ -130,21 +126,17 @@ class PartialClusterError(RuntimeError):
 
 
 class ClusterWriteError(RuntimeError):
-    """A replicated write could not reach its shard range.
+    """A replicated write reached no replica of its shard range.
 
-    ``ambiguous`` is the retry contract: ``False`` means no replica
-    logged the write (retrying is plainly safe); ``True`` means some
-    replica *may* have logged it before failing — those replicas are
-    already marked stale, so a retry (under a fresh ``write_id``)
-    lands only on clean peers and the stale ones are overwritten by
-    resync, keeping the cluster exactly-once either way.
+    A replica that failed after the write was sent to it may have
+    logged it; it is already marked stale, so it serves no read until
+    it is reset onto a peer's history.
     """
 
-    def __init__(self, message, shard_range, write_id=None, ambiguous=False):
+    def __init__(self, message, shard_range, write_id=None):
         super().__init__(message)
         self.shard_range = shard_range
         self.write_id = write_id
-        self.ambiguous = ambiguous
 
 
 @dataclass
@@ -157,8 +149,6 @@ class ClusterStats:
     sweep_retries: int = 0
     unserved_ranges: int = 0
     writes: int = 0
-    write_prepares: int = 0
-    write_commits: int = 0
     stale_marks: int = 0
     resyncs: int = 0
 
@@ -179,7 +169,7 @@ class ClusterBackend(ReleaseLoop):
     budget.
 
     ``retry`` paces the per-range failover sweep (each attempt walks
-    every live replica, healthy ones first) and the commit resends;
+    every live replica, healthy ones first) and the entry shipments;
     ``timeout`` bounds each endpoint exchange.
 
     ``accountant`` may be a plain
@@ -234,14 +224,14 @@ class ClusterBackend(ReleaseLoop):
         # backoff — a fake makes backoff-heavy fault tests instant.
         self._sleep = time.sleep if clock is None else clock.sleep
         self._timeout = timeout
-        # Replicas known to have missed a commit: key -> reason.  They
+        # Replicas known to have missed a write: key -> reason.  They
         # are excluded from read rotation (serving them would break
-        # bit-identity) until resync() catches them back up.
+        # bit-identity) until a shipment brings them to the head.
         self._stale: dict[str, str] = {}
         self._stale_lock = threading.Lock()
-        # One writer at a time per shard range: the commit protocol's
-        # prepare->commit window must not interleave with another
-        # write to the same replicas (sequence numbers are per-range).
+        # One writer at a time per shard range: a write and the
+        # shipment of its entry must not interleave with another write
+        # to the same replicas (sequence numbers are per-range).
         self._write_locks = {
             shard_range: threading.Lock() for shard_range in self._replicas
         }
@@ -328,13 +318,9 @@ class ClusterBackend(ReleaseLoop):
                 deadline.require(describe)
                 self._bump("range_calls")
                 try:
-                    result = fn(self._client(endpoint))
+                    return self._on(endpoint, fn)
                 except FAILOVER_ERRORS as exc:
                     last = exc
-                    self._endpoint_failed(endpoint, exc)
-                    continue
-                self._health.record_success(endpoint.key)
-                return result
             raise last
 
         try:
@@ -349,17 +335,28 @@ class ClusterBackend(ReleaseLoop):
                 shard_range,
             ) from exc
 
-    def _with_retries(self, fn, describe: str, deadline: Deadline):
-        """``fn`` under the cluster retry policy, retrying failovers."""
+    def _with_retries(self, fn, describe: str, deadline: Deadline, policy=None):
+        """``fn`` under ``policy`` (default: the cluster's), retrying
+        failovers."""
         return call_with_retries(
             fn,
-            self._retry,
+            policy or self._retry,
             retryable=FAILOVER_ERRORS,
             rng=self._rng,
             sleep=self._sleep,
             describe=describe,
             deadline=deadline,
         )
+
+    def _on(self, endpoint: ClusterEndpoint, fn):
+        """``fn(client)`` on one endpoint, booking its health either way."""
+        try:
+            result = fn(self._client(endpoint))
+        except FAILOVER_ERRORS as exc:
+            self._endpoint_failed(endpoint, exc)
+            raise
+        self._health.record_success(endpoint.key)
+        return result
 
     def _endpoint_failed(self, endpoint: ClusterEndpoint, exc) -> None:
         """Book one failed endpoint call and drop its connection."""
@@ -435,7 +432,7 @@ class ClusterBackend(ReleaseLoop):
         return np.sum(totals, axis=0)
 
     # ------------------------------------------------------------------
-    # The write path: replicated two-phase writes + stale-replica resync
+    # The write path: one replica logs, its peers take the entry
     # ------------------------------------------------------------------
     def append_records(self, records) -> int:
         """Append through the cluster: replicated on the tail range.
@@ -490,198 +487,141 @@ class ClusterBackend(ReleaseLoop):
         return touched
 
     def _replicated_write(self, wop: str, payload: dict, shard_range) -> dict:
-        """Two-phase commit of one write across a range's replicas.
+        """One write through a range's replicas; the leader's reply.
 
-        Under the range's write lock: opportunistically resync any
-        stale replica first (so a recovered endpoint rejoins before it
-        falls further behind), then **prepare** on every live replica
-        and **commit** on each that prepared.  A replica that fails
-        prepare while others go on to commit — or fails/misses its
-        commit — has missed a write its peers applied: it is marked
-        stale and left to resync.  The returned document is the
-        highest-sequence commit reply.
+        Under the range's write lock, the first live replica that
+        answers (:meth:`_lead`) logs the write under a fresh
+        ``write_id`` and replies with its ``seq`` and ``chain``; the
+        entry those and the sent payload make goes to every other
+        replica through :meth:`_ship`.  A leader that failed
+        mid-exchange is stale and the same ``write_id`` goes to the next
+        replica: equal histories give equal seqs and chains, so one that
+        did log it later reports ``replayed``.
         """
         with self._write_locks[shard_range]:
-            self._resync_range_locked(shard_range)
             write_id = uuid.uuid4().hex
             self._bump("writes")
-            ranked = self._health.ranked(
-                self._replicas[shard_range], key=lambda ep: ep.key
+            leader, reply = self._lead(
+                shard_range, lambda client: client.write(wop, payload, write_id)
             )
-            live = [ep for ep in ranked if not self._is_stale(ep)]
-            prepared: list[ClusterEndpoint] = []
-            prepare_failures: list[ClusterEndpoint] = []
-            for endpoint in live:
-                try:
-                    self._client(endpoint).prepare_write(
-                        write_id, wop, payload
-                    )
-                except FAILOVER_ERRORS as exc:
-                    self._health.record_failure(endpoint.key, exc)
-                    self._drop_client(endpoint)
-                    prepare_failures.append(endpoint)
-                    continue
-                self._bump("write_prepares")
-                self._health.record_success(endpoint.key)
-                prepared.append(endpoint)
-            if not prepared:
+            if leader is None:
                 raise ClusterWriteError(
-                    f"write {wop!r} to shard range {shard_range!r} reached "
-                    f"no replica at prepare (live: "
-                    f"{[ep.key for ep in live]}); nothing was applied",
+                    f"write {wop!r} ({write_id}) reached no replica of "
+                    f"shard range {shard_range!r}",
                     shard_range,
                     write_id=write_id,
-                    ambiguous=False,
                 )
-            # From here the write will land somewhere: a replica that
-            # could not even stage it is about to miss the commit.
-            for endpoint in prepare_failures:
-                self._mark_stale(endpoint, f"unreachable at prepare of {wop}")
-            best: dict | None = None
-            committed: list[tuple[ClusterEndpoint, dict]] = []
-            for endpoint in prepared:
-                try:
-                    reply = self._commit_with_retries(endpoint, write_id)
-                except KeyError as exc:
-                    # The endpoint restarted between prepare and
-                    # commit and lost its staging — it needs the write
-                    # via resync, not via a blind re-apply.
-                    self._mark_stale(endpoint, f"lost staged {wop}: {exc}")
-                    continue
-                except FAILOVER_ERRORS as exc:
-                    # Ambiguous: the commit may have been logged before
-                    # the failure.  Stale-until-resync makes either
-                    # outcome safe.
-                    self._mark_stale(
-                        endpoint, f"commit of {wop} unacknowledged: {exc}"
-                    )
-                    continue
-                self._bump("write_commits")
-                committed.append((endpoint, reply))
-                if best is None or int(reply["seq"]) > int(best["seq"]):
-                    best = reply
-            if best is None:
-                raise ClusterWriteError(
-                    f"write {wop!r} ({write_id}) to shard range "
-                    f"{shard_range!r} committed on no replica; replicas "
-                    "that may have logged it are marked stale, so a "
-                    "retry under a fresh write_id stays exactly-once",
-                    shard_range,
-                    write_id=write_id,
-                    ambiguous=True,
-                )
-            for endpoint, reply in committed:
-                # Pure defense: per-range writes are serialized and
-                # replicas resync before each one, so every commit
-                # should land at the same seq — if one disagrees, it
-                # was already divergent and must not keep serving.
-                if int(reply["seq"]) != int(best["seq"]):
-                    self._mark_stale(
-                        endpoint,
-                        f"commit seq {reply['seq']} disagrees with "
-                        f"{best['seq']}",
-                    )
-            return best
+            entry = {
+                "seq": reply["seq"],
+                "write_id": write_id,
+                "wop": wop,
+                "payload": payload,
+                "chain": reply["chain"],
+            }
+            head = (entry["seq"], entry["chain"])
+            for follower in self._replicas[shard_range]:
+                if follower is not leader:
+                    self._ship(leader, follower, head, [entry])
+            return reply
 
-    def _commit_with_retries(self, endpoint: ClusterEndpoint, write_id: str):
-        """Commit on one replica, retrying through transport faults.
-
-        The per-endpoint client is fail-fast (it poisons on a broken
-        stream), so each retry drops it and reconnects fresh; the
-        commit's stable ``req_id`` turns a retry after a truncated ack
-        into an idempotent replay of the cached reply — the op itself
-        runs at most once.  No deadline applies: once a write has
-        prepared, finishing its commit is what keeps replicas equal.
+    def _lead(self, shard_range, fn, logs=True):
+        """``(endpoint, fn(client))`` from the range's first live replica
+        that answers, healthy ones first; ``(None, None)`` if none does.
+        Every failure is booked; one that failed after a write (``logs``)
+        was sent may have logged it, so it is also marked stale.
         """
-
-        def commit():
+        live = [ep for ep in self._replicas[shard_range] if not self._is_stale(ep)]
+        for endpoint in self._health.ranked(live, key=lambda ep: ep.key):
             try:
-                return self._client(endpoint).commit_write(write_id)
+                self._client(endpoint)
             except FAILOVER_ERRORS as exc:
                 self._endpoint_failed(endpoint, exc)
-                raise
-
-        return self._with_retries(commit, "commit_write", Deadline(None))
-
-    def resync(self, shard_range=None) -> dict[str, bool]:
-        """Catch stale replicas back up from their healthy peers.
-
-        Runs automatically before every write; call it explicitly to
-        rejoin replicas on a read-only cluster (e.g. after restarting
-        a killed endpoint).  Returns ``{endpoint key: rejoined?}`` for
-        the replicas that were stale.
-        """
-        ranges = (
-            list(self._replicas) if shard_range is None else [shard_range]
-        )
-        results: dict[str, bool] = {}
-        for one_range in ranges:
-            with self._write_locks[one_range]:
-                results.update(self._resync_range_locked(one_range))
-        return results
-
-    def _resync_range_locked(self, shard_range) -> dict[str, bool]:
-        stale = [
-            ep for ep in self._replicas[shard_range] if self._is_stale(ep)
-        ]
-        if not stale:
-            return {}
-        healthy = [
-            ep for ep in self._replicas[shard_range] if not self._is_stale(ep)
-        ]
-        return {ep.key: self._resync_one(ep, healthy) for ep in stale}
-
-    def _resync_one(
-        self, endpoint: ClusterEndpoint, healthy: Sequence[ClusterEndpoint]
-    ) -> bool:
-        """Bring one stale replica to its peers' exact state.
-
-        Ask the replica where it stands (``wal_status``), fetch
-        catch-up material from the healthiest peer (``sync_range``),
-        and have the replica adopt it (``sync_apply``).  The chain
-        digest decides between the cheap path (entries after the
-        replica's seq — valid only if its history up to there matches
-        the peer's) and the full base reset (diverged or too far
-        behind).  Still-unreachable replicas simply stay stale.
-        """
-        try:
-            status = self._client(endpoint).wal_status()
-        except FAILOVER_ERRORS:
-            self._drop_client(endpoint)
-            return False
-        from_seq = int(status["last_seq"])
-        chain = int(status.get("chain", 0))
-        for peer in self._health.ranked(healthy, key=lambda ep: ep.key):
-            try:
-                payload = self._client(peer).sync_range(from_seq)
-                base, entries = payload["base"], payload["entries"]
-                if base is None:
-                    chain_at = payload.get("chain_at")
-                    if chain_at is None or int(chain_at) != chain:
-                        # Same/overlapping seq, different history: the
-                        # replica holds writes the cluster never acked.
-                        # Only a full reset reconverges it.
-                        payload = self._client(peer).sync_range(-1)
-                        base, entries = payload["base"], payload["entries"]
-                    elif int(payload["last_seq"]) == from_seq:
-                        # Already at the peers' head (WAL replay after
-                        # a restart restored everything) — rejoin.
-                        self._unmark_stale(endpoint)
-                        self._bump("resyncs")
-                        return True
-                applied = self._client(endpoint).sync_apply(
-                    base=base, entries=entries
-                )
-                if int(applied["last_seq"]) != int(payload["last_seq"]):
-                    continue
-            except FAILOVER_ERRORS:
-                self._drop_client(peer)
-                self._drop_client(endpoint)
                 continue
-            self._unmark_stale(endpoint)
+            try:
+                return endpoint, self._on(endpoint, fn)
+            except FAILOVER_ERRORS as exc:
+                if logs:
+                    self._mark_stale(endpoint, f"failed mid-exchange: {exc}")
+        return None, None
+
+    def _ship(self, leader, follower, head, entries=()) -> str:
+        """Bring ``follower`` to the leader's ``head``; its verdict.
+
+        ``apply_entries`` carries ``entries``; a ``behind`` reply gets
+        the leader's tail (``sync_range``), a ``diverged`` one its
+        base, through the same op.  A resend is ``replayed``, so a
+        failure mid-exchange is retried (once only for a replica already
+        stale); a refused or timed-out connect is not.  Returns
+        ``caught_up``, ``base_reset`` or ``unreachable``, which leaves
+        the follower stale.
+        """
+        reason = f"did not reach seq {head[0]}"
+
+        def ship():
+            nonlocal reason
+            try:
+                self._client(follower)
+            except FAILOVER_ERRORS as exc:
+                # Nothing was sent, and a resend would wait on the same
+                # dead endpoint.
+                self._endpoint_failed(follower, exc)
+                reason = f"{reason}: {exc}"
+                return "unreachable"
+            verdict, sent, base = "caught_up", entries, None
+            for _ in range(3):  # the entries, the leader's tail, its base
+                reply = self._on(
+                    follower,
+                    lambda client: client.apply_entries(*head, sent, base),
+                )
+                if reply["verdict"] in ("applied", "replayed"):
+                    return verdict
+                behind = reply["verdict"] == "behind"
+                from_seq = reply["last_seq"] if behind else -1
+                tail = self._on(leader, lambda client: client.sync_range(from_seq))
+                sent, base = tail["entries"], tail["base"]
+                if base is not None:
+                    verdict = "base_reset"
+            return "unreachable"
+
+        policy = _ONE_ATTEMPT if self._is_stale(follower) else self._retry
+        try:
+            verdict = self._with_retries(
+                ship, f"apply_entries to {follower.key}", Deadline(None), policy
+            )
+        except FAILOVER_ERRORS as exc:
+            verdict, reason = "unreachable", f"{reason}: {exc}"
+        if verdict == "unreachable":
+            self._mark_stale(follower, reason)
+        elif self._unmark_stale(follower):
             self._bump("resyncs")
-            return True
-        return False
+        return verdict
+
+    def resync(self, shard_range=None) -> dict[str, str]:
+        """Ship each stale replica its range's head; ``{key: verdict}``
+        (see :meth:`_ship`).
+
+        The write's shipping loop with no new entry, from the first
+        live replica that reports its head (``wal_status``).  The next
+        write ships to stale replicas anyway; call this to rejoin one
+        on a read-only cluster (e.g. after restarting a killed
+        endpoint).
+        """
+        ranges = list(self._replicas) if shard_range is None else [shard_range]
+        verdicts: dict[str, str] = {}
+        for one_range in ranges:
+            replicas = self._replicas[one_range]
+            if not any(self._is_stale(ep) for ep in replicas):
+                continue
+            with self._write_locks[one_range]:
+                leader, status = self._lead(
+                    one_range, lambda client: client.wal_status(), logs=False
+                )
+                for endpoint in filter(self._is_stale, replicas):
+                    verdicts[endpoint.key] = "unreachable"
+                    if leader is not None:
+                        head = (status["last_seq"], status["chain"])
+                        verdicts[endpoint.key] = self._ship(leader, endpoint, head)
+        return verdicts
 
     def _is_stale(self, endpoint: ClusterEndpoint) -> bool:
         with self._stale_lock:
@@ -694,9 +634,10 @@ class ClusterBackend(ReleaseLoop):
             self._stale[endpoint.key] = reason
         self._bump("stale_marks")
 
-    def _unmark_stale(self, endpoint: ClusterEndpoint) -> None:
+    def _unmark_stale(self, endpoint: ClusterEndpoint) -> bool:
+        """Return ``endpoint`` to the read rotation; was it stale?"""
         with self._stale_lock:
-            self._stale.pop(endpoint.key, None)
+            return self._stale.pop(endpoint.key, None) is not None
 
     def stale(self) -> dict[str, str]:
         """The currently stale replicas: ``{endpoint key: reason}``."""

@@ -2,13 +2,13 @@
 
 One sensor event at a time through ``append_records`` pays the full
 write path per event — an exclusive lock acquisition, a WAL fsync (or
-a replicated two-phase commit) for a single row.  :class:`IngestBuffer`
+a replicated cluster write) for a single row.  :class:`IngestBuffer`
 coalesces: events stage in memory and flush as **one** append — one
 lock, one WAL entry, one fsync, one replicated commit — when a size or
 age watermark trips (or on an explicit :meth:`flush`).  Because the
 flush rides the ordinary ``append_records`` of whatever target it was
 given, the same buffer batches into an in-process engine, a remote
-endpoint, or a replicated cluster's 2PC path unchanged, and the final
+endpoint, or a replicated cluster's write path unchanged, and the final
 column state is bit-identical to a cold batch load of the same events
 (appends concatenate in arrival order on every path).
 

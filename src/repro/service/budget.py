@@ -26,7 +26,9 @@ holds.  If even those bytes are unreadable, recovery charges the
 **entire remaining budget** (the maximal safe assumption) and labels
 the entry so operators can see what happened.  Either way the
 salvaged charge is re-journaled as a clean frame, so a second restart
-counts it exactly once.
+counts it exactly once.  A whole frame whose epsilon is not finite and
+positive (journaled before every gate checked it) is booked the same
+way, as the entire remaining budget, and a snapshot drops the frame.
 
 Ledger entries serialize their policies via the PR-3 spec codec
 (:func:`repro.core.policy_language.policy_to_spec`), so recovery
@@ -86,6 +88,9 @@ TORN_TAIL_LABEL = "torn-tail"
 #: Label when not even the torn tail's epsilon bytes were readable and
 #: the whole remaining budget was charged instead.
 TORN_TAIL_UNREADABLE_LABEL = "torn-tail(unreadable)"
+#: Label of the whole-remaining-budget charge that replaces journaled
+#: charges whose epsilon is not finite and positive.
+INVALID_CHARGE_LABEL = "invalid-charge"
 
 
 class BudgetJournalError(RuntimeError):
@@ -133,6 +138,11 @@ def _blob_doc(blob: bytes) -> dict:
     return decode_message(blob[_EPSILON_PREFIX.size :])
 
 
+def _summable(epsilon) -> bool:
+    """A charge the ledger can add: finite and positive."""
+    return math.isfinite(epsilon) and epsilon > 0
+
+
 def _salvage_epsilon(torn: bytes) -> float | None:
     """A torn tail's epsilon, from the raw float bytes leading its blob.
 
@@ -143,9 +153,7 @@ def _salvage_epsilon(torn: bytes) -> float | None:
     if len(body) < _EPSILON_PREFIX.size:
         return None
     (epsilon,) = _EPSILON_PREFIX.unpack_from(body, 0)
-    if not math.isfinite(epsilon) or epsilon <= 0:
-        return None
-    return float(epsilon)
+    return float(epsilon) if _summable(epsilon) else None
 
 
 class ChargeJournal:
@@ -222,13 +230,17 @@ class ChargeJournal:
         were salvageable — charge the whole remaining budget).  The
         scan has already cut the torn bytes from disk; the caller
         re-journals the salvaged charge as a clean frame via
-        :meth:`append_entry`.
+        :meth:`append_entry`.  ``invalid_charges`` counts entries whose
+        epsilon is not finite and positive (journaled before every gate
+        checked it): they are left out of the docs, and the caller
+        books them and compacts them off the disk.
         """
         report = {
             "snapshot_seq": 0,
             "replayed": 0,
             "torn_bytes": 0,
             "torn_epsilon": None,
+            "invalid_charges": 0,
         }
         try:
             snapshot = self._frames.read_snapshot(decode_message)
@@ -264,6 +276,9 @@ class ChargeJournal:
         if torn:
             report["torn_bytes"] = len(torn)
             report["torn_epsilon"] = _salvage_epsilon(torn)
+        kept = [doc for doc in self._docs if _summable(float(doc["epsilon"]))]
+        report["invalid_charges"] = len(self._docs) - len(kept)
+        self._docs = kept
         return list(self._docs), report
 
     def close(self) -> None:
@@ -312,15 +327,25 @@ class DurableAccountant:
                 # (e.g. after a torn-tail worst-case charge) refuses
                 # further charges instead of erroring here.
                 self._inner._append_entry(entry_from_doc(doc))
-            torn_entry = self._torn_entry(report)
-            if torn_entry is not None:
-                # Re-journal the salvaged charge as a clean frame so a
-                # second restart counts it exactly once.
-                self._journal.append_entry(torn_entry)
-                self._inner._append_entry(torn_entry)
+            if report["invalid_charges"]:
+                # A charge that cannot be summed (a NaN makes spent NaN,
+                # which refuses nothing) books everything still
+                # standing, the rule of an unreadable torn tail.
+                self._book(self._whole_remaining(INVALID_CHARGE_LABEL))
+            self._book(self._torn_entry(report))
+            if report["invalid_charges"]:
+                # The snapshot leaves the invalid frames behind.
+                self._journal.compact()
         report["spent"] = self.spent
         report["remaining"] = self.remaining
         return report
+
+    def _book(self, entry: LedgerEntry | None) -> None:
+        """Journal and install a recovery charge.  It is re-journaled as
+        a clean frame so a second restart counts it exactly once."""
+        if entry is not None:
+            self._journal.append_entry(entry)
+            self._inner._append_entry(entry)
 
     def _torn_entry(self, report: dict) -> LedgerEntry | None:
         """The synthetic charge a torn journal tail turns into."""
@@ -335,13 +360,15 @@ class DurableAccountant:
             )
         # Epsilon unreadable: the maximal safe assumption is that the
         # torn charge consumed everything still standing.
+        return self._whole_remaining(TORN_TAIL_UNREADABLE_LABEL)
+
+    def _whole_remaining(self, label: str) -> LedgerEntry | None:
+        """A charge of the whole remaining budget (None when none is)."""
         remaining = max(0.0, self._inner.total_epsilon - self._inner.spent)
         if remaining <= 0:
             return None
         return LedgerEntry(
-            policy=AllSensitivePolicy(),
-            epsilon=remaining,
-            label=TORN_TAIL_UNREADABLE_LABEL,
+            policy=AllSensitivePolicy(), epsilon=remaining, label=label
         )
 
     # -- the accountant surface ----------------------------------------

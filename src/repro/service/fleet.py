@@ -523,8 +523,8 @@ class FleetSupervisor:
                 self._event(
                     f"endpoint {state.spec.name} restarted on "
                     f"{state.address[0]}:{state.address[1]} (WAL replay "
-                    "restores acked writes; stale replicas rejoin via "
-                    "resync)"
+                    "restores acked writes; a stale replica rejoins when "
+                    "the next write or resync ships it the tail)"
                 )
             else:
                 self._event(

@@ -24,21 +24,19 @@ Protocol: each exchange is one framed request message
                    merged ``{"x", "x_ns"}`` int64 count arrays (the
                    cluster coordinator's merge input)
 ``append_records`` new rows (list of records, or a columns mapping of
-                   arrays) -> tail shard index
+                   arrays) -> tail shard index; with a ``write_id`` (a
+                   cluster write) -> its seq, chain and result
 ``expire_prefix``  drop the n oldest records -> touched shard indices
-``prepare_write``  stage a replicated write (``write_id`` + op +
-                   payload) without applying it; first half of the
-                   cluster commit protocol
-``commit_write``   apply a staged write: log to the WAL (fsync'd),
-                   apply, remember the result per ``write_id`` so a
-                   commit retry replays instead of double-applying
-``wal_status``     the endpoint's WAL cursor (``last_seq``,
+                   (or, with a ``write_id``, its seq, chain and result)
+``apply_entries``  a peer's entries (and optional base), logged under
+                   their own seqs toward its head ``(head_seq,
+                   head_chain)`` -> ``applied`` / ``replayed`` /
+                   ``behind`` / ``diverged``
+``wal_status``     the endpoint's WAL cursor (``last_seq``, ``chain``,
                    ``snapshot_seq``, retained entries, record count)
 ``sync_range``     entries after a follower's ``from_seq`` — or the
                    full column state when the follower is too far
-                   behind (or diverged ahead) — for replica resync
-``sync_apply``     adopt a peer's base state and/or replay its entries
-                   under their original sequence numbers
+                   behind (or diverged ahead) — to ship to it
 ``stats``          the server's cache counters
 ``transport_stats`` the socket tier's counters (timeouts, replays,
                    drains, overload rejections, ...) plus per-op
@@ -48,8 +46,8 @@ Protocol: each exchange is one framed request message
                    quota standing (None when unmetered)
 =================  ====================================================
 
-The seven write-protocol ops, ``append_records`` through
-``sync_apply``, are one-line delegations to
+The five write-protocol ops, ``append_records`` through
+``sync_range``, are one-line delegations to
 :class:`repro.service.replica.Replica`, which owns the endpoint's WAL
 and the whole durable write protocol; this module keeps the socket
 loop, locking, admission, deadlines and idempotent replies.
@@ -62,16 +60,17 @@ op that would start after that budget has elapsed is refused with
 
 Handling follows a **readers-writer discipline** (the one-big-lock
 serialization of PR 4 is gone): the read-path ops — ``release``,
-``release_batch``, ``true_histogram``, ``stats``, ``budget``, ``ping``,
-``mechanisms`` — run concurrently under a shared lock, because every
-release is a deterministic function of immutable column snapshots plus
-an rng seed and the release server is internally thread-safe (caches
-behind a short internal lock, noise sampling outside it, accountant
-charges atomic).  Only the data mutations — ``append_records``,
-``expire_prefix``, ``commit_write`` and ``sync_apply`` — take the
-exclusive side, so an update never interleaves with an in-flight
-release.  ``admission_limit`` (the CLI's ``--max-inflight``) is the one
-bound on concurrency.  Responses remain bit-identical to calling
+``release_batch``, ``true_histogram``, ``hist_counts``, ``stats``,
+``budget``, ``ping``, ``mechanisms``, ``wal_status``, ``sync_range`` —
+run concurrently under a shared lock, because every release is a
+deterministic function of immutable column snapshots plus an rng seed
+and the release server is internally thread-safe (caches behind a
+short internal lock, noise sampling outside it, accountant charges
+atomic).  Only the data mutations — ``append_records``,
+``expire_prefix`` and ``apply_entries`` — take the exclusive side, so
+an update never interleaves with an in-flight release.
+``admission_limit`` (the CLI's ``--max-inflight``) is the one bound on
+concurrency.  Responses remain bit-identical to calling
 ``ReleaseServer.handle`` in-process with the same request, which is
 the contract the API tests pin; with an accountant, concurrent
 analysts' charges compose in arrival order.
@@ -316,8 +315,8 @@ class RpcServer:
             raise ValueError("admission_retry_after must be positive")
         self.release_server = server
         self.read_timeout = read_timeout
-        # Every write — direct or via the commit protocol — goes
-        # through the replica's WAL (an in-memory one by default).
+        # Every write — direct, a cluster write or a shipped entry —
+        # goes through the replica's WAL (an in-memory one by default).
         self.replica = Replica(server, wal)
         self._lock = ReadWriteLock()
         self._tcp = _ThreadedTCPServer((host, port), _Handler)
@@ -606,21 +605,16 @@ class RpcServer:
             "stats",
             "transport_stats",
             "budget",
-            # prepare_write only stages (the replica's own lock guards
-            # its staging) and reads WAL replay state; wal_status and
-            # sync_range read the WAL + column state — all consistent
-            # under the shared side because every mutation takes the
-            # exclusive side.
-            "prepare_write",
+            # wal_status and sync_range read the WAL + column state —
+            # consistent under the shared side because every mutation
+            # takes the exclusive side.
             "wal_status",
             "sync_range",
         }
     )
     #: Ops that mutate the data; exclusive — no release may be mid-
     #: flight while shards extend or trim.
-    WRITE_OPS = frozenset(
-        {"append_records", "expire_prefix", "commit_write", "sync_apply"}
-    )
+    WRITE_OPS = frozenset({"append_records", "expire_prefix", "apply_entries"})
 
     def dispatch(self, message, received_at: float | None = None):
         """Serve one decoded request message; returns the ``ok`` payload.
@@ -707,10 +701,6 @@ class RpcServer:
                 stats: dict = dict(self.transport_stats)
             stats["op_latency"] = self._latency_view()
             return stats
-        if op == "prepare_write":
-            return self.replica.prepare_write(
-                message["write_id"], message["wop"], message
-            )
         if op == "wal_status":
             return self.replica.wal_status()
         if op == "sync_range":
@@ -719,14 +709,12 @@ class RpcServer:
         return server.budget_view()
 
     def _dispatch_write(self, op: str, message):
-        if op == "commit_write":
-            return self.replica.commit_write(message["write_id"])
-        if op == "sync_apply":
-            return self.replica.sync_apply(
-                message.get("base"), message.get("entries") or ()
-            )
+        if op == "apply_entries":
+            head = (message["head_seq"], message["head_chain"])
+            entries = message.get("entries") or ()
+            return self.replica.apply_entries(*head, entries, message.get("base"))
         # append_records / expire_prefix: the message carries the payload
-        return self.replica.write(op, message)
+        return self.replica.write(op, message, message.get("write_id"))
 
 
 #: The admission context of an ungated op (reusable: it holds nothing).

@@ -1,10 +1,10 @@
 """Per-endpoint write-ahead logging for the durable cluster write path.
 
 A replicated write is only as durable as the weakest replica: the
-cluster commit protocol (:mod:`repro.api.cluster`) may ack an
-``append_records``/``expire_prefix`` the moment one replica has
-applied it, so that replica must survive a SIGKILL *after* the ack
-with the write intact.  This module is that guarantee:
+cluster coordinator (:mod:`repro.api.cluster`) acks a write once the
+first replica of its range has logged and applied it, so that replica
+must survive a SIGKILL *after* the ack with the write intact.  This
+module is that guarantee:
 
 * Every write is serialized with the PR-4 wire codec
   (:func:`repro.api.wire.encode_message` — the same JSON-header +
@@ -12,8 +12,8 @@ with the write intact.  This module is that guarantee:
   increasing per-range **sequence number**, framed and **fsync'd
   before the endpoint acks** (frame format and every durability flush:
   :mod:`repro.service.framelog`).  The sequence numbers double as the
-  replica-divergence detector and the resync cursor (``sync_range``
-  ships "entries after seq N").
+  replica-divergence detector and the shipping cursor: a peer logs a
+  shipped entry under its original number.
 * On startup :meth:`WriteAheadLog.recover` replays the log onto a
   freshly built server: load the last snapshot (if any), then apply
   every entry past it, so a SIGKILL'd endpoint comes back at exactly
@@ -25,10 +25,10 @@ with the write intact.  This module is that guarantee:
   (tmp + fsync + atomic rename) and the log truncated, so recovery
   cost is one snapshot load plus at most ``snapshot_every`` entries,
   not the endpoint's whole write history.
-* The ``applied`` map (``write_id`` → result) makes replay idempotent
-  at the *protocol* level: a coordinator retrying ``commit_write``
-  after an ambiguous failure gets the recorded result back instead of
-  a double-apply, even across an endpoint restart (the map rides in
+* The ``applied`` map (``write_id`` → result) makes a write idempotent
+  at the *protocol* level: a late copy of a cluster write whose entry
+  a peer already shipped here gets the recorded result back instead
+  of a double-apply, even across an endpoint restart (the map rides in
   the snapshot).
 
 :class:`MemoryWal` is the same interface without the disk — the
@@ -70,12 +70,12 @@ def validate_payload(wop: str, message, db=None) -> tuple[dict, object]:
     for an append, ``n_records`` for an expire) — and what the server's
     write method takes (the rows to append, the count to expire).
 
-    A malformed write is rejected here, *before* it is logged or
-    staged: logging happens before applying (log-first is the
-    durability order), so anything that would make the apply fail must
-    fail here instead — a logged entry that cannot apply would poison
-    every replay.  ``db`` (when given) additionally bounds
-    ``expire_prefix`` against the current record count.
+    A malformed write is rejected here, *before* it is logged: logging
+    happens before applying (log-first is the durability order), so
+    anything that would make the apply fail must fail here instead — a
+    logged entry that cannot apply would poison every replay.  ``db``
+    (when given) additionally bounds ``expire_prefix`` against the
+    current record count.
     """
     if wop not in WAL_OPS:
         raise ValueError(f"unknown write op {wop!r}; expected one of {sorted(WAL_OPS)}")
@@ -166,8 +166,8 @@ class MemoryWal:
         #: identity — the divergence detector.  Two replicas at the
         #: same ``last_seq`` hold the same history iff their chains
         #: match; a replica that logged a write its peers never acked
-        #: (an ambiguous commit failure) sits at an equal seq with a
-        #: different chain, which resync resolves with a full reset.
+        #: (a leader that failed before its ack) sits at an equal seq
+        #: with a different chain, which a base reset resolves.
         self.chain = 0
         #: :attr:`chain` as of :attr:`snapshot_seq`.
         self.snapshot_chain = 0
@@ -178,7 +178,7 @@ class MemoryWal:
     def log(self, wop: str, payload, write_id=None, seq=None) -> int:
         """Durably record one write; returns its sequence number.
 
-        ``seq`` may be passed explicitly (the resync path replays a
+        ``seq`` may be passed explicitly (``apply_entries`` replays a
         peer's entries under their original numbers) but must be
         exactly the next in sequence — gaps would silently desync the
         replica from its peers.
@@ -197,7 +197,7 @@ class MemoryWal:
             "write_id": None if write_id is None else str(write_id),
             "wop": str(wop),
             "payload": payload,
-            "chain": self._next_chain(seq, wop, write_id),
+            "chain": self.next_chain(seq, wop, write_id),
         }
         self._persist(entry)
         self._entries.append(entry)
@@ -205,7 +205,9 @@ class MemoryWal:
         self.chain = entry["chain"]
         return int(seq)
 
-    def _next_chain(self, seq, wop, write_id) -> int:
+    def next_chain(self, seq, wop, write_id) -> int:
+        """The chain after logging ``(seq, wop, write_id)`` here — what
+        a peer's entry must carry to continue this history."""
         token = f"{int(seq)}:{wop}:{write_id}".encode()
         return zlib.crc32(token, self.chain)
 
@@ -254,11 +256,11 @@ class MemoryWal:
     def install_base(self, columns, last_seq, applied, chain=0, server=None):
         """Adopt a peer's full state as this WAL's new starting point.
 
-        The resync path for a replica too far behind (or diverged —
-        same or higher seq, different history): ``server`` (when given)
-        takes ``columns``; the log restarts empty at ``last_seq``, as a
-        snapshot of that state, and the peer's applied map carries over
-        so protocol-level retries stay idempotent.
+        The base path of ``apply_entries``, for a replica too far behind
+        or diverged (same or higher seq, different history): ``server``
+        (when given) takes ``columns``; the log restarts empty at
+        ``last_seq``, as a snapshot of that state, and the peer's
+        applied map carries over so a late copy of a write stays idempotent.
         """
         self._adopt(columns, last_seq, chain, applied, server)
         self._write_snapshot(columns)
@@ -429,7 +431,7 @@ class WriteAheadLog(MemoryWal):
                 )
             # Recompute the chain rather than trusting the stored one —
             # the link structure is what certifies an unbroken history.
-            entry["chain"] = self._next_chain(
+            entry["chain"] = self.next_chain(
                 seq, entry["wop"], entry.get("write_id")
             )
             self._entries.append(entry)

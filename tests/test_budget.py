@@ -48,6 +48,7 @@ from repro.core.policy import (
 )
 from repro.core.policy_language import policy_to_spec
 from repro.service.budget import (
+    INVALID_CHARGE_LABEL,
     TORN_TAIL_LABEL,
     TORN_TAIL_UNREADABLE_LABEL,
     BudgetJournalError,
@@ -205,6 +206,30 @@ class TestTornTail:
             # inf fails the finite-positive gate -> worst-case charge.
             assert back.recovery["torn_epsilon"] is None
             assert back.remaining == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_invalid_journaled_charge_books_the_remaining_budget(
+        self, tmp_path, bad
+    ):
+        """A whole, well-framed charge whose epsilon is not finite and
+        positive (journaled before every gate checked it) must not
+        enter the ledger as is: a NaN would make ``spent`` NaN, and a
+        NaN budget refuses nothing."""
+        with ChargeJournal(tmp_path) as journal:
+            journal.append_entry(LedgerEntry(OptInPolicy(), 0.25, "ok"))
+            journal.append_entry(LedgerEntry(OptInPolicy(), bad, "pre-rule"))
+        with DurableAccountant(tmp_path, total_epsilon=1.0) as back:
+            assert back.spent == 1.0 and back.remaining == 0.0
+            with pytest.raises(BudgetExceededError):
+                back.charge(OptInPolicy(), 50.0)
+            assert back.recovery["invalid_charges"] == 1
+            labels = [e.label for e in back.ledger]
+            assert labels == ["ok", INVALID_CHARGE_LABEL]
+        # The booking was journaled once and the invalid frame dropped.
+        with DurableAccountant(tmp_path, total_epsilon=1.0) as second:
+            assert second.recovery["invalid_charges"] == 0
+            assert second.spent == 1.0
+            assert [e.label for e in second.ledger] == labels
 
 
 # ----------------------------------------------------------------------

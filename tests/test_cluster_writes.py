@@ -3,14 +3,14 @@
 What this lane pins, with real processes and injected transport faults:
 
 * Interleaved cluster writes and reads are **bit-identical** to a
-  single server taking the same writes — the commit protocol never
-  lets replicas of a range diverge observably.
+  single server taking the same writes — log shipping never lets
+  replicas of a range diverge observably.
 * SIGKILL of a replica mid-write: the write is still acked, the victim
   is marked stale (excluded from reads), and after a restart **WAL
   replay plus resync** returns it to the exact acked state.
-* A coordinator retrying ``commit_write`` after a truncated ack
-  applies the write **exactly once** on every replica (idempotent
-  replay, equal sequence numbers all round).
+* A truncated ack — on the leader's write or on an entry shipment —
+  applies the write **exactly once** on every replica (a resend is a
+  ``replayed`` no-op, equal sequence numbers all round).
 * ``repro.cli cluster`` drains its fleet on SIGTERM, leaves
   ``/dev/shm`` clean, and a relaunch over the same WAL directories
   serves every previously acked write.
@@ -119,7 +119,7 @@ def inproc_cluster():
 
 class TestWriteSemantics:
     def test_interleaved_writes_reads_bit_identical(self, inproc_cluster):
-        endpoints, _ = inproc_cluster
+        endpoints, servers = inproc_cluster
         mirror = _mirror()
         with ClusterBackend(
             endpoints, accountant=PrivacyAccountant(10.0), retry=RETRY
@@ -141,10 +141,13 @@ class TestWriteSemantics:
 
             stats = backend.cluster_stats()
             assert stats["writes"] == 3
-            # Every write prepared and committed on both replicas.
-            assert stats["write_prepares"] == 6
-            assert stats["write_commits"] == 6
             assert backend.stale() == {}
+        # Every write logged on both replicas of its range, at the same
+        # seq and chain: "lo" took the expiry, "hi" the two appends.
+        for pair, last_seq in ((servers[:2], 1), (servers[2:], 2)):
+            assert [(rpc.wal.last_seq, rpc.wal.chain) for rpc in pair] == [
+                (last_seq, pair[0].wal.chain)
+            ] * 2
 
     def test_expire_spans_ranges_head_first(self, inproc_cluster):
         endpoints, _ = inproc_cluster
@@ -183,6 +186,10 @@ class TestReplicaDeath:
             backend.append_records(_extra(0, 10))
             mirror.append_records(_extra(0, 10))
             assert list(backend.stale()) == [endpoints[2].key]
+            # One refused connect as leader, one as follower: a dead
+            # replica gets no resends, under the range's write lock or
+            # anywhere else.
+            assert backend.cluster_stats()["failovers"] == 2
             # Reads exclude the stale replica and stay identical.
             assert np.array_equal(_hist(backend), _hist(mirror))
             assert servers[3].wal.last_seq == 1
@@ -197,8 +204,10 @@ class TestReplicaDeath:
             with pytest.raises(ClusterWriteError) as excinfo:
                 backend.append_records(_extra(0, 10))
             assert excinfo.value.shard_range == "hi"
-            assert excinfo.value.ambiguous is False  # nothing was applied
             assert excinfo.value.write_id
+            # No connection opened, nothing sent: no replica can hold
+            # the write, so none is marked stale.
+            assert backend.stale() == {}
             for rpc in servers[:2]:
                 assert rpc.wal.last_seq == 0  # "lo" logged nothing
             # The "lo" range itself still serves replicated writes
@@ -211,11 +220,12 @@ class TestReplicaDeath:
             assert servers[1].wal.last_seq == 1
 
     def test_sigkill_mid_append_recovers_via_wal_and_resync(self, tmp_path):
-        """Acceptance (a): SIGKILL a replica between its prepare and
-        its commit.  The write is acked via the surviving replica; the
-        victim restarts on its old port, WAL replay restores what it
-        had acked, resync ships the write it missed, and its state is
-        bit-identical to its peer and to a single server."""
+        """Acceptance (a): SIGKILL a replica after its peer logged a
+        write and before the entry is shipped to it.  The write is
+        acked via the leader; the victim restarts on its old port, WAL
+        replay restores what it had acked, resync ships the write it
+        missed, and its state is bit-identical to its peer and to a
+        single server."""
         procs = [
             EndpointProcess(
                 N, SEED, 2000, 4000, wal_dir=str(tmp_path / f"r{i}")
@@ -237,25 +247,26 @@ class TestReplicaDeath:
                 backend.append_records(_extra(0, 10))
                 mirror.append_records(_extra(0, 10))
 
-                victim_key = endpoints[0].key
-                original = backend._commit_with_retries
+                victim_key = endpoints[1].key
+                original = backend._ship
 
-                def kill_then_commit(endpoint, write_id):
-                    if endpoint.key == victim_key:
-                        procs[0].kill()
-                    return original(endpoint, write_id)
+                def kill_then_ship(leader, follower, head, entries=()):
+                    if follower.key == victim_key:
+                        procs[1].kill()
+                    return original(leader, follower, head, entries)
 
-                backend._commit_with_retries = kill_then_commit
-                # Write 2: the victim prepares, dies, misses the commit.
+                backend._ship = kill_then_ship
+                # Write 2: the leader logs it; the victim dies before
+                # the entry reaches it.
                 backend.append_records(_extra(10, 20))
                 mirror.append_records(_extra(10, 20))
-                backend._commit_with_retries = original
+                backend._ship = original
                 assert list(backend.stale()) == [victim_key]
                 assert np.array_equal(_hist(backend), _hist(mirror))
 
-                procs[0].restart()  # same port; WAL replays seq 1
+                procs[1].restart()  # same port; WAL replays seq 1
                 rejoined = backend.resync()
-                assert rejoined == {victim_key: True}
+                assert rejoined == {victim_key: "caught_up"}
                 assert backend.stale() == {}
                 stats = backend.cluster_stats()
                 assert stats["stale_marks"] == 1
@@ -263,7 +274,7 @@ class TestReplicaDeath:
 
                 # The recovered replica serves the full acked history.
                 with RemoteBackend(
-                    procs[0].host, procs[0].port, timeout=10.0
+                    procs[1].host, procs[1].port, timeout=10.0
                 ) as direct:
                     assert direct.wal_status()["last_seq"] == 2
                     assert np.array_equal(
@@ -280,70 +291,113 @@ class TestReplicaDeath:
 
 
 # ----------------------------------------------------------------------
-# Truncated commit acks: exactly-once across retries
+# Truncated acks: exactly-once across resends
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture
+def lo_pair():
+    """Two "lo" replicas, one reached directly and one through a chaos
+    proxy, plus the single-server mirror."""
+    servers = [
+        RpcServer(ReleaseServer(slice_db(N, SEED, 0, 2000).shard(2))).start()
+        for _ in range(2)
+    ]
+    mirror = ReleaseServer(slice_db(N, SEED, 0, 2000).shard(2))
+    try:
+        with ChaosProxy(*servers[1].address) as proxy:
+            yield servers, proxy, mirror
+    finally:
+        for rpc in servers:
+            rpc.close()
+
+
+def _assert_applied_once(servers) -> None:
+    """Applied exactly once on each replica, same seq and chain."""
+    for rpc in servers:
+        assert rpc.wal.last_seq == 1
+        assert len(rpc.release_server.db) == 2010
+    assert servers[0].wal.chain == servers[1].wal.chain
+
+
 class TestCommitRetry:
-    def test_truncated_commit_ack_applies_exactly_once(self):
-        """Acceptance (b): the ambiguous write failure.  The commit
-        reached the replica but its ack was cut mid-frame; the
-        coordinator's retry (stable ``req_id``) replays the cached
-        reply instead of re-running the op — every replica ends at the
-        same sequence number with the write applied once."""
-        direct = RpcServer(
-            ReleaseServer(slice_db(N, SEED, 0, 2000).shard(2))
-        ).start()
-        behind_proxy = RpcServer(
-            ReleaseServer(slice_db(N, SEED, 0, 2000).shard(2))
-        ).start()
-        mirror = ReleaseServer(slice_db(N, SEED, 0, 2000).shard(2))
-        try:
-            with ChaosProxy(*behind_proxy.address) as proxy:
-                endpoints = [
-                    ClusterEndpoint(
-                        *direct.address, shard_range="lo", name="lo-r0"
-                    ),
-                    ClusterEndpoint(
-                        proxy.host, proxy.port, shard_range="lo", name="lo-r1"
-                    ),
-                ]
-                with ClusterBackend(
-                    endpoints,
-                    retry=RetryPolicy(
-                        max_attempts=5, base_delay=0.02, jitter=0.0
-                    ),
-                    timeout=10.0,
-                ) as backend:
-                    proxied_key = endpoints[1].key
-                    original = backend._commit_with_retries
+    def test_truncated_commit_ack_applies_exactly_once(self, lo_pair):
+        """Acceptance (b): the leader logged the write and its entry
+        reached the follower, but the follower's ack was cut mid-frame.
+        The coordinator resends the entry; the follower answers
+        ``replayed`` — every replica ends at the same sequence number
+        with the write applied once."""
+        servers, proxy, mirror = lo_pair
+        endpoints = [
+            ClusterEndpoint(*servers[0].address, shard_range="lo", name="lo-r0"),
+            ClusterEndpoint(proxy.host, proxy.port, shard_range="lo", name="lo-r1"),
+        ]
+        with ClusterBackend(
+            endpoints,
+            retry=RetryPolicy(max_attempts=5, base_delay=0.02, jitter=0.0),
+            timeout=10.0,
+        ) as backend:
+            # Forward 8 reply bytes from lo-r1, then sever: the first
+            # thing it answers is the shipped entry.
+            proxy.truncate_after(8, direction="s2c")
+            backend.append_records(_extra(0, 10))
+            mirror.append_records(_extra(0, 10))
 
-                    def cut_the_ack(endpoint, write_id):
-                        if endpoint.key == proxied_key:
-                            # Forward 8 more reply bytes, then sever:
-                            # the commit lands, its ack does not.
-                            proxy.truncate_after(8, direction="s2c")
-                        return original(endpoint, write_id)
+            stats = backend.cluster_stats()
+            assert stats["failovers"] >= 1  # the resend happened
+            assert backend.stale() == {}
+            assert np.array_equal(_hist(backend), _hist(mirror))
+        _assert_applied_once(servers)
+        with RemoteBackend(*servers[1].address) as direct:
+            latency = direct.transport_stats()["op_latency"]
+        assert latency["apply_entries"]["count"] == 2  # sent twice
 
-                    backend._commit_with_retries = cut_the_ack
-                    backend.append_records(_extra(0, 10))
-                    mirror.append_records(_extra(0, 10))
-                    backend._commit_with_retries = original
+    def test_truncated_leader_ack_applies_exactly_once(self, lo_pair):
+        """The leader logged the write, but its ack was cut mid-frame.
+        It is marked stale and the same ``write_id`` goes to the next
+        replica, which logs it at the same seq; shipped that entry, the
+        first leader answers ``replayed`` and rejoins."""
+        servers, proxy, mirror = lo_pair
+        endpoints = [
+            ClusterEndpoint(proxy.host, proxy.port, shard_range="lo", name="lo-r1"),
+            ClusterEndpoint(*servers[0].address, shard_range="lo", name="lo-r0"),
+        ]
+        with ClusterBackend(endpoints, retry=RETRY, timeout=10.0) as backend:
+            proxy.truncate_after(8, direction="s2c")
+            backend.append_records(_extra(0, 10))
+            mirror.append_records(_extra(0, 10))
 
-                    stats = backend.cluster_stats()
-                    assert stats["failovers"] >= 1  # the retry happened
-                    assert stats["write_commits"] == 2
-                    assert backend.stale() == {}
-                    assert np.array_equal(_hist(backend), _hist(mirror))
-            # Applied exactly once on each replica, same seq on both.
-            for rpc in (direct, behind_proxy):
-                assert rpc.wal.last_seq == 1
-                assert len(rpc.release_server.db) == 2010
-            assert direct.wal.chain == behind_proxy.wal.chain
-            assert behind_proxy.transport_stats["idempotent_replays"] >= 1
-        finally:
-            direct.close()
-            behind_proxy.close()
+            stats = backend.cluster_stats()
+            assert stats["stale_marks"] == 1 and stats["resyncs"] == 1
+            assert backend.stale() == {}
+            assert np.array_equal(_hist(backend), _hist(mirror))
+        _assert_applied_once(servers)
+
+
+class TestResyncSource:
+    def test_a_failed_head_read_leaves_the_source_in_rotation(self, lo_pair):
+        """resync() reads its source's head with ``wal_status``, which
+        logs nothing: a source whose reply is cut is booked as failing,
+        never marked stale, so the range keeps a serving replica and the
+        next resync catches the stale one up."""
+        servers, proxy, mirror = lo_pair
+        endpoints = [
+            ClusterEndpoint(*servers[0].address, shard_range="lo", name="lo-r0"),
+            ClusterEndpoint(proxy.host, proxy.port, shard_range="lo", name="lo-r1"),
+        ]
+        with ClusterBackend(endpoints, retry=RETRY, timeout=10.0) as backend:
+            backend.append_records(_extra(0, 10))
+            mirror.append_records(_extra(0, 10))
+            stale_key, source_key = (ep.key for ep in endpoints)
+            backend._mark_stale(endpoints[0], "killed")
+            proxy.truncate_after(8, direction="s2c")
+            assert backend.resync() == {stale_key: "unreachable"}
+            assert list(backend.stale()) == [stale_key]
+            assert backend.health()[source_key]["state"] == "failing"
+            assert np.array_equal(_hist(backend), _hist(mirror))
+            assert backend.resync() == {stale_key: "caught_up"}
+            assert backend.stale() == {}
+        _assert_applied_once(servers)
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,6 @@ class TestExampleOutputs:
     def test_cluster_quickstart_survives_a_kill_bit_identically(self):
         out = self._run("cluster_quickstart.py")
         assert "write acked with hi-r0 dead" in out
-        assert "resync verdicts: {'hi-r0': True}" in out
+        assert "resync verdicts: {'hi-r0': 'caught_up'}" in out
         assert out.count("bit-identical") >= 3
         assert "through a kill, a restart, and a resync" in out

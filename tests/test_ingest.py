@@ -390,12 +390,12 @@ class TestStreamFaults:
     def test_sigkill_replica_mid_stream_keeps_every_acked_event(
         self, tmp_path
     ):
-        """Acceptance: a replica dies (real SIGKILL) between preparing
-        and committing a mid-stream group commit.  The flush is still
-        acked through the surviving replica, streaming continues, and
-        after restart + resync the victim serves every acked event —
-        bit-identical to a mirror that applied exactly the acked
-        batches."""
+        """Acceptance: a replica dies (real SIGKILL) mid-stream, right
+        after logging a group commit and before its peer takes the
+        entry.  Every flush is still acked — the next ones through the
+        surviving replica — streaming continues, and after restart +
+        resync the victim serves every acked event, bit-identical to a
+        mirror that applied exactly the acked batches."""
         n_base, seed = 400, 0
         procs = [
             EndpointProcess(
@@ -420,7 +420,7 @@ class TestStreamFaults:
                 timeout=10.0,
             ) as backend:
                 victim_key = endpoints[0].key
-                original = backend._commit_with_retries
+                original = backend._ship
                 kill_at_flush = 3
                 buffer = IngestBuffer(
                     backend,
@@ -429,20 +429,20 @@ class TestStreamFaults:
                     on_flush=acked_batches.append,
                 )
 
-                def kill_then_commit(endpoint, write_id):
+                def kill_then_ship(leader, follower, head, entries=()):
                     if (
-                        endpoint.key == victim_key
+                        leader.key == victim_key
                         and buffer.flushes + 1 == kill_at_flush
                         and procs[0].process.is_alive()
                     ):
-                        procs[0].kill()  # dies holding the prepare
-                    return original(endpoint, write_id)
+                        procs[0].kill()  # dies holding the logged entry
+                    return original(leader, follower, head, entries)
 
-                backend._commit_with_retries = kill_then_commit
+                backend._ship = kill_then_ship
                 for event in events:
                     buffer.append(event)
                 buffer.close()
-                backend._commit_with_retries = original
+                backend._ship = original
 
                 # Every flush was acked despite the mid-stream death.
                 assert buffer.events_flushed == len(events)
@@ -458,7 +458,7 @@ class TestStreamFaults:
                 # The victim restarts on its old port: WAL replay plus
                 # resync return it to the exact acked watermark.
                 procs[0].restart()
-                assert backend.resync() == {victim_key: True}
+                assert backend.resync() == {victim_key: "caught_up"}
                 assert backend.stale() == {}
                 with RemoteBackend(
                     procs[0].host, procs[0].port, timeout=10.0

@@ -3,7 +3,7 @@
 Every backoff in :mod:`repro.api` goes through
 :func:`repro.api.resilience.call_with_retries`: the TCP connect,
 ``RemoteBackend``'s exchange resends, ``ClusterBackend``'s failover
-sweeps and commit resends hand it one attempt each and never sleep on
+sweeps and entry shipments hand it one attempt each and never sleep on
 their own.  An endpoint is healthy or failing, judged by the calls the
 coordinator makes anyway: no circuit breaker, no probe thread, and no
 knob on ``ClusterBackend`` to tune either.  These checks read the
