@@ -82,7 +82,8 @@ def main() -> None:
 
     policy = dataset.policy_for_fraction(90)
     frac = policy.sensitive_fraction(dataset.trajectories)
-    print(f"policy {policy.name}: sensitive APs {sorted(policy.sensitive_aps)} "
+    aps = sorted(policy.to_spec()["aps"])
+    print(f"policy {policy.name}: sensitive APs {aps} "
           f"-> {frac:.1%} of trajectories sensitive\n")
 
     print("[1] classification on truthfully released trajectories")

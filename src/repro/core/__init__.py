@@ -66,7 +66,6 @@ from repro.core.policy_language import (
     policy_from_spec,
     policy_spec_fingerprint,
     policy_to_spec,
-    register_policy_kind,
 )
 from repro.core.verifier import (
     max_likelihood_ratio,
@@ -108,7 +107,6 @@ __all__ = [
     "policy_spec_fingerprint",
     "policy_to_spec",
     "posterior_odds_ratio",
-    "register_policy_kind",
     "relax_guarantee",
     "sequential_composition",
     "verify_dp",

@@ -202,11 +202,12 @@ class PrivacyAccountant:
         every equal one before it: a request off the wire brings a fresh
         policy graph and fresh strings, and a ledger that pinned them
         grew by over a kilobyte per charge.  Two policies are one when
-        their type, ``name`` and ``cache_key()`` agree — the same
-        labelling of every record (the ``cache_key`` contract) under
-        the name ``view`` shows; opaque policies (no key) never merge.
-        What is stored may be a value-equal twin of what was charged
-        (``values: [1]`` for ``[1.0]``); the durable journal serializes
+        their ``name`` and ``cache_key()`` agree — the same labelling of
+        every record (the ``cache_key`` contract) under the name
+        ``view`` shows; opaque policies (no key) never merge.
+        What is stored may be a twin of what was charged: the same name
+        and labelling under another spec (``{"any": [a, a]}`` for
+        ``a``); the durable journal serializes
         the charge's own policy *before* installing it, so the disk
         holds what was charged.
         """
@@ -214,7 +215,7 @@ class PrivacyAccountant:
         policy = entry.policy
         key = policy.cache_key()
         if key is not None:
-            policy = share((type(policy), policy.name, key), policy)
+            policy = share((policy.name, key), policy)
         entry = LedgerEntry(
             policy=policy,
             epsilon=entry.epsilon,

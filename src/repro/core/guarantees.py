@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.policy import AllSensitivePolicy, Policy, minimum_relaxation
+from repro.core.policy import Policy, minimum_relaxation
 
 
 def _validate_epsilon(epsilon: float) -> None:
@@ -100,11 +100,12 @@ def dp_to_osdp(guarantee: DPGuarantee, policy: Policy) -> OSDPGuarantee:
 def osdp_all_sensitive_to_dp(guarantee: OSDPGuarantee) -> DPGuarantee:
     """Lemma 3.2: (P_all, epsilon)-OSDP implies epsilon-DP.
 
-    Only valid when the guarantee's policy is the all-sensitive policy;
-    the caller asserts that by construction (policies are black boxes, so
-    we check the type of the canonical ``AllSensitivePolicy``).
+    Only valid when the guarantee's policy is all-sensitive: its IR is
+    ``True`` — ``P_all`` itself, or a composition of ``P_all`` with
+    itself, which the IR normalises to ``True`` (opaque policies are
+    black boxes and never qualify).
     """
-    if not isinstance(guarantee.policy, AllSensitivePolicy):
+    if guarantee.policy.ir is not True:
         raise ValueError(
             "Lemma 3.2 applies only to guarantees under the all-sensitive policy"
         )

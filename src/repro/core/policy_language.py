@@ -1,173 +1,33 @@
-"""A small declarative policy-specification language (paper §7).
+"""The policy spec language (paper §7) and the policy wire format.
 
-The paper's future-work section calls for "mechanisms to specify
-comprehensive policies that dictate data sensitivity".  This module
-provides a JSON-serializable spec format that compiles to
-:class:`repro.core.policy.Policy` objects, so policies can live in
-configuration rather than code:
+A spec states when a record is **sensitive**; it is the IR of
+:mod:`repro.core.policy` written as JSON::
 
-    {"any": [
-        {"attr": "age", "op": "<=", "value": 17},
-        {"attr": "opt_in", "op": "==", "value": False},
-    ]}
+    {"any": [{"attr": "age", "op": "<=", "value": 17},
+             {"attr": "opt_in", "op": "==", "value": False}]}
 
-Semantics: a spec describes when a record is **sensitive**.
-
-* leaf specs compare one attribute: ``op`` in {==, !=, <, <=, >, >=, in,
-  not_in};
-* ``{"any": [...]}`` — sensitive when any sub-spec matches (union of
-  sensitive sets: the strictest combination);
-* ``{"all": [...]}`` — sensitive when every sub-spec matches;
-* ``{"not": ...}`` — negation.
-
-``compile_policy`` returns a policy whose ``name`` is a canonical
-rendering of the spec, and ``policy_spec_fingerprint`` gives a stable
-identifier for audit ledgers.
-
-This module is also the home of the **policy wire format** used by the
-shard-worker runtime (:mod:`repro.data.workers`): every policy in the
-algebra exposes ``to_spec()`` and :func:`policy_from_spec` rebuilds an
-equivalent policy — identical ``cache_key()``, bit-identical masks —
-from the plain-dict form, so work units cross process (and, later,
-node) boundaries as data rather than live Python objects.  Predicate
-specs compiled here are themselves part of that format:
-``compile_policy`` returns a :class:`CompiledSpecPolicy` that remembers
-its spec, keys caches by its canonical rendering, and round-trips
-losslessly.  Third-party policy classes join the format through
-:func:`register_policy_kind`.
+A leaf tests one attribute (``op`` in ``== != < <= > >= in not_in any_in
+truthy``; ``truthy`` takes no ``value``); ``{"any": [...]}``, ``{"all":
+[...]}``, ``{"not": ...}``, ``true`` and ``false`` combine leaves.  Every
+policy's ``to_spec()`` is a bare spec or one of the wire kinds of
+``_KINDS``, and :func:`policy_from_spec` lowers each onto the IR through
+that one table: a policy crosses a process boundary as data and arrives
+with the same ``cache_key()`` and bit-identical masks.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import operator
 from collections.abc import Mapping
-from typing import Callable
 
-import numpy as np
-
-from repro.core.policy import (
-    AllNonSensitivePolicy,
-    AllSensitivePolicy,
-    IntersectionPolicy,
-    LambdaPolicy,
-    MinimumRelaxationPolicy,
-    OptInPolicy,
+from repro.core.policy import (  # noqa: F401 - re-exported spec API
+    LEAF_TESTS,
     Policy,
-    SensitiveValuePolicy,
-    members_isin,
+    PolicySpecError,
+    SpecUnsupported,
+    canonical_spec,
+    sorted_plain_values,
 )
-
-_COMPARATORS: dict[str, Callable[[object, object], bool]] = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-class PolicySpecError(ValueError):
-    """Raised for malformed policy specifications."""
-
-
-def _compile_leaf(spec: Mapping) -> Callable[[object], bool]:
-    missing = {"attr", "op", "value"} - set(spec)
-    if missing:
-        raise PolicySpecError(f"leaf spec missing keys {sorted(missing)}: {spec}")
-    attr, op, value = spec["attr"], spec["op"], spec["value"]
-    if op in _COMPARATORS:
-        compare = _COMPARATORS[op]
-        return lambda record: compare(record[attr], value)
-    if op == "in":
-        allowed = frozenset(value)
-        return lambda record: record[attr] in allowed
-    if op == "not_in":
-        blocked = frozenset(value)
-        return lambda record: record[attr] not in blocked
-    raise PolicySpecError(f"unknown operator {op!r}")
-
-
-def _compile_leaf_batch(spec: Mapping) -> Callable[[object], np.ndarray]:
-    """Columnar form of a leaf: one vectorized op over the attribute column.
-
-    The comparison operators broadcast over numpy columns directly;
-    ``in``/``not_in`` lower to the guarded ``members_isin`` (which
-    raises when vectorized membership would diverge from Python
-    semantics — NaN members, dtype-coerced mixed member lists).  Used
-    by the compiled policy's ``evaluate_batch``, which falls back to
-    the per-record predicate whenever the batch evaluation raises.
-    """
-    attr, op, value = spec["attr"], spec["op"], spec["value"]
-    if op in _COMPARATORS:
-        compare = _COMPARATORS[op]
-        return lambda columns: np.asarray(compare(np.asarray(columns[attr]), value))
-    if op == "in":
-        allowed = list(value)
-        return lambda columns: members_isin(np.asarray(columns[attr]), allowed)
-    if op == "not_in":
-        blocked = list(value)
-        return lambda columns: ~members_isin(np.asarray(columns[attr]), blocked)
-    raise PolicySpecError(f"unknown operator {op!r}")
-
-
-def _compile_predicate(spec) -> Callable[[object], bool]:
-    if not isinstance(spec, Mapping):
-        raise PolicySpecError(f"spec must be a mapping, got {type(spec).__name__}")
-    combinators = {"any", "all", "not"} & set(spec)
-    if len(combinators) > 1:
-        raise PolicySpecError(f"ambiguous spec with {sorted(combinators)}")
-    if "any" in spec:
-        subs = [_compile_predicate(s) for s in _require_list(spec["any"], "any")]
-        return lambda record: any(sub(record) for sub in subs)
-    if "all" in spec:
-        subs = [_compile_predicate(s) for s in _require_list(spec["all"], "all")]
-        return lambda record: all(sub(record) for sub in subs)
-    if "not" in spec:
-        sub = _compile_predicate(spec["not"])
-        return lambda record: not sub(record)
-    return _compile_leaf(spec)
-
-
-def _compile_predicate_batch(spec) -> Callable[[object], np.ndarray]:
-    """Columnar mirror of ``_compile_predicate``: boolean-array algebra."""
-    if not isinstance(spec, Mapping):
-        raise PolicySpecError(f"spec must be a mapping, got {type(spec).__name__}")
-    combinators = {"any", "all", "not"} & set(spec)
-    if len(combinators) > 1:
-        raise PolicySpecError(f"ambiguous spec with {sorted(combinators)}")
-    if "any" in spec:
-        subs = [
-            _compile_predicate_batch(s) for s in _require_list(spec["any"], "any")
-        ]
-        return lambda columns: np.logical_or.reduce(
-            [sub(columns) for sub in subs]
-        )
-    if "all" in spec:
-        subs = [
-            _compile_predicate_batch(s) for s in _require_list(spec["all"], "all")
-        ]
-        return lambda columns: np.logical_and.reduce(
-            [sub(columns) for sub in subs]
-        )
-    if "not" in spec:
-        sub = _compile_predicate_batch(spec["not"])
-        return lambda columns: np.logical_not(sub(columns))
-    return _compile_leaf_batch(spec)
-
-
-def _spec_attributes(spec: Mapping) -> frozenset:
-    """Every attribute a (validated) predicate spec compares."""
-    for combinator in ("any", "all"):
-        if combinator in spec:
-            return frozenset().union(
-                *(_spec_attributes(sub) for sub in spec[combinator])
-            )
-    if "not" in spec:
-        return _spec_attributes(spec["not"])
-    return frozenset({spec["attr"]})
 
 
 def _require_list(value, keyword: str) -> list:
@@ -176,166 +36,147 @@ def _require_list(value, keyword: str) -> list:
     return list(value)
 
 
-def _canonical(spec) -> str:
-    return json.dumps(spec, sort_keys=True, default=str)
+def _join(kind: str, parts: list) -> tuple:
+    """``(kind, kids)`` and its rendering, identical kids merged; one kid
+    stands for itself (``mr(P_all,P_all)`` is ``True``)."""
+    unique: dict = {}
+    for node, text in parts:
+        unique.setdefault(text, node)
+    if len(unique) == 1:
+        return next(iter(unique.values())), next(iter(unique))
+    return (kind, tuple(unique.values())), f'["{kind}", [{", ".join(unique)}]]'
 
 
-def canonical_spec(spec) -> str:
-    """The canonical JSON rendering of a spec.
+def _leaf(op: str, attr, operand) -> tuple:
+    """A leaf as ``(IR node, rendering, sorted members or None)``."""
+    if op not in LEAF_TESTS:
+        raise PolicySpecError(f"unknown operator {op!r}")
+    if op not in ("in", "not_in", "any_in"):
+        node = (op, attr, None if op == "truthy" else operand)
+        return node, canonical_spec(node), None
+    try:
+        members = frozenset(operand)
+    except TypeError as exc:
+        raise PolicySpecError(f"members must be hashable values: {exc}") from None
+    listed = sorted_plain_values(members)
+    return (op, attr, members), canonical_spec((op, attr, listed)), listed
 
-    Key-order independent, so two specs describing the same policy or
-    binning render identically — the string the worker runtime and the
-    compiled-policy ``cache_key()`` key their caches by.
+
+def _lower(spec) -> tuple:
+    """A predicate spec as ``(IR node, canonical rendering)``."""
+    if isinstance(spec, bool):
+        return spec, canonical_spec(spec)
+    if not isinstance(spec, Mapping):
+        raise PolicySpecError(f"spec must be a mapping, got {type(spec).__name__}")
+    combinators = {"any", "all", "not"} & spec.keys()
+    if len(combinators) > 1:
+        raise PolicySpecError(f"ambiguous spec with {sorted(combinators)}")
+    if "not" in spec:
+        node, text = _lower(spec["not"])
+        return ("not", node), f'["not", {text}]'
+    if combinators:
+        (kind,) = combinators
+        return _join(kind, [_lower(s) for s in _require_list(spec[kind], kind)])
+    optional = {"value"} if spec.get("op") == "truthy" else set()
+    missing = {"attr", "op", "value"} - optional - spec.keys()
+    if missing:
+        raise PolicySpecError(f"leaf spec missing keys {sorted(missing)}: {spec}")
+    return _leaf(spec["op"], spec["attr"], spec.get("value"))[:2]
+
+
+# The wire kinds: spec -> ((IR, rendering), normalized spec, name).
+
+
+def _opt_in(spec):
+    attr, name = spec.get("attr", "opt_in"), spec.get("name", "opt-in")
+    node, text, _ = _leaf("truthy", attr, None)
+    lowered = ("not", node), f'["not", {text}]'
+    return lowered, {"kind": "opt_in", "attr": attr, "name": name}, name
+
+
+def _values(spec):
+    attr = spec["attr"]
+    node, text, listed = _leaf("in", attr, spec["values"])
+    name = spec.get("name") or f"values:{attr}"
+    out = {"kind": "values", "attr": attr, "values": listed, "name": name}
+    return (node, text), out, name
+
+
+def _sensitive_aps(spec):
+    node, text, listed = _leaf("any_in", "aps", spec["aps"])
+    name = spec.get("name", "sensitive-aps")
+    return (node, text), {"kind": "sensitive_aps", "aps": listed, "name": name}, name
+
+
+def _predicate(spec):
+    when = spec["when"]
+    name = spec.get("name") or f"spec:{canonical_spec(when)}"
+    return _lower(when), {"kind": "predicate", "when": when, "name": name}, name
+
+
+def _combination(kind: str, ir_kind: str):
+    def lower(spec):
+        kids = [policy_from_spec(s) for s in _require_list(spec["policies"], kind)]
+        lowered = _join(ir_kind, [(k.ir, k.cache_key()) for k in kids])
+        name = f"{kind}(" + ",".join(k.name for k in kids) + ")"
+        return lowered, {"kind": kind, "policies": [k.to_spec() for k in kids]}, name
+
+    return lower
+
+
+_KINDS = {
+    "opt_in": _opt_in,
+    "values": _values,
+    "sensitive_aps": _sensitive_aps,
+    "predicate": _predicate,
+    "mr": _combination("mr", "all"),
+    "and": _combination("and", "any"),
+    "all_sensitive": lambda spec: (_lower(True), {"kind": "all_sensitive"}, "P_all"),
+    "all_non_sensitive": lambda spec: (
+        _lower(False), {"kind": "all_non_sensitive"}, "P_none"
+    ),
+}
+
+
+def policy_from_spec(spec: Mapping) -> Policy:
+    """Rebuild a policy from its spec — the inverse of ``to_spec()``.
+
+    A spec without a ``kind`` is a bare predicate spec.  ``to_spec()`` of
+    the result is the normalized spec (defaults filled, member sets
+    sorted); equal labellings give equal ``cache_key()``.
     """
-    return _canonical(spec)
-
-
-class CompiledSpecPolicy(LambdaPolicy):
-    """A policy compiled from a declarative spec, and able to return to it.
-
-    Unlike a hand-built :class:`~repro.core.policy.LambdaPolicy`, a
-    compiled policy is *transparent*: it remembers the spec it was
-    compiled from, so it (a) serializes losslessly via :meth:`to_spec`
-    and (b) has a value ``cache_key()`` — the canonical spec rendering —
-    letting caches (the release server, the shard workers) treat two
-    independently compiled copies of the same spec as one policy.
-    """
-
-    def __init__(self, spec: Mapping, name: str | None = None):
-        super().__init__(
-            _compile_predicate(spec),
-            name=name or f"spec:{_canonical(spec)}",
-            sensitive_when_batch=_compile_predicate_batch(spec),
-        )
-        self.spec = spec
-
-    def cache_key(self) -> tuple:
-        return ("spec", _canonical(self.spec))
-
-    def attributes(self) -> frozenset:
-        return _spec_attributes(self.spec)
-
-    def to_spec(self) -> dict:
-        return {"kind": "predicate", "when": self.spec, "name": self.name}
-
-    def __reduce__(self):
-        # The compiled closures cannot pickle, but the spec can — so a
-        # compiled policy crosses process boundaries by recompiling,
-        # which the round-trip contract guarantees is lossless.  This
-        # is what lets a worker pool's pickled-callable request carry
-        # e.g. a non_sensitive() filter built from a compiled policy.
-        return (CompiledSpecPolicy, (self.spec, self.name))
+    if not isinstance(spec, Mapping):
+        raise PolicySpecError(f"spec must be a mapping, got {type(spec).__name__}")
+    kind = spec.get("kind")
+    if kind is None:
+        spec, kind = {"when": spec}, "predicate"
+    if kind not in _KINDS:
+        raise PolicySpecError(f"unknown policy kind {kind!r}; known: {sorted(_KINDS)}")
+    (ir, key), out, name = _KINDS[kind](spec)
+    return Policy(ir, key, out, name)
 
 
 def compile_policy(spec: Mapping, name: str | None = None) -> Policy:
-    """Compile a declarative spec into a Policy (sensitive-when semantics).
-
-    The compiled policy carries both the per-record predicate and its
-    vectorized columnar form, so it participates in the fast
-    ``evaluate_batch`` path of :class:`repro.data.columnar.ColumnarDatabase`;
-    it also remembers ``spec`` itself, making the result serializable
-    and value-cacheable (see :class:`CompiledSpecPolicy`).
-    """
-    return CompiledSpecPolicy(spec, name=name)
+    """A predicate spec as a Policy, named ``spec:`` + its rendering by default."""
+    return policy_from_spec({"kind": "predicate", "when": spec, "name": name})
 
 
 def policy_spec_fingerprint(spec: Mapping) -> str:
-    """Stable short hash of a spec, for accountant ledgers and audits."""
-    digest = hashlib.sha256(_canonical(spec).encode()).hexdigest()
-    return digest[:16]
+    """Short hash of the spec's canonical IR rendering, for ledgers and
+    audits: key order, member order, repeats and names do not change it."""
+    key = policy_from_spec(spec).cache_key()
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 def validate_spec(spec: Mapping) -> None:
     """Raise :class:`PolicySpecError` if the spec does not compile."""
-    _compile_predicate(spec)
-
-
-# ----------------------------------------------------------------------
-# Policy wire format: to_spec() round-trips through policy_from_spec()
-# ----------------------------------------------------------------------
+    _lower(spec)
 
 
 def policy_to_spec(policy: Policy) -> dict:
-    """The JSON-serializable spec of a policy (``policy.to_spec()``).
-
-    Raises :class:`PolicySpecError` for policies that wrap opaque
-    callables — those cannot cross a process boundary and must be
-    rebuilt from the declarative language instead.
-    """
-    from repro.core.policy import SpecUnsupported
-
+    """``policy.to_spec()``, or :class:`PolicySpecError` for an opaque
+    policy, which cannot cross a process boundary."""
     try:
         return policy.to_spec()
     except SpecUnsupported as exc:
         raise PolicySpecError(str(exc)) from exc
-
-
-def _load_sensitive_aps(spec: Mapping) -> Policy:
-    # Deferred import: repro.data.tippers imports this module's sibling
-    # repro.core.policy, so a top-level import would be cyclic.
-    from repro.data.tippers import SensitiveAPPolicy
-
-    return SensitiveAPPolicy(
-        spec["aps"], name=spec.get("name", "sensitive-aps")
-    )
-
-
-_POLICY_KINDS: dict[str, Callable[[Mapping], Policy]] = {
-    "predicate": lambda spec: CompiledSpecPolicy(
-        spec["when"], name=spec.get("name")
-    ),
-    "values": lambda spec: SensitiveValuePolicy(
-        spec["attr"], spec["values"], name=spec.get("name")
-    ),
-    "opt_in": lambda spec: OptInPolicy(
-        spec.get("attr", "opt_in"), name=spec.get("name", "opt-in")
-    ),
-    "all_sensitive": lambda spec: AllSensitivePolicy(),
-    "all_non_sensitive": lambda spec: AllNonSensitivePolicy(),
-    "mr": lambda spec: MinimumRelaxationPolicy(
-        [policy_from_spec(s) for s in spec["policies"]]
-    ),
-    "and": lambda spec: IntersectionPolicy(
-        [policy_from_spec(s) for s in spec["policies"]]
-    ),
-    "sensitive_aps": _load_sensitive_aps,
-}
-
-
-def register_policy_kind(
-    kind: str, loader: Callable[[Mapping], Policy]
-) -> None:
-    """Register a loader for a custom policy ``kind``.
-
-    ``loader`` receives the whole spec dict and must return a policy
-    whose ``to_spec()`` reproduces it — the round-trip contract every
-    built-in kind satisfies (and the round-trip test suite checks).
-    """
-    if kind in _POLICY_KINDS:
-        raise ValueError(f"policy kind {kind!r} already registered")
-    _POLICY_KINDS[kind] = loader
-
-
-def policy_from_spec(spec: Mapping) -> Policy:
-    """Rebuild a policy from its spec — the inverse of :func:`policy_to_spec`.
-
-    A spec without a ``kind`` key is a bare predicate spec (the
-    declarative language above) and compiles directly; specs with a
-    ``kind`` dispatch to the registered loader.  The reconstruction is
-    lossless: equal ``cache_key()`` and bit-identical masks on every
-    column bundle.
-    """
-    if not isinstance(spec, Mapping):
-        raise PolicySpecError(
-            f"policy spec must be a mapping, got {type(spec).__name__}"
-        )
-    kind = spec.get("kind")
-    if kind is None:
-        return compile_policy(spec)
-    loader = _POLICY_KINDS.get(kind)
-    if loader is None:
-        raise PolicySpecError(
-            f"unknown policy kind {kind!r}; registered: "
-            f"{sorted(_POLICY_KINDS)}"
-        )
-    return loader(spec)

@@ -18,7 +18,9 @@ controls directly:
    high-traffic common areas, many offices, a tail of rarely-visited
    lounges/restrooms) so that access-point policies ``P_rho`` can hit
    any target fraction of non-sensitive trajectories, from P99 down to
-   P1, by greedy coverage selection.
+   P1, by greedy coverage selection.  A ``P_rho`` is a
+   ``sensitive_aps`` spec: one ``any_in`` leaf over a trajectory's APs
+   (the ``aps`` ragged column, or ``Trajectory.aps`` per record).
 
 Records are :class:`Trajectory` objects; one record = one user-day, the
 paper's privacy unit.
@@ -31,7 +33,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.policy import Policy, sorted_plain_values
+from repro.core.policy import Policy
+from repro.core.policy_language import policy_from_spec
 
 SLOTS_PER_DAY = 144  # 10-minute intervals
 SLOTS_PER_HOUR = 6
@@ -93,50 +96,21 @@ class Trajectory:
         return list(seen)
 
 
-class SensitiveAPPolicy(Policy):
+def SensitiveAPPolicy(
+    sensitive_aps: Iterable[int], name: str = "sensitive-aps"
+) -> Policy:
     """Trajectories through any sensitive AP are sensitive (§6.1.1).
 
     The paper's access-point-level policy: a sensitive set of APs (e.g.
     lounge, restroom) marks as sensitive every daily trajectory that
-    passes through at least one of them.
+    passes through at least one of them — the ``any_in`` leaf over the
+    ``aps`` ragged column (:func:`trajectory_columns`), or a
+    ``Trajectory``'s ``aps`` per record.  The APs are
+    ``policy.to_spec()["aps"]``.
     """
-
-    def __init__(self, sensitive_aps: Iterable[int], name: str = "sensitive-aps"):
-        self.sensitive_aps = frozenset(sensitive_aps)
-        self.name = name
-
-    def __call__(self, record: Trajectory) -> int:
-        return 0 if record.visits_any(self.sensitive_aps) else 1
-
-    def cache_key(self) -> tuple:
-        return ("sensitive_aps", self.sensitive_aps)
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "sensitive_aps",
-            "aps": sorted_plain_values(self.sensitive_aps),
-            "name": self.name,
-        }
-
-    def evaluate_batch(self, columns) -> np.ndarray:
-        """Vectorized over an ``aps`` ragged column (see
-        :func:`trajectory_columns`): one ``np.isin`` over the flattened
-        AP sequence plus a segmented any-reduction."""
-        try:
-            aps = columns["aps"]
-        except (KeyError, TypeError):
-            return super().evaluate_batch(columns)
-        segment_any = getattr(aps, "segment_any", None)
-        if segment_any is None:
-            return super().evaluate_batch(columns)
-        if not self.sensitive_aps:
-            hit = np.zeros(len(aps.flat), dtype=bool)
-        else:
-            hit = np.isin(
-                aps.flat, np.fromiter(self.sensitive_aps, dtype=np.int64)
-            )
-        sensitive = segment_any(hit)
-        return np.where(sensitive, 0, 1).astype(np.int8)
+    return policy_from_spec(
+        {"kind": "sensitive_aps", "aps": sensitive_aps, "name": name}
+    )
 
 
 @dataclass(frozen=True)
@@ -234,7 +208,7 @@ class TippersDataset:
                 coverage[ap] += 1
         return coverage
 
-    def policy_for_fraction(self, non_sensitive_percent: float) -> SensitiveAPPolicy:
+    def policy_for_fraction(self, non_sensitive_percent: float) -> Policy:
         """Build ``P_rho``: a sensitive-AP set hitting a target fraction.
 
         ``non_sensitive_percent`` is the paper's rho (e.g. 99 for P99 =
@@ -341,7 +315,7 @@ def ap_coverage_columnar(db, n_aps: int) -> np.ndarray:
 
 def policy_for_fraction_columnar(
     db, non_sensitive_percent: float, n_aps: int
-) -> SensitiveAPPolicy:
+) -> Policy:
     """Build ``P_rho`` from columnar data — no ``Trajectory`` objects.
 
     Replays :meth:`TippersDataset.policy_for_fraction` exactly: the
@@ -386,7 +360,7 @@ def trajectory_columns(trajectories: Sequence[Trajectory]) -> dict:
 
     Scalar attributes become plain columns; the per-slot AP sequence
     becomes an ``aps`` ragged column (flat APs + offsets), which is the
-    layout :class:`SensitiveAPPolicy` evaluates with one ``np.isin``.
+    layout :func:`SensitiveAPPolicy` evaluates with one ``np.isin``.
     """
     from repro.data.columnar import RaggedColumn
 

@@ -51,7 +51,7 @@ def build_histogram_input(dataset, policy) -> HistogramInput:
     n_aps = dataset.config.n_aps
     x = np.zeros(n_aps * N_HOURS, dtype=float)
     x_ns = np.zeros_like(x)
-    sensitive_aps = policy.sensitive_aps
+    sensitive_aps = frozenset(policy.to_spec()["aps"])
     for _user, _day, ap, hour in dataset.presence_events():
         index = ap * N_HOURS + hour
         x[index] += 1.0

@@ -14,11 +14,12 @@ request/response dataclasses are what :mod:`repro.api.wire` encodes:
   ``(shard, policy)`` and bin indices per ``(shard, binning)``, so a
   burst of requests over the same policy pays the mask once; the
   assembled :class:`~repro.queries.histogram.HistogramInput` is cached
-  per ``(binning, policy)``.  Cache keys prefer the objects'
-  ``cache_key()`` *value identity* (so a transport that deserializes a
-  fresh-but-equal policy or binning per request still hits), falling
-  back to object identity for opaque predicates (the fallback pins the
-  object so CPython cannot recycle its ``id``).  The key set is
+  per ``(binning, policy)``.  Cache keys are the objects'
+  ``cache_key()`` *value identity* — for a policy, the canonical
+  rendering of its IR — so a transport that deserializes a
+  fresh-but-equal policy or binning per request still hits; a
+  ``LambdaPolicy`` (opaque, no key) keys by object identity and is
+  pinned so CPython cannot recycle its ``id``.  The key set is
   bounded: beyond ``cache_limit`` distinct policies/binnings the
   least-recently-used key and all of its per-shard arrays are evicted,
   so a long-lived server cannot grow without bound.
@@ -423,10 +424,10 @@ class ReleaseServer(ReleaseLoop):
     def _key(self, obj: object) -> tuple:
         """The cache key of a policy/binning: value identity when possible.
 
-        Objects exposing a non-None ``cache_key()`` (the algebra
-        policies, the standard binnings) key by value, so equal objects
+        Objects exposing a non-None ``cache_key()`` (every spec-built
+        policy, the standard binnings) key by value, so equal objects
         deserialized per request share cache entries; opaque objects
-        (predicate policies) key by ``id`` and are pinned.  Either way
+        (a ``LambdaPolicy``) key by ``id`` and are pinned.  Either way
         the key is registered in the LRU eviction queue.
         """
         value_key = getattr(obj, "cache_key", lambda: None)()

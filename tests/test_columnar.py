@@ -159,15 +159,20 @@ class TestTabularEquivalence:
         reference = np.array([policy(r) for r in records], dtype=np.int8)
         assert np.array_equal(policy.evaluate_batch(cdb), reference)
 
-    def test_aggregate_predicate_detected_by_spot_check(self):
+    def test_aggregate_predicate_is_evaluated_per_value(self):
         """A predicate comparing against an aggregate of its input
-        broadcasts but is not elementwise; the spot check must route it
-        to the exact per-record path."""
-        records = [{"v": 1.0}, {"v": 2.0}, {"v": 30.0}]
-        cdb = ColumnarDatabase.from_records(records)
-        policy = AttributePolicy("v", lambda v: v > np.mean(v), name="agg")
-        reference = np.array([policy(r) for r in records], dtype=np.int8)
-        assert reference.tolist() == [1, 1, 1]  # scalar mean(v) == v
+        broadcasts but is not elementwise.  Evaluated per value it sees
+        a scalar (``mean(a) == a``), as per record; a whole-column call
+        would label rows 1-3000 non-sensitive, and probes at 0, n/2 and
+        n-1 all agree with it, so no spot check can tell."""
+        age = np.zeros(7001, dtype=np.int64)
+        age[1:3001] = 100
+        cdb = ColumnarDatabase({"age": age})
+        policy = AttributePolicy("age", lambda a: a <= np.mean(a), name="agg")
+        reference = np.array(
+            [policy(r) for r in cdb.iter_records()], dtype=np.int8
+        )
+        assert not reference.any()  # every record sensitive
         assert np.array_equal(policy.evaluate_batch(cdb), reference)
 
     def test_mixed_type_sensitive_values_fall_back(self):

@@ -9,8 +9,9 @@ and never will):
 
 * every eligible triple counts to the scan's pair in dtype and bytes,
   and a failing one raises the scan's exception with the scan's text;
-* everything else — an opaque policy, a third-party kind, a column the
-  summary does not hold, a small shard — takes the scan, untouched;
+* everything else — an opaque policy or a combination with one, a
+  column the summary does not hold, a small shard — takes the scan,
+  untouched;
 * a summary never crosses a pipe, and never outlives the shard object
   it was built from: after an append, an expire, a respawn or a
   ``replace_database``, serial or on a pool, a never-seen pair equals a
@@ -29,11 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policy import LambdaPolicy, OptInPolicy, Policy
-from repro.core.policy_language import (
-    policy_from_spec,
-    register_policy_kind,
+from repro.core.policy import (
+    AttributePolicy,
+    LambdaPolicy,
+    MinimumRelaxationPolicy,
+    OptInPolicy,
 )
+from repro.core.policy_language import policy_from_spec
 from repro.data.columnar import (
     SUMMARY_MIN_ROWS,
     ColumnarDatabase,
@@ -282,24 +285,6 @@ class TestSameBytesAsTheScan:
 # ----------------------------------------------------------------------
 
 
-class _OddAges(Policy):
-    """A third-party kind: a spec, a vectorized form, no ``attributes``."""
-
-    name = "odd-ages"
-
-    def __call__(self, record) -> int:
-        return int(record["age"] % 2 == 0)
-
-    def to_spec(self) -> dict:
-        return {"kind": "test_odd_ages"}
-
-    def evaluate_batch(self, columns) -> np.ndarray:
-        return (np.asarray(columns["age"]) % 2 == 0).astype(np.int8)
-
-
-register_policy_kind("test_odd_ages", lambda spec: _OddAges())
-
-
 class TestFallsBackToTheScan:
     AGE = HistogramQuery(IntegerBinning("age", 0, 20))
 
@@ -312,25 +297,17 @@ class TestFallsBackToTheScan:
 
     def test_opaque_lambda_policy(self):
         db = ColumnarDatabase(_columns(6))
-        opaque = LambdaPolicy(
-            lambda r: r["age"] < 5,
-            sensitive_when_batch=lambda c: np.asarray(c["age"]) < 5,
-        )
+        opaque = AttributePolicy("age", lambda a: a < 5)  # a LambdaPolicy
         assert opaque.attributes() is None
         self._assert_scanned(db, self.AGE, opaque)
         assert not db.summary_built  # not even built for it
 
-    def test_registered_third_party_kind(self):
-        db, _ = _tables(0)
-        policy = policy_from_spec({"kind": "test_odd_ages"})
-        assert policy.attributes() is None
-        self._assert_scanned(db, self.AGE, policy)
-
     def test_a_combination_is_as_opaque_as_its_worst_child(self):
-        db, _ = _tables(0)
-        policy = policy_from_spec(
-            {"kind": "mr", "policies": [{"kind": "opt_in"}, {"kind": "test_odd_ages"}]}
-        )
+        columns = _columns(0)
+        del columns["visits"]  # evaluated per record: rows must rebuild
+        db = ColumnarDatabase(columns)
+        odd_ages = LambdaPolicy(lambda r: r["age"] % 2 == 1, name="odd-ages")
+        policy = MinimumRelaxationPolicy([OptInPolicy(), odd_ages])
         assert policy.attributes() is None
         self._assert_scanned(db, self.AGE, policy)
 
@@ -358,18 +335,33 @@ class TestFallsBackToTheScan:
         self._assert_scanned(db, HistogramQuery(Halves()), OptInPolicy())
 
     def test_a_per_record_fallback_runs_over_the_real_records(self):
+        """A NaN member makes np.isin diverge from set membership, so
+        that leaf is evaluated value by value, reading the records' own
+        values: exact on an integer column's distinct rows (the summary
+        answers), and on a float column only the records still hold the
+        NaN object the member matches by identity."""
+        nan = float("nan")
         records = [
-            {"age": i % 20, "opt_in": bool(i % 3)} for i in range(SUMMARY_MIN_ROWS)
+            {"age": i % 20, "opt_in": bool(i % 3), "score": nan if i % 7 else 0.5}
+            for i in range(SUMMARY_MIN_ROWS)
         ]
         db = ColumnarDatabase.from_records(records)
         assert _summary_counts(db, self.AGE, OptInPolicy()) is not None
-        # a NaN member makes np.isin diverge from set membership, so the
-        # policy evaluates record by record — which distinct rows refuse
-        nan_member = policy_from_spec(
-            {"kind": "values", "attr": "age", "values": [3, float("nan")]}
+        nan_age = policy_from_spec(
+            {"kind": "values", "attr": "age", "values": [3, nan]}
         )
-        assert nan_member.attributes() == {"age"}
-        self._assert_scanned(db, self.AGE, nan_member)
+        assert nan_age.attributes() == {"age"}
+        _assert_same_bits(
+            _summary_counts(db, self.AGE, nan_age),
+            _scan_counts(db, self.AGE, nan_age),
+        )
+        nan_score = policy_from_spec(
+            {"kind": "values", "attr": "score", "values": [nan]}
+        )
+        want = np.array([nan_score(r) for r in records], dtype=np.int8)
+        assert 0 < np.count_nonzero(want == 0) < len(records)
+        assert nan_score.evaluate_batch(db).tobytes() == want.tobytes()
+        self._assert_scanned(db, self.AGE, nan_score)
 
 
 # ----------------------------------------------------------------------

@@ -199,8 +199,7 @@ class TestColumnarPolicyConstruction:
         col = policy_for_fraction_columnar(
             dataset.columnar(), rho, dataset.config.n_aps
         )
-        assert col.sensitive_aps == row.sensitive_aps
-        assert col.name == row.name
+        assert col.to_spec() == row.to_spec()  # the AP set and the name
 
     def test_percent_validation(self):
         from repro.data.tippers import policy_for_fraction_columnar

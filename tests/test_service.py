@@ -14,6 +14,7 @@ import pytest
 from repro.core.accountant import BudgetExceededError, PrivacyAccountant
 from repro.core.policy import (
     AttributePolicy,
+    LambdaPolicy,
     MinimumRelaxationPolicy,
     OptInPolicy,
     SensitiveValuePolicy,
@@ -56,18 +57,17 @@ WIDE_BINNING = IntegerBinning("age", 0, 100, 25)
 POLICY = OptInPolicy()
 
 
-class _ArmedPolicy(OptInPolicy):
-    """Opt-in, until armed: then evaluation raises (identity-keyed)."""
+def _armed_policy() -> LambdaPolicy:
+    """Opt-in, until ``.armed``: then evaluation raises (identity-keyed)."""
 
-    armed = False
-
-    def cache_key(self):
-        return None
-
-    def evaluate_batch(self, columns):
-        if self.armed:
+    def sensitive(record) -> bool:
+        if policy.armed:
             raise RuntimeError("policy backend unavailable")
-        return super().evaluate_batch(columns)
+        return not record["opt_in"]
+
+    policy = LambdaPolicy(sensitive, name="armed")
+    policy.armed = False
+    return policy
 
 
 class _Shard1ExpireFails:
@@ -392,7 +392,7 @@ class TestLiveUpdates:
     def test_a_pair_that_cannot_be_carried_is_dropped_not_raised(self, server):
         """A logged write must apply: a policy that raises on the moved
         rows costs its cache entry, never the write."""
-        policy = _ArmedPolicy()
+        policy = _armed_policy()
         server.histogram_input(BINNING, policy)
         server.handle(_request(seed=1))
         policy.armed = True

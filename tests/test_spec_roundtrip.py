@@ -206,7 +206,7 @@ def test_sensitive_ap_policy_round_trip(aps, lengths):
     db = ColumnarDatabase(trajectory_columns(trajs), records=trajs)
     policy = SensitiveAPPolicy(aps)
     rebuilt = policy_from_spec(_json_round_trip(policy_to_spec(policy)))
-    assert isinstance(rebuilt, SensitiveAPPolicy)
+    assert rebuilt.to_spec() == policy_to_spec(policy)
     assert rebuilt.cache_key() == policy.cache_key()
     assert np.array_equal(
         rebuilt.evaluate_batch(db), policy.evaluate_batch(db)

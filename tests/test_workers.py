@@ -24,12 +24,12 @@ import pytest
 from repro.core.policy import (
     NON_SENSITIVE,
     AttributePolicy,
+    LambdaPolicy,
     MinimumRelaxationPolicy,
     OptInPolicy,
-    Policy,
     SensitiveValuePolicy,
 )
-from repro.core.policy_language import compile_policy, register_policy_kind
+from repro.core.policy_language import compile_policy
 from repro.data.columnar import ColumnarDatabase
 from repro.data.sharding import ShardedColumnarDatabase
 from repro.data.tippers import SensitiveAPPolicy, Trajectory, trajectory_columns
@@ -71,25 +71,10 @@ def _policy():
 BINNING = IntegerBinning("age", 0, 100, 10)
 
 
-class _LongTrip(Policy):
-    """A spec'd policy with no batch form: trajectories longer than
-    ``slots`` are sensitive.  Its only evaluation is the per-record
-    fallback, which needs the shard's ``Trajectory`` objects."""
-
-    def __init__(self, slots: int):
-        self.slots = slots
-
-    def __call__(self, record) -> int:
-        return 0 if record.duration_slots > self.slots else 1
-
-    def cache_key(self) -> tuple:
-        return ("long_trip", self.slots)
-
-    def to_spec(self) -> dict:
-        return {"kind": "test_long_trip", "slots": self.slots}
-
-
-register_policy_kind("test_long_trip", lambda spec: _LongTrip(spec["slots"]))
+def _long_trip(slots: int) -> LambdaPolicy:
+    """Trajectories longer than ``slots`` are sensitive: a per-record
+    predicate, which needs the shard's ``Trajectory`` objects."""
+    return LambdaPolicy(lambda r: r.duration_slots > slots, name="long-trip")
 
 
 def _trajectory_db(n: int, n_aps: int, records: bool = True) -> ColumnarDatabase:
@@ -198,8 +183,8 @@ class TestEquivalence:
         assert got.x_ns.tobytes() == reference.x_ns.tobytes()
 
     def test_record_carrying_shards_are_served_without_a_pool(self):
-        """Row records have no segment form, and a spec'd policy whose
-        only evaluation is per record needs them: the pool refuses such
+        """Row records have no segment form, and a policy whose only
+        evaluation is per record needs them: the pool refuses such
         a shard, and a backend asked for workers serves the table from
         the parent instead — the same bytes as without workers."""
         from repro.api.backends import ShardedBackend
@@ -208,7 +193,7 @@ class TestEquivalence:
         with pytest.raises(TypeError, match="row records"):
             ShardWorkerPool(db.shard(2).shards)
         request = ReleaseRequest(
-            "osdp_rr", 0.5, IntegerBinning("day", 0, 5), _LongTrip(2),
+            "osdp_rr", 0.5, IntegerBinning("day", 0, 5), _long_trip(2),
             n_trials=3, seed=7,
         )
         with ShardedBackend(db, n_shards=2, workers=True) as pooled:
