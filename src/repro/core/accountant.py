@@ -8,15 +8,17 @@ accountant and charge it before releasing output, so a multi-step
 analysis (e.g. DAWAz's zero-detection + DAWA stages) is budget-audited
 end to end.
 
-``spent`` is *defined* as the left-to-right fold ``((0.0 + e1) + e2) +
-...`` of the ledger's epsilons in the order the charges landed.  The
-accountant keeps that fold, globally and per analyst, as each entry is
-installed, so a charge or a ``remaining`` read costs the same at the
-first charge and at the millionth, and the totals equal the fold over
-the ledger bit for bit (the ``sum`` builtin is a compensated sum from
-Python 3.12 on, so it is not the definition).  The ledger costs a few
-words per charge: entries are slotted and share equal policies, labels
-and analysts.
+Budgets are exact: integer **ticks** of 2^-60 epsilon.  A charge of
+``e`` costs ``ceil(e * 2**60)`` ticks, from ``e.as_integer_ratio()``; a
+total or a quota is worth ``floor(q * 2**60)``.  The sum is exact,
+independent of charge order, and never below what was charged, so the
+checks are integer comparisons with no slack (a budget of 1.0 takes
+0.5 + 0.25 + 0.25, not 0.1 + 0.9, whose floats sum to 1 + 2^-55).
+``spent``, ``remaining``, ``view()`` and ``summary()`` render ticks as
+floats; ledger entries keep the charged float.  The totals advance as
+each entry is installed, so a charge or a read costs the same at the
+millionth charge as at the first, and the slotted entries share equal
+policies, labels and analysts.
 """
 
 from __future__ import annotations
@@ -36,6 +38,21 @@ def require_epsilon(epsilon: float, what: str = "epsilon") -> None:
     which no affordability check fails again."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"{what} must be finite and positive, got {epsilon!r}")
+
+
+#: Ticks per unit of epsilon: budgets are Python ints in units of 2^-60.
+TICKS_PER_EPSILON = 1 << 60
+
+
+def epsilon_ticks(epsilon: float) -> int:
+    """What a charge of ``epsilon`` costs: ``ceil(epsilon * 2**60)``, exact."""
+    numerator, denominator = float(epsilon).as_integer_ratio()
+    return -((-numerator << 60) // denominator)
+
+
+def ticks_epsilon(ticks: int) -> float:
+    """Ticks as the nearest float epsilon."""
+    return ticks / TICKS_PER_EPSILON
 
 
 class BudgetExceededError(RuntimeError):
@@ -67,8 +84,9 @@ class PrivacyAccountant:
     Parameters
     ----------
     total_epsilon:
-        The overall privacy budget.  Charges beyond this raise
-        :class:`BudgetExceededError` and leave the ledger unchanged.
+        The overall privacy budget, finite and positive.  Charges
+        beyond this raise :class:`BudgetExceededError` and leave the
+        ledger unchanged.
     quotas:
         Optional per-analyst sub-budgets (``{analyst: epsilon}``).  A
         charge arriving under a quota'd analyst must fit *both* the
@@ -101,33 +119,34 @@ class PrivacyAccountant:
     )
 
     def __post_init__(self) -> None:
-        if self.total_epsilon <= 0:
-            raise ValueError("total_epsilon must be positive")
+        require_epsilon(self.total_epsilon, "total_epsilon")
         quotas = {
             str(name): float(eps) for name, eps in (self.quotas or {}).items()
         }
         for name, eps in quotas.items():
             if not name:
                 raise ValueError("quota analyst names must be non-empty")
-            if eps <= 0:
-                raise ValueError(
-                    f"quota for analyst {name!r} must be positive"
-                )
+            require_epsilon(eps, f"quota for analyst {name!r}")
         self.quotas = quotas
-        # The fold of the ledger's epsilons in charge order, overall and
-        # per analyst, and the one stored copy of each distinct policy,
-        # label and analyst; all advanced only by _append_entry.
-        self._spent = 0.0
-        self._spent_by: dict[str, float] = {}
+        # Budgets (floor(q * 2**60) is -ceil(-q * 2**60)) and totals in
+        # ticks, overall and per analyst, advanced only in _append_entry,
+        # and the one stored copy of each policy, label and analyst.
+        self._total = -epsilon_ticks(-self.total_epsilon)
+        self._quota_ticks = {name: -epsilon_ticks(-q) for name, q in quotas.items()}
+        self._spent = 0
+        self._spent_by: dict[str, int] = {}
         self._shared: dict = {}
+        # Called with each affordable entry before it is installed, under
+        # the charge lock; a durable accountant journals it there.
+        self._sink = None
 
     @property
     def spent(self) -> float:
-        return self._spent
+        return ticks_epsilon(self._spent)
 
     @property
     def remaining(self) -> float:
-        return self.total_epsilon - self.spent
+        return ticks_epsilon(self._total - self._spent)
 
     @property
     def ledger(self) -> tuple[LedgerEntry, ...]:
@@ -135,14 +154,14 @@ class PrivacyAccountant:
 
     def spent_by(self, analyst: str) -> float:
         """Total epsilon charged under one analyst credential."""
-        return self._spent_by.get(analyst, 0.0)
+        return ticks_epsilon(self._spent_by.get(analyst, 0))
 
     def quota_remaining(self, analyst: str) -> float | None:
         """The analyst's remaining quota, or None when unquota'd."""
-        quota = self.quotas.get(analyst)
+        quota = self._quota_ticks.get(analyst)
         if quota is None:
             return None
-        return quota - self.spent_by(analyst)
+        return ticks_epsilon(quota - self._spent_by.get(analyst, 0))
 
     def charge(
         self,
@@ -153,50 +172,45 @@ class PrivacyAccountant:
     ) -> None:
         """Record an (policy, epsilon)-OSDP analysis against the budget.
 
-        Atomic: the affordability check and the ledger append happen
-        under one lock, so concurrent charges compose sequentially —
-        two analysts can never both spend the last remaining epsilon,
-        and a quota'd analyst can never overdraw the sub-budget either.
+        Atomic: the affordability check, the sink and the ledger append
+        happen under one lock, so concurrent charges compose
+        sequentially — two analysts can never both spend the last
+        remaining epsilon, and a quota'd analyst can never overdraw the
+        sub-budget either.
         """
         require_epsilon(epsilon, "epsilon charge")
+        entry = LedgerEntry(policy, float(epsilon), label, str(analyst))
         with self._lock:
-            self._check_charge(epsilon, analyst)
-            self._append_entry(
-                LedgerEntry(
-                    policy=policy,
-                    epsilon=epsilon,
-                    label=label,
-                    analyst=str(analyst),
-                )
-            )
+            ticks = self._check_charge(entry.epsilon, entry.analyst)
+            if self._sink is not None:
+                self._sink(entry)
+            self._append_entry(entry, ticks)
 
-    # The check/append split is the durable-accountant seam: a
-    # DurableAccountant interposes its fsync'd journal append between
-    # the two, under this same lock (see repro.service.budget).
-    def _check_charge(self, epsilon: float, analyst: str = "") -> None:
-        """Affordability check (global + quota); caller holds the lock."""
-        # Small tolerance so that e.g. 0.1 + 0.9 == 1.0 charges
-        # succeed despite float representation error.
-        if self.spent + epsilon > self.total_epsilon * (1 + 1e-12) + 1e-12:
+    def _check_charge(self, epsilon: float, analyst: str = "") -> int:
+        """Affordability check (global + quota); returns the charge's
+        ticks.  The caller holds the lock."""
+        ticks = epsilon_ticks(epsilon)
+        if self._spent + ticks > self._total:
             raise BudgetExceededError(
                 f"charge of {epsilon} exceeds remaining budget "
                 f"{self.remaining:.6g} (total {self.total_epsilon})"
             )
-        quota = self.quotas.get(str(analyst)) if analyst else None
+        quota = self._quota_ticks.get(str(analyst)) if analyst else None
         if quota is not None:
-            spent = self.spent_by(str(analyst))
-            if spent + epsilon > quota * (1 + 1e-12) + 1e-12:
+            spent = self._spent_by.get(str(analyst), 0)
+            if spent + ticks > quota:
                 raise AnalystQuotaExceededError(
                     f"charge of {epsilon} exceeds analyst {analyst!r}'s "
-                    f"remaining quota {quota - spent:.6g} (quota {quota})"
+                    f"remaining quota {ticks_epsilon(quota - spent):.6g} "
+                    f"(quota {self.quotas[str(analyst)]})"
                 )
+        return ticks
 
-    def _append_entry(self, entry: LedgerEntry) -> None:
-        """Unchecked ledger append; caller holds the lock.
-
-        Also the recovery installer: replayed history is history, so a
-        recovered ledger may legitimately stand above ``total_epsilon``
-        (further charges are then refused by :meth:`_check_charge`).
+    def _append_entry(self, entry: LedgerEntry, ticks: int | None = None) -> None:
+        """Unchecked append of ``ticks`` (by default what the entry's
+        epsilon costs), under the caller's lock.  Also the recovery
+        installer: history is history, so a recovered ledger may stand
+        above ``total_epsilon`` (and then refuses every charge).
 
         The stored entry shares its policy, label and analyst with
         every equal one before it: a request off the wire brings a fresh
@@ -207,10 +221,11 @@ class PrivacyAccountant:
         ``view`` shows; opaque policies (no key) never merge.
         What is stored may be a twin of what was charged: the same name
         and labelling under another spec (``{"any": [a, a]}`` for
-        ``a``); the durable journal serializes
-        the charge's own policy *before* installing it, so the disk
-        holds what was charged.
+        ``a``); the sink sees the charge's own policy *before* it is
+        installed, so a durable journal holds what was charged.
         """
+        if ticks is None:
+            ticks = epsilon_ticks(entry.epsilon)
         share = self._shared.setdefault
         policy = entry.policy
         key = policy.cache_key()
@@ -223,10 +238,8 @@ class PrivacyAccountant:
             analyst=share(entry.analyst, entry.analyst),
         )
         self._ledger.append(entry)
-        self._spent = self._spent + entry.epsilon
-        self._spent_by[entry.analyst] = (
-            self._spent_by.get(entry.analyst, 0.0) + entry.epsilon
-        )
+        self._spent += ticks
+        self._spent_by[entry.analyst] = self._spent_by.get(entry.analyst, 0) + ticks
 
     def for_analyst(self, analyst: str | None) -> "PrivacyAccountant | AnalystAccountant":
         """This accountant with charges bound to ``analyst``.
@@ -251,15 +264,15 @@ class PrivacyAccountant:
         # happens outside it, so a ``budget`` op never stalls releases.
         with self._lock:
             ledger = list(self._ledger)
-            spent = self.spent
+            spent = self._spent
             quotas = [
-                (name, quota, self.spent_by(name))
+                (name, quota, self._quota_ticks[name], self._spent_by.get(name, 0))
                 for name, quota in self.quotas.items()
             ]
         return {
             "total": float(self.total_epsilon),
-            "spent": float(spent),
-            "remaining": float(self.total_epsilon - spent),
+            "spent": ticks_epsilon(spent),
+            "remaining": ticks_epsilon(self._total - spent),
             "entries": [
                 {
                     "label": entry.label,
@@ -272,10 +285,10 @@ class PrivacyAccountant:
             "quotas": {
                 name: {
                     "quota": float(quota),
-                    "spent": float(used),
-                    "remaining": float(quota - used),
+                    "spent": ticks_epsilon(used),
+                    "remaining": ticks_epsilon(ticks - used),
                 }
-                for name, quota, used in quotas
+                for name, quota, ticks, used in quotas
             },
         }
 

@@ -17,6 +17,7 @@ one opaque form.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -70,10 +71,36 @@ def canonical_spec(spec) -> str:
     return _CANONICAL.encode(spec)
 
 
+#: The one NaN a member set holds (:func:`member_set`); it matches every
+#: NaN value, so the rendering, which writes each NaN as ``NaN``, decides
+#: the labelling.
+NAN = float("nan")
+
+
+def _holds_nan(value) -> bool:
+    return any(map(_holds_nan, value)) if isinstance(value, tuple) else value != value
+
+
+def member_set(members) -> frozenset:
+    """A leaf's members, every NaN as :data:`NAN`.  A NaN in a tuple is
+    refused: tuples compare elements by identity first."""
+    members = frozenset(members)
+    nans = {m for m in members if m != m}
+    if any(isinstance(m, tuple) and _holds_nan(m) for m in members):
+        raise PolicySpecError("a tuple member holds a NaN")
+    return members - nans | {NAN} if nans else members
+
+
+def _member(value, members) -> bool:
+    """Set membership in which a NaN member matches every NaN value."""
+    return value in members or (NAN in members and value != value)
+
+
 def members_isin(values: np.ndarray, members) -> np.ndarray | None:
     """``np.isin`` where it equals Python set membership, else None: a
     numeric or same-kind string column, and members ``np.asarray`` keeps
-    equal (it turns ``[1, "x"]`` into ``["1", "x"]``; NaN != NaN)."""
+    equal (it turns ``[1, "x"]`` into ``["1", "x"]``; NaN != NaN).  An
+    integer meeting a float is compared in float64, exact within ±2**53."""
     members = list(members)
     try:
         members_arr = np.asarray(members)
@@ -83,6 +110,10 @@ def members_isin(values: np.ndarray, members) -> np.ndarray | None:
     kinds = values.dtype.kind + members_arr.dtype.kind
     if not (set(kinds) <= set("biufc") or kinds in ("UU", "SS")):
         return None
+    ints = values if values.dtype.kind in "iu" else members_arr
+    if set(kinds) & set("fc") and ints.size and ints.dtype.kind in "iu":
+        if max(-int(ints.min()), int(ints.max())) > 2**53:
+            return None
     return np.isin(values, members_arr) if members_arr.tolist() == members else None
 
 
@@ -93,11 +124,39 @@ _COMPARISONS = {
 #: Every leaf op as a test of one value against the leaf's operand.
 LEAF_TESTS: dict[str, Callable[[object, object], object]] = {
     **_COMPARISONS,
-    "in": lambda v, members: v in members,
-    "not_in": lambda v, members: v not in members,
-    "any_in": lambda vs, members: any(v in members for v in vs),
+    "in": _member,
+    "not_in": lambda v, members: not _member(v, members),
+    "any_in": lambda vs, members: any(_member(v, members) for v in vs),
     "truthy": lambda v, _: bool(v),
 }
+
+
+def _compare(op: str, values: np.ndarray, operand) -> np.ndarray:
+    """``values op operand`` as Python compares each value: exactly.
+    numpy compares an integer and a float in float64, so a float operand
+    meets an integer column as its floor or ceiling, and an integer one
+    meets a float column as its nearest float below or above.  A float32
+    column is widened first: numpy would round the operand to float32."""
+    if values.dtype.kind == "f" and values.itemsize < 8:
+        values = values.astype(np.float64)
+    kind, below = values.dtype.kind, op in ("<", "<=")
+    if kind in "iu" and isinstance(operand, (float, np.floating)) and math.isfinite(operand):
+        if op in ("==", "!=") and not float(operand).is_integer():
+            return np.full(values.shape, op == "!=")
+        operand = (math.floor if op in ("<=", ">") else math.ceil)(operand)
+    elif kind == "f" and isinstance(operand, (int, np.integer)):
+        operand = int(operand)
+        try:
+            near = float(operand)
+        except OverflowError:
+            near = math.inf if operand > 0 else -math.inf
+        if near != operand:  # no float lies between near and operand
+            if op in ("==", "!="):
+                return np.full(values.shape, op == "!=")
+            side = -math.inf if below else math.inf
+            bound = near if (near < operand) == below else math.nextafter(near, side)
+            return values <= bound if below else values >= bound
+    return _COMPARISONS[op](values, operand)
 
 
 def _read(record, attr: str):
@@ -129,8 +188,8 @@ def _per_value(op: str, values, operand) -> np.ndarray:
 def _leaf_column(op: str, columns, attr: str, operand) -> np.ndarray:
     """One leaf over its column: numpy where it keeps Python's scalar
     semantics, else value by value (this leaf only), reading the
-    bundle's own records when it has them — a float column loses the
-    identity by which a NaN member matches."""
+    bundle's own records when it has them — a column may have coerced
+    a value (an integer past 2**53 in a float column)."""
     column = columns[attr]
     if op == "any_in" and hasattr(column, "segment_any"):
         hit = members_isin(column.flat, operand)
@@ -145,7 +204,7 @@ def _leaf_column(op: str, columns, attr: str, operand) -> np.ndarray:
         hit = values.astype(bool)
     elif op in _COMPARISONS and np.ndim(operand) == 0:
         try:
-            hit = _COMPARISONS[op](values, operand)
+            hit = _compare(op, values, operand)
         except TypeError:  # no numpy loop: Python decides, value by value
             pass
     if isinstance(hit, np.ndarray) and hit.shape == values.shape:

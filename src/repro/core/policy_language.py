@@ -26,6 +26,7 @@ from repro.core.policy import (  # noqa: F401 - re-exported spec API
     PolicySpecError,
     SpecUnsupported,
     canonical_spec,
+    member_set,
     sorted_plain_values,
 )
 
@@ -55,7 +56,7 @@ def _leaf(op: str, attr, operand) -> tuple:
         node = (op, attr, None if op == "truthy" else operand)
         return node, canonical_spec(node), None
     try:
-        members = frozenset(operand)
+        members = member_set(operand)
     except TypeError as exc:
         raise PolicySpecError(f"members must be hashable values: {exc}") from None
     listed = sorted_plain_values(members)

@@ -24,33 +24,39 @@ To make a torn frame chargeable, every blob leads with its epsilon as
 one field recovery must salvage from a frame whose CRC no longer
 holds.  If even those bytes are unreadable, recovery charges the
 **entire remaining budget** (the maximal safe assumption) and labels
-the entry so operators can see what happened.  Either way the
-salvaged charge is re-journaled as a clean frame, so a second restart
-counts it exactly once.  A whole frame whose epsilon is not finite and
-positive (journaled before every gate checked it) is booked the same
-way, as the entire remaining budget, and a snapshot drops the frame.
+the entry so operators can see what happened; so does a whole frame
+whose epsilon is not finite and positive (journaled before every gate
+checked it), and a snapshot drops that frame.  Either way the salvaged
+charge is re-journaled as a clean frame, so a second restart counts it
+exactly once.  A whole-remaining booking makes ``spent`` exactly the
+total in ticks, and its frame records those ``ticks`` (the remainder
+need not be a float).
 
-Ledger entries serialize their policies via the PR-3 spec codec
+Ledger entries serialize their policies as specs
 (:func:`repro.core.policy_language.policy_to_spec`), so recovery
-rebuilds the *exact* composed guarantee — same minimum-relaxation
-policy, bit-identical epsilon.  Opaque policies (hand-written
+rebuilds the *exact* composed guarantee.  Opaque policies (hand-written
 predicates) have no spec; they are journaled as ``policy: None`` and
-recovered as the conservative :class:`~repro.core.policy.AllSensitivePolicy`
-placeholder (claiming less relaxation than the original is always
-sound).
+recovered as the conservative ``AllSensitivePolicy()`` placeholder
+(claiming less relaxation than the original is always sound).
 
-Fsync contract, in charge order (all under the accountant's one lock):
+Fsync contract, in charge order, under the accountant's one lock
+(``PrivacyAccountant.charge`` runs check → sink → install; the journal
+is the sink):
 
-1. affordability check (global budget *and* the analyst's quota);
-2. journal append — write, flush, ``fsync`` — **before** any caller
-   sees success;
-3. in-memory ledger append;
-4. snapshot compaction (tmp file + fsync + atomic rename + directory
-   fsync, then log truncation) once the log holds as many entries as
-   the snapshot and at least ``snapshot_every``: a snapshot rewrites
-   the whole history, so a fixed cadence would cost O(n) per charge;
-   doubling makes it O(1) amortised and recovery reads each charge at
-   most twice.
+1. affordability check, global budget *and* the analyst's quota, in
+   integer ticks;
+2. :meth:`ChargeJournal.record`: the journal append — write, flush,
+   ``fsync`` — **before** any caller sees success, then snapshot
+   compaction (tmp file + fsync + atomic rename + directory fsync, then
+   log truncation) once the log holds as many entries as the snapshot
+   and at least ``snapshot_every``.  Doubling the snapshot keeps a
+   charge O(1) amortised, and recovery reads each charge at most twice;
+3. the in-memory install.  A sink that raises installs nothing: the
+   disk may then hold a charge the live ledger lacks, which a restart
+   counts — the safe side.
+
+Recovery replays the journal into the accountant as integer additions
+of the ticks each journaled float costs, as the live charges did.
 """
 
 from __future__ import annotations
@@ -61,10 +67,10 @@ import struct
 
 from repro.api.wire import encode_message
 from repro.core.accountant import (
-    AnalystAccountant,
     LedgerEntry,
     PrivacyAccountant,
-    require_epsilon,
+    epsilon_ticks,
+    ticks_epsilon,
 )
 from repro.core.policy import AllSensitivePolicy, Policy
 from repro.core.policy_language import (
@@ -97,15 +103,17 @@ class BudgetJournalError(RuntimeError):
     """A corrupt journal structure the budget cannot be rebuilt from."""
 
 
-def entry_to_doc(seq: int, entry: LedgerEntry) -> dict:
-    """One ledger entry as its wire-safe journal document."""
+def entry_to_doc(seq: int, entry: LedgerEntry, ticks: int | None = None) -> dict:
+    """One ledger entry as its wire-safe journal document; ``ticks``
+    records a cost other than what ``entry.epsilon`` costs (a
+    whole-remaining booking's exact remainder)."""
     try:
         spec = policy_to_spec(entry.policy)
     except PolicySpecError:
         # No declarative form — the name survives for the operator
         # view; recovery substitutes the conservative placeholder.
         spec = None
-    return {
+    doc = {
         "seq": int(seq),
         "epsilon": float(entry.epsilon),
         "label": str(entry.label),
@@ -113,6 +121,9 @@ def entry_to_doc(seq: int, entry: LedgerEntry) -> dict:
         "policy": spec,
         "policy_name": str(entry.policy.name),
     }
+    if ticks is not None:
+        doc["ticks"] = int(ticks)
+    return doc
 
 
 def entry_from_doc(doc) -> LedgerEntry:
@@ -144,11 +155,8 @@ def _summable(epsilon) -> bool:
 
 
 def _salvage_epsilon(torn: bytes) -> float | None:
-    """A torn tail's epsilon, from the raw float bytes leading its blob.
-
-    Only a finite positive value is trusted; anything else returns
-    None and the caller assumes the worst (full remaining budget).
-    """
+    """A torn tail's epsilon, from the raw float bytes leading its blob,
+    if finite and positive; else None (charge the whole remainder)."""
     body = torn[FRAME_HEADER_BYTES:]
     if len(body) < _EPSILON_PREFIX.size:
         return None
@@ -187,7 +195,7 @@ class ChargeJournal:
         self._log_entries = 0
 
     # -- appending ------------------------------------------------------
-    def append_entry(self, entry: LedgerEntry) -> int:
+    def append_entry(self, entry: LedgerEntry, ticks: int | None = None) -> int:
         """Durably journal one charge; returns its sequence number.
 
         The write is flushed and fsync'd before this returns — the
@@ -195,19 +203,21 @@ class ChargeJournal:
         a charge that a crash could silently forget.
         """
         seq = self.last_seq + 1
-        doc = entry_to_doc(seq, entry)
+        doc = entry_to_doc(seq, entry, ticks)
         self._frames.append(_entry_blob(doc))
         self.last_seq = seq
         self._docs.append(doc)
         self._log_entries += 1
         return seq
 
-    def maybe_compact(self) -> bool:
+    def record(self, entry: LedgerEntry) -> None:
+        """The durable accountant's sink: journal one charge, then
+        compact once the log holds at least ``snapshot_every`` entries
+        and as many as the snapshot."""
+        self.append_entry(entry)
         in_snapshot = len(self._docs) - self._log_entries
-        if self._log_entries < max(self.snapshot_every, in_snapshot):
-            return False
-        self.compact()
-        return True
+        if self._log_entries >= max(self.snapshot_every, in_snapshot):
+            self.compact()
 
     def compact(self) -> None:
         """Snapshot the full ledger and truncate the log."""
@@ -291,17 +301,14 @@ class ChargeJournal:
         self.close()
 
 
-class DurableAccountant:
+class DurableAccountant(PrivacyAccountant):
     """A :class:`PrivacyAccountant` whose ledger survives SIGKILL.
 
-    Drop-in wherever an accountant is accepted (``ReleaseServer``,
-    ``ClusterBackend``, the mechanisms' ``charge`` helpers): same
-    ``charge``/``remaining``/``ledger``/``composed_guarantee`` surface,
-    same atomicity, same quota semantics — plus the fsync'd charge
-    journal described in the module docstring.  Construction recovers
-    the journal immediately (there is deliberately no way to open a
-    journal without replaying it — forgetting recovery *is* the bug
-    this class exists to prevent); the replay report is kept at
+    Its sink is the fsync'd charge journal described in the module
+    docstring; everything else is the accountant's own.  Construction
+    recovers the journal immediately (there is deliberately no way to
+    open a journal without replaying it — forgetting recovery *is* the
+    bug this class exists to prevent); the replay report is kept at
     :attr:`recovery`.
     """
 
@@ -312,139 +319,57 @@ class DurableAccountant:
         quotas=None,
         snapshot_every: int = 256,
     ):
-        self._inner = PrivacyAccountant(
-            total_epsilon=total_epsilon, quotas=quotas
-        )
-        self._journal = ChargeJournal(directory, snapshot_every=snapshot_every)
+        super().__init__(total_epsilon=total_epsilon, quotas=quotas)
+        self.journal = ChargeJournal(directory, snapshot_every=snapshot_every)
         self.recovery = self._recover()
+        self._sink = self.journal.record
 
     def _recover(self) -> dict:
-        docs, report = self._journal.recover()
-        with self._inner._lock:
+        docs, report = self.journal.recover()
+        with self._lock:
             for doc in docs:
                 # History is history: recovered charges install
                 # unchecked, so a ledger standing above total_epsilon
                 # (e.g. after a torn-tail worst-case charge) refuses
                 # further charges instead of erroring here.
-                self._inner._append_entry(entry_from_doc(doc))
+                self._append_entry(entry_from_doc(doc), doc.get("ticks"))
             if report["invalid_charges"]:
                 # A charge that cannot be summed (a NaN makes spent NaN,
                 # which refuses nothing) books everything still
                 # standing, the rule of an unreadable torn tail.
-                self._book(self._whole_remaining(INVALID_CHARGE_LABEL))
-            self._book(self._torn_entry(report))
+                self._book(INVALID_CHARGE_LABEL)
+            if report["torn_bytes"]:
+                torn = report["torn_epsilon"]
+                label = TORN_TAIL_UNREADABLE_LABEL if torn is None else TORN_TAIL_LABEL
+                self._book(label, torn)
             if report["invalid_charges"]:
                 # The snapshot leaves the invalid frames behind.
-                self._journal.compact()
+                self.journal.compact()
         report["spent"] = self.spent
         report["remaining"] = self.remaining
         return report
 
-    def _book(self, entry: LedgerEntry | None) -> None:
-        """Journal and install a recovery charge.  It is re-journaled as
-        a clean frame so a second restart counts it exactly once."""
-        if entry is not None:
-            self._journal.append_entry(entry)
-            self._inner._append_entry(entry)
-
-    def _torn_entry(self, report: dict) -> LedgerEntry | None:
-        """The synthetic charge a torn journal tail turns into."""
-        if not report["torn_bytes"]:
-            return None
-        epsilon = report["torn_epsilon"]
-        if epsilon is not None:
-            return LedgerEntry(
-                policy=AllSensitivePolicy(),
-                epsilon=float(epsilon),
-                label=TORN_TAIL_LABEL,
-            )
-        # Epsilon unreadable: the maximal safe assumption is that the
-        # torn charge consumed everything still standing.
-        return self._whole_remaining(TORN_TAIL_UNREADABLE_LABEL)
-
-    def _whole_remaining(self, label: str) -> LedgerEntry | None:
-        """A charge of the whole remaining budget (None when none is)."""
-        remaining = max(0.0, self._inner.total_epsilon - self._inner.spent)
-        if remaining <= 0:
-            return None
-        return LedgerEntry(
-            policy=AllSensitivePolicy(), epsilon=remaining, label=label
-        )
-
-    # -- the accountant surface ----------------------------------------
-    def charge(
-        self,
-        policy: Policy,
-        epsilon: float,
-        label: str = "",
-        analyst: str = "",
-    ) -> None:
-        """Check, journal (fsync), then append — atomically.
-
-        The journal write sits between the affordability check and the
-        in-memory append, all under the inner accountant's lock: by the
-        time any caller can observe the charge (let alone receive the
-        noisy release), it is on stable storage.
-        """
-        require_epsilon(epsilon, "epsilon charge")
-        with self._inner._lock:
-            self._inner._check_charge(epsilon, analyst)
-            entry = LedgerEntry(
-                policy=policy,
-                epsilon=float(epsilon),
-                label=label,
-                analyst=str(analyst),
-            )
-            self._journal.append_entry(entry)
-            self._inner._append_entry(entry)
-            self._journal.maybe_compact()
-
-    @property
-    def total_epsilon(self) -> float:
-        return self._inner.total_epsilon
-
-    @property
-    def quotas(self) -> dict:
-        return self._inner.quotas
-
-    @property
-    def spent(self) -> float:
-        return self._inner.spent
-
-    @property
-    def remaining(self) -> float:
-        return self._inner.remaining
-
-    @property
-    def ledger(self):
-        return self._inner.ledger
-
-    @property
-    def journal(self) -> ChargeJournal:
-        return self._journal
-
-    def spent_by(self, analyst: str) -> float:
-        return self._inner.spent_by(analyst)
-
-    def quota_remaining(self, analyst: str) -> float | None:
-        return self._inner.quota_remaining(analyst)
-
-    def for_analyst(self, analyst: str | None):
-        if not analyst:
-            return self
-        return AnalystAccountant(self, str(analyst))
-
-    def composed_guarantee(self):
-        return self._inner.composed_guarantee()
-
-    def view(self) -> dict:
-        return self._inner.view()
-
-    def summary(self) -> str:
-        return self._inner.summary()
+    def _book(self, label: str, epsilon: float | None = None) -> None:
+        """Journal and install a recovery charge of ``epsilon`` — or,
+        when None, of everything still standing (the maximal safe
+        assumption): ``spent`` then becomes exactly the total in ticks,
+        and the frame records those ticks beside the remainder's float,
+        rounded up.  The charge is re-journaled as a clean frame so a
+        second restart counts it exactly once."""
+        ticks = None
+        if epsilon is None:
+            ticks = self._total - self._spent
+            if ticks <= 0:
+                return
+            epsilon = ticks_epsilon(ticks)
+            if epsilon_ticks(epsilon) < ticks:
+                epsilon = math.nextafter(epsilon, math.inf)
+        entry = LedgerEntry(AllSensitivePolicy(), epsilon, label)
+        self.journal.append_entry(entry, ticks)
+        self._append_entry(entry, ticks)
 
     def close(self) -> None:
-        self._journal.close()
+        self.journal.close()
 
     def __enter__(self) -> "DurableAccountant":
         return self

@@ -1,21 +1,24 @@
 """Tests for the privacy budget accountant.
 
-Besides the budget semantics, this pins the two contracts that keep a
-metered server stationary.  **Time**: ``spent``/``remaining``/
-``spent_by``/``quota_remaining`` are running totals equal — ``==`` on
-the floats — to the left-to-right fold of the ledger's epsilons in
-charge order, and no charge or read walks the ledger (checked by
-counting, with a ledger that raises when walked, never by timing).
+Besides the budget semantics, this pins the exact arithmetic and the
+two contracts that keep a metered server stationary.  **Exactness**:
+budgets are integer ticks of 2^-60 epsilon; a charge costs the ceiling
+of its exact value in ticks, so the totals are never below the exact
+(``fractions.Fraction``) sum and equal it for tick-multiple charges.
+**Time**: ``spent``/``remaining``/``spent_by``/``quota_remaining`` are
+running totals equal — ``==`` on the floats — to the tick sum over the
+ledger rendered once, and no charge or read walks the ledger (checked
+by counting, with a ledger that raises when walked, never by timing).
 **Space**: the ledger retains a bounded number of bytes per charge
 however fresh the policy objects a request brings, and merging equal
 policies never changes what ``view()`` or the durable journal render.
 """
 
-import functools
 import gc
-import operator
+import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from repro.core.accountant import (
     AnalystQuotaExceededError,
     BudgetExceededError,
     PrivacyAccountant,
+    epsilon_ticks,
 )
 from repro.core.policy import (
     AllSensitivePolicy,
@@ -49,17 +53,32 @@ class TestBudget:
         with pytest.raises(ValueError):
             PrivacyAccountant(total_epsilon=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_a_total_or_quota_that_is_not_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            PrivacyAccountant(total_epsilon=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            PrivacyAccountant(total_epsilon=1.0, quotas={"alice": bad})
+
     def test_spend_and_remaining(self):
         acct = PrivacyAccountant(total_epsilon=1.0)
         acct.charge(ODD, 0.4, label="first")
         assert acct.spent == pytest.approx(0.4)
         assert acct.remaining == pytest.approx(0.6)
 
-    def test_exact_budget_allowed_despite_float_error(self):
+    def test_a_charge_past_the_exact_sum_is_refused(self):
         acct = PrivacyAccountant(total_epsilon=1.0)
         acct.charge(ODD, 0.1)
-        acct.charge(ODD, 0.9)  # 0.1 + 0.9 is not exactly 1.0 in floats
-        assert acct.remaining == pytest.approx(0.0, abs=1e-9)
+        # the floats 0.1 + 0.9 sum to 1 + 2**-55: over, with no slack
+        assert Fraction(0.1) + Fraction(0.9) - 1 == Fraction(1, 2**55)
+        with pytest.raises(BudgetExceededError):
+            acct.charge(ODD, 0.9)
+        acct = PrivacyAccountant(total_epsilon=1.0)
+        for epsilon in (0.5, 0.25, 0.125, 0.125):  # a dyadic split fits
+            acct.charge(ODD, epsilon)
+        assert acct.remaining == 0.0 and acct.spent == 1.0
+        with pytest.raises(BudgetExceededError):
+            acct.charge(ODD, 5e-324)
 
     def test_over_budget_raises_and_keeps_ledger(self):
         acct = PrivacyAccountant(total_epsilon=0.5)
@@ -123,37 +142,47 @@ class TestMechanismCharging:
 
 
 # ----------------------------------------------------------------------
-# The O(1) contract: running totals == the ordered fold, ledger unwalked
+# The O(1) contract: running totals == the tick sum, ledger unwalked
 # ----------------------------------------------------------------------
 
 QUOTAS = {"alice": 2.0, "bob": 0.5}
 ANALYSTS = ("", "alice", "bob", "carol")  # anonymous, quota'd x2, unquota'd
 
 
-def fold(epsilons) -> float:
-    """The definition of ``spent``: a left fold in charge order."""
-    return functools.reduce(operator.add, epsilons, 0.0)
+def ticks(epsilon) -> int:
+    """The oracle for a charge's cost: ``ceil(epsilon * 2**60)`` from the
+    exact rational value, independent of the accountant's bit tricks."""
+    return math.ceil(Fraction(epsilon) * 2**60)
 
 
-def assert_totals_are_the_fold(acct) -> None:
-    """Every total ``==`` the fold over the ledger — no ``isclose``."""
+def floor_ticks(epsilon) -> int:
+    """The oracle for what a total or a quota is worth."""
+    return math.floor(Fraction(epsilon) * 2**60)
+
+
+def as_epsilon(n_ticks: int) -> float:
+    """Ticks rendered once: the nearest float."""
+    return float(Fraction(n_ticks, 2**60))
+
+
+def assert_totals_are_the_tick_sum(acct) -> None:
+    """Every total ``==`` the tick sum over the ledger, rendered once —
+    no ``isclose``."""
     ledger = acct.ledger
-    spent = fold(e.epsilon for e in ledger)
-    assert acct.spent == spent
-    assert acct.remaining == acct.total_epsilon - spent
+    spent = sum(ticks(e.epsilon) for e in ledger)
+    total = floor_ticks(acct.total_epsilon)
+    assert acct.spent == as_epsilon(spent)
+    assert acct.remaining == as_epsilon(total - spent)
     for analyst in ANALYSTS:
-        used = fold(e.epsilon for e in ledger if e.analyst == analyst)
-        assert acct.spent_by(analyst) == used
+        used = sum(ticks(e.epsilon) for e in ledger if e.analyst == analyst)
+        assert acct.spent_by(analyst) == as_epsilon(used)
         quota = acct.quotas.get(analyst)
-        assert acct.quota_remaining(analyst) == (
-            None if quota is None else quota - used
-        )
+        quota_left = None if quota is None else as_epsilon(floor_ticks(quota) - used)
+        assert acct.quota_remaining(analyst) == quota_left
         proxy = acct.for_analyst(analyst)
-        assert proxy.spent == spent
+        assert proxy.spent == acct.spent
         assert proxy.remaining == (
-            acct.remaining
-            if quota is None
-            else min(acct.remaining, quota - used)
+            acct.remaining if quota is None else min(acct.remaining, quota_left)
         )
 
 
@@ -191,7 +220,7 @@ def test_running_totals_equal_the_ordered_fold_after_every_step(steps):
             refused += 1
             # global and quota overruns alike leave everything untouched
             assert (acct.ledger, acct.spent, acct.spent_by(step[0])) == before
-        assert_totals_are_the_fold(acct)
+        assert_totals_are_the_tick_sum(acct)
     assert len(acct.ledger) == len(steps) - refused
 
 
@@ -209,14 +238,89 @@ def test_both_refusal_kinds_leave_the_totals_untouched():
     assert acct.quota_remaining("bob") == 0.125
 
 
-def test_the_fold_is_not_the_compensated_sum():
-    """Why the oracle is an explicit fold: on 0.1 ten times the left fold
-    is 0.9999999999999999 while a compensated sum (``math.fsum``, and
-    the ``sum`` builtin from Python 3.12) gives 1.0."""
+def test_ten_tenths_overrun_one_epsilon_and_render_as_their_exact_sum():
+    """The float fold of ten 0.1s is 0.9999999999999999, under the exact
+    sum of the ten floats (about 1 + 5.6e-17): the tenth charge does not
+    fit a budget of 1.0, and ``spent`` is the exact tick sum rounded
+    once."""
+    acct = PrivacyAccountant(total_epsilon=1.0)
+    for _ in range(9):
+        acct.charge(ODD, 0.1)
+    with pytest.raises(BudgetExceededError):
+        acct.charge(ODD, 0.1)
     acct = PrivacyAccountant(total_epsilon=2.0)
     for _ in range(10):
         acct.charge(ODD, 0.1)
-    assert acct.spent == fold([0.1] * 10) == 0.9999999999999999
+    assert acct._spent == 10 * ticks(0.1) == 10 * Fraction(0.1) * 2**60
+    assert acct.spent == 1.0 == float(10 * Fraction(0.1))
+
+
+# ----------------------------------------------------------------------
+# Exact ticks: the probes the float fold failed, and the property
+# ----------------------------------------------------------------------
+
+
+def test_charges_under_half_an_ulp_are_booked_not_free():
+    acct = PrivacyAccountant(total_epsilon=1.0)
+    acct.charge(ODD, 0.5)
+    for _ in range(100_000):
+        acct.charge(ODD, 5e-17)
+    assert acct._spent == ticks(0.5) + 100_000 * ticks(5e-17)
+    assert acct.spent > 0.5 + 4.99e-12
+
+
+def test_a_spent_large_budget_refuses_a_small_charge():
+    acct = PrivacyAccountant(total_epsilon=1e9)
+    acct.charge(ODD, 1e9)
+    assert acct.remaining == 0.0
+    with pytest.raises(BudgetExceededError):
+        acct.charge(ODD, 5e-4)
+    quota = PrivacyAccountant(total_epsilon=2e9, quotas={"alice": 1e9})
+    quota.charge(ODD, 1e9, analyst="alice")
+    with pytest.raises(AnalystQuotaExceededError):
+        quota.charge(ODD, 5e-4, analyst="alice")
+
+
+def test_a_nan_budget_meters_nothing_so_it_is_refused():
+    with pytest.raises(ValueError):
+        PrivacyAccountant(total_epsilon=math.nan)
+    acct = PrivacyAccountant(total_epsilon=1e300)
+    acct.charge(ODD, 1e300)
+    with pytest.raises(BudgetExceededError):
+        acct.charge(ODD, 1e300)
+    assert acct.remaining == 0.0
+
+
+#: Charges across the float range, and tick multiples k * 2**-60.
+_ANY_CHARGE = st.floats(min_value=5e-324, max_value=0.5)
+_TICK_CHARGE = st.integers(1, 2**52).map(lambda k: k * 2.0**-60)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    charges=st.lists(st.one_of(_ANY_CHARGE, _TICK_CHARGE), max_size=30),
+    analysts=st.lists(st.sampled_from(ANALYSTS), min_size=30, max_size=30),
+)
+def test_tick_totals_bound_the_exact_sum_and_meet_it_on_tick_multiples(
+    charges, analysts
+):
+    acct = PrivacyAccountant(total_epsilon=16.0)
+    for epsilon, analyst in zip(charges, analysts):
+        assert epsilon_ticks(epsilon) == ticks(epsilon)
+        acct.charge(ODD, epsilon, analyst=analyst)  # 30 * 0.5 fits
+    exact = sum(map(Fraction, charges), Fraction(0)) * 2**60
+    assert acct._spent >= exact
+    assert acct._spent - exact < max(len(charges), 1)  # ceil: < 1 tick each
+    if all((Fraction(e) * 2**60).denominator == 1 for e in charges):
+        assert acct._spent == exact
+    for analyst in ANALYSTS:
+        mine = [e for e, a in zip(charges, analysts) if a == analyst]
+        assert acct._spent_by.get(analyst, 0) == sum(map(ticks, mine))
+    # order does not matter
+    shuffled = PrivacyAccountant(total_epsilon=16.0)
+    for epsilon in reversed(charges):
+        shuffled.charge(ODD, epsilon)
+    assert shuffled._spent == acct._spent
 
 
 class _UnwalkableLedger(list):
@@ -435,14 +539,17 @@ def test_view_is_one_consistent_cut_of_the_ledger():
     view = acct.view()
     assert set(view) == {"total", "spent", "remaining", "entries", "quotas"}
     assert len(view["entries"]) == len(acct.ledger)
-    assert view["spent"] == fold(row["epsilon"] for row in view["entries"])
-    assert view["remaining"] == view["total"] - view["spent"]
+    spent = sum(ticks(row["epsilon"]) for row in view["entries"])
+    assert view["spent"] == as_epsilon(spent)
+    assert view["remaining"] == as_epsilon(floor_ticks(view["total"]) - spent)
     for name, cell in view["quotas"].items():
-        assert cell["spent"] == fold(
-            row["epsilon"] for row in view["entries"] if row["analyst"] == name
+        used = sum(
+            ticks(row["epsilon"])
+            for row in view["entries"]
+            if row["analyst"] == name
         )
         assert cell == {
             "quota": QUOTAS[name],
-            "spent": cell["spent"],
-            "remaining": QUOTAS[name] - cell["spent"],
+            "spent": as_epsilon(used),
+            "remaining": as_epsilon(floor_ticks(QUOTAS[name]) - used),
         }

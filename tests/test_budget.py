@@ -28,18 +28,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import threading
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.accountant import (
     AnalystQuotaExceededError,
     BudgetExceededError,
     LedgerEntry,
     PrivacyAccountant,
+    epsilon_ticks,
+    ticks_epsilon,
 )
 from repro.core.policy import (
     AllSensitivePolicy,
@@ -60,7 +64,7 @@ from repro.service.budget import (
 from test_accountant import (
     QUOTAS,
     apply_step,
-    assert_totals_are_the_fold,
+    assert_totals_are_the_tick_sum,
     charge_steps,
     lookalike_policies,
     mixed_charges,
@@ -152,6 +156,28 @@ class TestDurableRoundTrip:
                 back.charge(OptInPolicy(), 0.01)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_a_budget_that_is_not_finite_and_positive_fails_at_startup(
+    tmp_path, bad
+):
+    """A NaN total refuses nothing (every comparison with it is false);
+    each way a deployment declares a budget refuses one before serving."""
+    from repro.cli import build_parser, cmd_serve
+    from repro.service.fleet import BudgetSpec
+
+    with pytest.raises(ValueError, match="finite and positive"):
+        DurableAccountant(tmp_path, total_epsilon=bad)
+    with pytest.raises(ValueError, match="finite and positive"):
+        DurableAccountant(tmp_path, total_epsilon=1.0, quotas={"alice": bad})
+    args = build_parser().parse_args(["serve", "--budget", repr(bad)])
+    with pytest.raises(ValueError, match="finite and positive"):
+        cmd_serve(args)
+    spec = BudgetSpec.from_dict({"total": bad, "dir": str(tmp_path / "coord")})
+    with pytest.raises(ValueError, match="finite and positive"):
+        spec.build_accountant()
+    assert not os.listdir(tmp_path)  # no journal was opened
+
+
 # ----------------------------------------------------------------------
 # Torn tails: the inverted fail-safe
 # ----------------------------------------------------------------------
@@ -197,6 +223,23 @@ class TestTornTail:
             )
             with pytest.raises(BudgetExceededError):
                 back.charge(OptInPolicy(), 0.01)
+
+    def test_a_whole_remaining_booking_is_exact_in_ticks(self, tmp_path):
+        """0.3 leaves a remainder of 3 - 0.3 that no float holds: the
+        booking spends exactly the total, live and after a restart."""
+        with DurableAccountant(tmp_path, total_epsilon=3.0) as acct:
+            acct.charge(OptInPolicy(), 0.3)
+        remainder = 3 * 2**60 - epsilon_ticks(0.3)
+        assert epsilon_ticks(ticks_epsilon(remainder)) != remainder
+        _append_torn_tail(tmp_path, epsilon=None)
+        for _ in range(2):
+            with DurableAccountant(tmp_path, total_epsilon=3.0) as back:
+                assert back._spent == 3 * 2**60
+                assert back.spent == 3.0 and back.remaining == 0.0
+                booking = back.ledger[-1]
+                assert booking.label == TORN_TAIL_UNREADABLE_LABEL
+                # the float shown for it rounds up, never down
+                assert epsilon_ticks(booking.epsilon) >= remainder
 
     def test_nonfinite_salvaged_epsilon_is_distrusted(self, tmp_path):
         with DurableAccountant(tmp_path, total_epsilon=4.0) as acct:
@@ -282,7 +325,7 @@ class TestCompaction:
                 (e.epsilon, e.label) for e in ledger
             ]
             assert back.spent == spent
-            assert_totals_are_the_fold(back)
+            assert_totals_are_the_tick_sum(back)
 
     def test_crash_between_snapshot_and_truncate_is_no_double_count(
         self, tmp_path
@@ -465,26 +508,63 @@ def test_totals_equal_the_fold_through_reopen_compaction_and_salvage(steps):
         with reopen(directory) as acct:
             for step in steps:
                 apply_step(acct, step)
-                assert_totals_are_the_fold(acct)
+                assert_totals_are_the_tick_sum(acct)
             ledger = acct.ledger
         with reopen(directory) as back:  # snapshot + log replay
             assert [(e.epsilon, e.analyst) for e in back.ledger] == [
                 (e.epsilon, e.analyst) for e in ledger
             ]
-            assert_totals_are_the_fold(back)
+            assert_totals_are_the_tick_sum(back)
             back.journal.compact()
-            assert_totals_are_the_fold(back)
+            assert_totals_are_the_tick_sum(back)
         with reopen(directory) as back:  # snapshot only
             assert len(back.ledger) == len(ledger)
-            assert_totals_are_the_fold(back)
+            assert_totals_are_the_tick_sum(back)
         _append_torn_tail(directory, epsilon=0.3)
         with reopen(directory) as back:  # salvaged charge joins the fold
             assert len(back.ledger) == len(ledger) + 1
-            assert_totals_are_the_fold(back)
+            assert_totals_are_the_tick_sum(back)
         _append_torn_tail(directory, epsilon=None)
         with reopen(directory) as back:  # worst case: all that remained
-            assert_totals_are_the_fold(back)
+            spent = back._spent
+            assert spent >= 3 * 2**60
             assert back.remaining <= 0.0
+            if len(back.ledger) == len(ledger) + 2:  # something remained
+                assert back.remaining == 0.0 and back.spent == 3.0
+        with reopen(directory) as back:  # the booking's ticks replay
+            assert back._spent == spent
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(steps=charge_steps, snapshot_every=st.sampled_from([1, 4, 1000]))
+def test_restart_totals_equal_the_live_tick_totals(steps, snapshot_every):
+    """Recovery's fold is integer addition over the same ticks the live
+    charges cost: every total after a restart is the live one, exactly."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as directory:
+        with DurableAccountant(
+            directory, 3.0, quotas=QUOTAS, snapshot_every=snapshot_every
+        ) as acct:
+            for step in steps:
+                apply_step(acct, step)
+            live = _totals(acct)
+        with DurableAccountant(
+            directory, 3.0, quotas=QUOTAS, snapshot_every=snapshot_every
+        ) as back:
+            assert _totals(back) == live
+
+
+def _totals(acct) -> tuple:
+    """Every total, in ticks and as rendered (the opaque ``ODD`` policy
+    comes back as a placeholder, so the entries' names are left out)."""
+    view = acct.view()
+    return (
+        acct._spent,
+        dict(acct._spent_by),
+        {key: view[key] for key in ("total", "spent", "remaining", "quotas")},
+        [(e.epsilon, e.analyst) for e in acct.ledger],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -516,16 +596,24 @@ def test_journal_writes_the_charged_policy_not_its_stored_twin(tmp_path):
 
 
 #: SHA-256 of what the commit before the ledger was compacted (PR 17)
-#: wrote for ``mixed_charges()``: the journal, the snapshot of it, and
-#: the ``view()`` document.
+#: wrote for ``mixed_charges()``: the journal and the snapshot of it.
 PARENT_LOG_SHA256 = "20c24697c26a2ed4dae9733f26efa6085c5f3a75083365ab5deef4b5d7dafc73"
 PARENT_SNAPSHOT_SHA256 = "0c9e957ff9631c0046716dc71871fe5a950397ed7ae8cbbd9defd52208f70db9"
-PARENT_VIEW_SHA256 = "84d3174293a2d013c52968ead348f1690b3e8f461d926e53725a264f5fcf9251"
+#: ... and of its ``view()`` document without the totals, which are now
+#: the tick sums rather than the float fold (``_view_rows``).
+PARENT_VIEW_ROWS_SHA256 = "cd2ba20c214f8f1280f9b784fa7f047ebb3ecb8f5f6e1d1e69a8c0cbfad707e7"
 
 
 def _sha256_of(path) -> str:
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _view_rows(view: dict) -> bytes:
+    """A view without its spent and remaining totals."""
+    rows = {key: view[key] for key in ("total", "entries")}
+    rows["quotas"] = {n: {"quota": c["quota"]} for n, c in view["quotas"].items()}
+    return json.dumps(rows, sort_keys=True).encode()
 
 
 def test_journal_snapshot_and_view_bytes_match_the_parent_commit(tmp_path):
@@ -538,20 +626,20 @@ def test_journal_snapshot_and_view_bytes_match_the_parent_commit(tmp_path):
             except AnalystQuotaExceededError:
                 pass
         assert 150 < len(acct.ledger) < 200  # some quota refusals, no snapshot
-        view = json.dumps(acct.view(), sort_keys=True).encode()
+        view = acct.view()
         assert _sha256_of(_log_path(tmp_path)) == PARENT_LOG_SHA256
         acct.journal.compact()
         snapshot = os.path.join(str(tmp_path), ChargeJournal.SNAPSHOT_NAME)
         assert _sha256_of(snapshot) == PARENT_SNAPSHOT_SHA256
-    assert hashlib.sha256(view).hexdigest() == PARENT_VIEW_SHA256
+        assert_totals_are_the_tick_sum(acct)
+    assert hashlib.sha256(_view_rows(view)).hexdigest() == PARENT_VIEW_ROWS_SHA256
     with DurableAccountant(
         tmp_path, total_epsilon=50.0, quotas=QUOTAS
     ) as back:
-        recovered = json.loads(view)
-        for row in recovered["entries"]:
+        for row in view["entries"]:
             if row["policy"] == "opaque":  # comes back as the placeholder
                 row["policy"] = AllSensitivePolicy().name
-        assert back.view() == recovered
+        assert back.view() == view
 
 
 # ----------------------------------------------------------------------

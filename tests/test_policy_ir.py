@@ -3,9 +3,11 @@
 A :class:`~repro.core.policy.Policy` is a predicate IR lowered from its
 wire spec.  The property test draws random IR specs (every leaf op,
 ``any`` / ``all`` / ``not`` / ``true`` / ``false`` to depth 3) and
-random tables (int, bool, str, float-with-NaN, object-with-NaN and
-ragged ``aps`` columns) and checks that the per-record interpreter (the
-oracle) and the per-column one give bit-identical masks, that
+random tables (int, bool, str, float-with-NaN, object-with-NaN, int64
+and float64 near ±2**53, and ragged ``aps`` columns) and checks that
+the per-record interpreter (the oracle) and the per-column one give
+bit-identical masks — a NaN member matching every NaN, and integers
+meeting floats exactly — that
 ``policy_from_spec`` of ``to_spec()`` is the same policy, and that the
 scan, the distinct summary and a sharded database count alike.  The
 deterministic tests pin the regressions the single form fixes and the
@@ -63,6 +65,23 @@ OBJECTS = (0, 1, 2.5, "x", None, NAN)
 SCORES = (0.5, 2.0, NAN)
 #: the columns a distinct summary holds (the others are object / ragged)
 SUMMARISED = ("age", "flag", "city")
+#: integers near ±2**52 and ±2**53, where float64 stops holding them all
+BIGS = tuple(
+    sign * 2**power + step
+    for sign in (1, -1) for power in (52, 53) for step in (-2, -1, 0, 1, 2)
+)
+#: integer and float operands near ±2**53, and two halves
+BIG_OPERANDS = st.one_of(
+    st.sampled_from(BIGS),
+    st.sampled_from(BIGS).map(float),
+    st.sampled_from([2.0**52 + 0.5, -(2.0**52) - 0.5]),
+)
+
+
+def _fresh_nan(value):
+    """A record's own NaN object, never the spec's: a NaN member must
+    match it by value."""
+    return float("nan") if value != value else value
 
 
 # ----------------------------------------------------------------------
@@ -116,10 +135,20 @@ def _leaves():
             st.builds(_leaf, st.just("aps"), st.just("any_in"),
                       st.lists(st.integers(0, 6), max_size=3)),
         ],
+        **{
+            attr: [
+                st.builds(_leaf, st.just(attr), compare, BIG_OPERANDS),
+                st.builds(_leaf, st.just(attr), members,
+                          st.lists(BIG_OPERANDS, max_size=3)),
+            ]
+            for attr in ("big", "bigf")
+        },
     }
 
 
-def ir_specs(attrs=("age", "flag", "city", "score", "obj", "aps")):
+def ir_specs(
+    attrs=("age", "flag", "city", "score", "obj", "aps", "big", "bigf"),
+):
     """Random IR specs to depth 3 over every leaf op and combinator."""
     leaves = st.one_of(
         *[leaf for attr in attrs for leaf in _leaves()[attr]],
@@ -155,9 +184,11 @@ def tables(draw):
         "age": st.integers(0, 9),
         "flag": st.booleans(),
         "city": st.sampled_from(CITIES),
-        "score": st.sampled_from(SCORES),
-        "obj": st.sampled_from(OBJECTS),
+        "score": st.sampled_from(SCORES).map(_fresh_nan),
+        "obj": st.sampled_from(OBJECTS).map(_fresh_nan),
         "aps": st.lists(st.integers(0, 6), min_size=0, max_size=4).map(tuple),
+        "big": st.sampled_from(BIGS),
+        "bigf": st.sampled_from(BIGS).map(float),
     })
     records = draw(st.lists(rows, min_size=n, max_size=n))
     return records, _columns(records)
@@ -171,6 +202,8 @@ def _columns(records) -> dict:
         "city": np.array([r["city"] for r in records]),
         "score": np.array([r["score"] for r in records], dtype=float),
         "obj": np.array([r["obj"] for r in records], dtype=object),
+        "big": np.array([r["big"] for r in records], dtype=np.int64),
+        "bigf": np.array([r["bigf"] for r in records], dtype=np.float64),
         "aps": RaggedColumn(
             flat=np.array([a for r in records for a in r["aps"]], dtype=np.int64),
             offsets=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
@@ -247,6 +280,60 @@ def test_a_numpy_scalar_and_its_string_never_share_a_cache_key():
     second, hit = server.histogram_input(binning, text)
     assert not hit
     assert second.x_ns.tolist() == [0, 1, 1]
+
+
+def test_a_nan_member_matches_every_nan_so_equal_keys_label_alike():
+    """``canonical_spec`` writes every NaN as ``NaN``; when a NaN member
+    matched only its own object, two specs with one key labelled a
+    record apart, and the server answered the second from the first
+    one's cached pair."""
+    nan_a, nan_b = float("nan"), float("nan")
+    records = [{"x": nan_a}, {"x": 1.0}, {"x": float("nan")}]
+    db = ColumnarDatabase.from_records(records)
+    first = compile_policy({"attr": "x", "op": "in", "value": [nan_a]})
+    second = compile_policy({"attr": "x", "op": "in", "value": [nan_b, nan_a]})
+    assert first.cache_key() == second.cache_key()
+    for policy in (first, second):
+        assert [policy(r) for r in records] == [0, 1, 0]
+        assert policy.evaluate_batch(db).tolist() == [0, 1, 0]
+        assert policy.evaluate_batch({"x": np.array([NAN, 1.0])}).tolist() == [0, 1]
+    binning = CategoricalBinning("k", ["a"])
+    table = ColumnarDatabase.from_records([{**r, "k": "a"} for r in records])
+    server = ReleaseServer(table.shard(1))
+    cold = ReleaseServer(table.shard(1)).histogram_input(binning, second)[0]
+    assert server.histogram_input(binning, first)[0].x_ns.tolist() == [1]
+    warm, hit = server.histogram_input(binning, second)
+    assert hit  # one key, one labelling: the cached pair is the answer
+    assert warm.x_ns.tolist() == cold.x_ns.tolist() == [1]
+    with pytest.raises(PolicySpecError, match="NaN"):
+        compile_policy({"attr": "x", "op": "in", "value": [(1, nan_a)]})
+
+
+def test_integer_columns_meet_float_operands_exactly():
+    """numpy compares int64 with float64 in float64: 2**53 + 1 <= 2**53
+    came out true per column and false per record."""
+    x = np.array([2**53, 2**53 + 1], dtype=np.int64)
+    records = [{"x": int(v)} for v in x]
+    cases = {
+        ("<=", 2.0**53): [0, 1],
+        ("<", 2.0**53 + 2): [0, 0],
+        (">", 2.0**53): [1, 0],
+        ("==", 2.0**53): [0, 1],
+        ("!=", 2.0**52 + 0.5): [0, 0],
+        ("in", (2.0**53,)): [0, 1],
+    }
+    for (op, operand), labels in cases.items():
+        policy = compile_policy({"attr": "x", "op": op, "value": operand})
+        assert [policy(r) for r in records] == labels, op
+        assert policy.evaluate_batch({"x": x}).tolist() == labels, op
+    for values, op, operand in (
+        ([2.0**53, 2.0**54], "<", 2**53 + 1),  # the int past float64
+        ([1.5, 2.0], "<", 1.5000000001),  # the float past float32
+    ):
+        floats = np.array(values, dtype=np.float32)
+        policy = compile_policy({"attr": "x", "op": op, "value": operand})
+        assert [policy({"x": float(v)}) for v in floats] == [0, 1]
+        assert policy.evaluate_batch({"x": floats}).tolist() == [0, 1]
 
 
 def test_the_rendering_is_canonical_and_strict():
