@@ -85,9 +85,9 @@ class ShardedBackend:
     it as the executor — parent and workers read one physical copy,
     requests cross as specs, and a killed worker is respawned onto the
     segments (the request degrades to a recompute, not a crash).  A
-    table the segments cannot hold (object-dtype columns, attached row
-    records: :func:`repro.data.workers.shard_shm_eligible`) gets no
-    pool and is served from the parent — the same bytes, with
+    table the segments cannot hold (object-dtype columns:
+    :func:`repro.data.workers.shard_shm_eligible`) gets no pool and is
+    served from the parent — the same bytes, with
     ``store_mode == "heap"``.  The backend owns the pool and the
     segments: ``close()`` stops the one and unlinks the other.
     """

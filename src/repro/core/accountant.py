@@ -28,8 +28,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.guarantees import OSDPGuarantee, sequential_composition
-from repro.core.policy import Policy
+from repro.core.guarantees import OSDPGuarantee
+from repro.core.policy import Policy, minimum_relaxation
 
 
 def require_epsilon(epsilon: float, what: str = "epsilon") -> None:
@@ -53,6 +53,16 @@ def epsilon_ticks(epsilon: float) -> int:
 def ticks_epsilon(ticks: int) -> float:
     """Ticks as the nearest float epsilon."""
     return ticks / TICKS_PER_EPSILON
+
+
+def ticks_epsilon_up(ticks: int) -> float:
+    """Ticks as the smallest float epsilon not below them: a stated
+    guarantee never claims less than was spent."""
+    epsilon = ticks / TICKS_PER_EPSILON
+    numerator, denominator = epsilon.as_integer_ratio()
+    if numerator << 60 < ticks * denominator:
+        return math.nextafter(epsilon, math.inf)
+    return epsilon
 
 
 class BudgetExceededError(RuntimeError):
@@ -293,12 +303,15 @@ class PrivacyAccountant:
         }
 
     def composed_guarantee(self) -> OSDPGuarantee:
-        """The overall guarantee per Theorem 3.3: (P_mr, sum eps_i)-OSDP."""
-        if not self._ledger:
+        """The overall guarantee per Theorem 3.3: (P_mr, sum eps_i)-OSDP,
+        the sum being the spent ticks rendered upward, so never below
+        the exact sum of the charges."""
+        with self._lock:
+            ledger, spent = tuple(self._ledger), self._spent
+        if not ledger:
             raise ValueError("no analyses have been charged yet")
-        return sequential_composition(
-            [OSDPGuarantee(policy=e.policy, epsilon=e.epsilon) for e in self._ledger]
-        )
+        policy = minimum_relaxation(*[e.policy for e in ledger])
+        return OSDPGuarantee(policy=policy, epsilon=ticks_epsilon_up(spent))
 
     def summary(self) -> str:
         """Human-readable ledger, one line per charge."""

@@ -156,6 +156,10 @@ def _compare(op: str, values: np.ndarray, operand) -> np.ndarray:
             side = -math.inf if below else math.inf
             bound = near if (near < operand) == below else math.nextafter(near, side)
             return values <= bound if below else values >= bound
+    if kind == "O":  # Python compares each value, a NaN one as False;
+        # numpy would still warn on the FP flag that comparison raises
+        with np.errstate(invalid="ignore"):
+            return _COMPARISONS[op](values, operand)
     return _COMPARISONS[op](values, operand)
 
 
@@ -187,9 +191,8 @@ def _per_value(op: str, values, operand) -> np.ndarray:
 
 def _leaf_column(op: str, columns, attr: str, operand) -> np.ndarray:
     """One leaf over its column: numpy where it keeps Python's scalar
-    semantics, else value by value (this leaf only), reading the
-    bundle's own records when it has them — a column may have coerced
-    a value (an integer past 2**53 in a float column)."""
+    semantics, else value by value (this leaf only).  The column is the
+    data: ``ColumnarDatabase.from_records`` keeps every value exact."""
     column = columns[attr]
     if op == "any_in" and hasattr(column, "segment_any"):
         hit = members_isin(column.flat, operand)
@@ -209,9 +212,7 @@ def _leaf_column(op: str, columns, attr: str, operand) -> np.ndarray:
             pass
     if isinstance(hit, np.ndarray) and hit.shape == values.shape:
         return hit.astype(bool, copy=False)
-    records = getattr(columns, "_records", None)
-    values = column if records is None else [_read(r, attr) for r in records]
-    return _per_value(op, values, operand)
+    return _per_value(op, column, operand)
 
 
 def _sensitive(node, columns, n: int) -> np.ndarray:

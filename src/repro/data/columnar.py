@@ -17,11 +17,13 @@ Variable-length attributes (a trajectory's AP sequence) are stored as a
 :class:`RaggedColumn` — one flat array plus offsets, the layout that
 lets set-membership policies run as ``np.isin`` + segmented reduction.
 
-The row-oriented ``Database`` remains the simple reference
-implementation; ``iter_records``/``to_database`` bridge the two, and
-every vectorized consumer falls back to per-record evaluation for
-column layouts it does not understand, so the columnar path is always
-an optimization, never a semantic fork.
+The columns are the only copy of the data: a columnar database carries
+no row objects.  :meth:`ColumnarDatabase.from_records` keeps a column
+lossless (object dtype where numpy's inferred dtype would change a
+value), and :meth:`ColumnarDatabase.iter_records` rebuilds the rows from
+the columns for the per-record consumers (an opaque policy, the
+verifier).  The row-oriented ``Database`` stays the reference that the
+tests compare the columnar path against.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.policy import NON_SENSITIVE, SENSITIVE, Policy
-from repro.data.database import Database
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,11 @@ class RaggedColumn:
 
     def segment(self, i: int) -> np.ndarray:
         return self.flat[self.offsets[i] : self.offsets[i + 1]]
+
+    def tolist(self) -> list[tuple]:
+        """Each record's values as a tuple of Python scalars."""
+        flat, offsets = self.flat.tolist(), self.offsets.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
 
     def segment_any(self, flag_per_value: np.ndarray) -> np.ndarray:
         """Per-record 'any value flagged' over a flat boolean array."""
@@ -143,14 +149,25 @@ def _value_codes(column) -> tuple[np.ndarray, np.ndarray] | None:
     return column.astype(np.int64) - low, values
 
 
+def _lossless_column(values: list) -> np.ndarray:
+    """``values`` as numpy infers them when that gives each one back
+    equal (a NaN as a NaN), else as an object column of the values."""
+    try:
+        column = np.asarray(values)
+        back = column.tolist() if column.ndim == 1 else None
+        if back is not None and (back == values or all(
+            a == b or (a != a and b != b) for a, b in zip(back, values)
+        )):
+            return column
+    except (ValueError, TypeError):  # ragged sequences, ambiguous ==
+        pass
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 class ColumnarDatabase:
     """An immutable multiset of records in struct-of-arrays layout."""
 
-    def __init__(
-        self,
-        columns: Mapping[str, np.ndarray | RaggedColumn],
-        records: Sequence[object] | None = None,
-    ):
+    def __init__(self, columns: Mapping[str, np.ndarray | RaggedColumn]):
         if not columns:
             raise ValueError("need at least one column")
         normalized: dict[str, np.ndarray | RaggedColumn] = {}
@@ -169,9 +186,6 @@ class ColumnarDatabase:
             normalized[name] = column
         self._columns = normalized
         self._n = int(n or 0)
-        self._records = tuple(records) if records is not None else None
-        if self._records is not None and len(self._records) != self._n:
-            raise ValueError("records must match the column length")
         # The ColumnStore owning this database's buffers, when they
         # live in shared memory (see repro.data.store); None means
         # ordinary heap arrays.  Set by ColumnStore.place()/attach().
@@ -185,8 +199,11 @@ class ColumnarDatabase:
         """Columnarize mapping-style (dict) records.
 
         Attribute set is taken from the first record; all records must
-        share it.  Values become numpy columns with inferred dtypes
-        (falling back to object arrays for mixed types).
+        share it.  Values become numpy columns with inferred dtypes, and
+        a column is lossless: where the inferred dtype would not give
+        every value back equal (``[5, "NA"]`` stringified, ``2**53 + 1``
+        beside a float rounded, a tuple per record), the column keeps
+        the Python objects instead.
         """
         records = tuple(records)
         if not records:
@@ -200,17 +217,8 @@ class ColumnarDatabase:
                 raise ValueError(
                     f"record missing attribute {name!r}; records must share a schema"
                 ) from None
-            arr = np.asarray(values)
-            if arr.dtype.kind in "US" and not all(
-                isinstance(v, str) for v in values
-            ):
-                # np.asarray stringifies mixed-type columns (e.g.
-                # [5, "NA"] -> ["5", "NA"]), which would silently change
-                # values under vectorized comparisons; keep Python
-                # objects so == retains per-record semantics.
-                arr = np.asarray(values, dtype=object)
-            columns[name] = arr
-        return cls(columns, records=records)
+            columns[name] = _lossless_column(values)
+        return cls(columns)
 
     @classmethod
     def from_any_records(cls, records: Iterable[object]) -> "ColumnarDatabase":
@@ -225,12 +233,13 @@ class ColumnarDatabase:
         if records and hasattr(records[0], "slots"):
             from repro.data.tippers import trajectory_columns
 
-            return cls(trajectory_columns(records), records=records)
+            return cls(trajectory_columns(records))
         return cls.from_records(records)  # type: ignore[arg-type]
 
     @classmethod
-    def from_database(cls, db: Database) -> "ColumnarDatabase":
-        """Columnarize a row database of mapping records or trajectories."""
+    def from_database(cls, db) -> "ColumnarDatabase":
+        """Columnarize a row database (anything with ``.records``) of
+        mapping records or trajectories."""
         return cls.from_any_records(db.records)
 
     @classmethod
@@ -240,10 +249,8 @@ class ColumnarDatabase:
         """Concatenate databases record-wise (shared schema required).
 
         Plain columns concatenate directly; ragged columns concatenate
-        their flats and rebase the offsets.  Original record tuples are
-        kept only when every part has them (a mixed concatenation would
-        silently fabricate records).  This is the append primitive the
-        incremental shard updates are built on.
+        their flats and rebase the offsets.  This is the append
+        primitive the incremental shard updates are built on.
         """
         parts = list(parts)
         if not parts:
@@ -265,10 +272,7 @@ class ColumnarDatabase:
                 )
             else:
                 columns[name] = np.concatenate(cols)
-        records = None
-        if all(part._records is not None for part in parts):
-            records = tuple(r for part in parts for r in part._records)
-        return cls(columns, records=records)
+        return cls(columns)
 
     def __getstate__(self) -> dict:
         # Shared-memory handles are process-local: a pickled database
@@ -297,26 +301,23 @@ class ColumnarDatabase:
         return tuple(self._columns)
 
     def iter_records(self) -> Iterator[object]:
-        """Per-record views (original records when available)."""
-        if self._records is not None:
-            return iter(self._records)
-        names = list(self._columns)
-        plain = {
-            name: col
-            for name, col in self._columns.items()
-            if not isinstance(col, RaggedColumn)
-        }
-        if len(plain) != len(names):
-            raise TypeError(
-                "cannot reconstruct records with ragged columns; "
-                "build the database with explicit records"
-            )
-        return (
-            {name: plain[name][i] for name in names} for i in range(self._n)
-        )
+        """The rows, rebuilt from the columns, in record order.
 
-    def to_database(self) -> Database:
-        return Database(self.iter_records())
+        One dict per row: a plain column gives Python scalars
+        (``tolist``), an object column its own objects, and a ragged one
+        a tuple per row.  A table with exactly
+        :func:`repro.data.tippers.trajectory_columns`' layout gives
+        :class:`~repro.data.tippers.Trajectory` objects instead.
+        """
+        from repro.data.tippers import TRAJECTORY_COLUMNS, trajectory_records
+
+        if self.column_names == TRAJECTORY_COLUMNS and isinstance(
+            self._columns["aps"], RaggedColumn
+        ):
+            return trajectory_records(self)
+        names = self.column_names
+        values = [column.tolist() for column in self._columns.values()]
+        return (dict(zip(names, row)) for row in zip(*values))
 
     # ------------------------------------------------------------------
     # Policy operations (Definition 3.1, vectorized)
@@ -342,12 +343,7 @@ class ColumnarDatabase:
             else col[indices]
             for name, col in self._columns.items()
         }
-        records = (
-            tuple(self._records[i] for i in indices.tolist())
-            if self._records is not None
-            else None
-        )
-        return ColumnarDatabase(columns, records=records)
+        return ColumnarDatabase(columns)
 
     def slice_records(self, start: int, stop: int) -> "ColumnarDatabase":
         """Records ``[start, stop)`` with every column sliced, not copied.
@@ -364,10 +360,7 @@ class ColumnarDatabase:
             else col[start:stop]
             for name, col in self._columns.items()
         }
-        records = (
-            self._records[start:stop] if self._records is not None else None
-        )
-        return ColumnarDatabase(columns, records=records)
+        return ColumnarDatabase(columns)
 
     def shard(self, n_shards: int):
         """Split into a :class:`repro.data.sharding.ShardedColumnarDatabase`."""
@@ -492,7 +485,7 @@ class ColumnarDatabase:
         for name, values in reversed(kept):
             rest, code = np.divmod(rest, len(values))
             columns[name] = values[code]
-        return _DistinctRows(columns), weights
+        return ColumnarDatabase(columns), weights
 
     @property
     def summary_built(self) -> bool:
@@ -543,14 +536,3 @@ class ColumnarDatabase:
             f"ColumnarDatabase(n={self._n}, "
             f"columns={list(self._columns)!r})"
         )
-
-
-class _DistinctRows(ColumnarDatabase):
-    """A summary's rows: columns for vectorized evaluation only.
-
-    A policy that gives up on its vectorized form must fall back over
-    the real records, so the fallback fails here (and the caller scans).
-    """
-
-    def iter_records(self):
-        raise TypeError("distinct rows serve vectorized evaluation only")

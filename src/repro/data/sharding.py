@@ -195,11 +195,6 @@ class ShardedColumnarDatabase:
         for shard in self._shards:
             yield from shard.iter_records()
 
-    def to_database(self):
-        from repro.data.database import Database
-
-        return Database(self.iter_records())
-
     def to_columnar(self) -> ColumnarDatabase:
         """Reassemble one single-node :class:`ColumnarDatabase`."""
         return ColumnarDatabase.concat(list(self._shards))
@@ -270,10 +265,7 @@ class ShardedColumnarDatabase:
             # Same schema, different attribute order: realign so the
             # per-shard column dictionaries stay congruent.
             chunk = ColumnarDatabase(
-                {name: chunk[name] for name in self.column_names},
-                records=tuple(chunk.iter_records())
-                if chunk._records is not None
-                else None,
+                {name: chunk[name] for name in self.column_names}
             )
         return chunk
 

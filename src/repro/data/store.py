@@ -226,10 +226,9 @@ class ColumnStore:
 
         Returns the owning store; ``store.database`` is a new
         :class:`~repro.data.columnar.ColumnarDatabase` with the same
-        column values as read-only segment views (original record
-        objects, when present, are carried over — they live only in
-        this process).  Raises :class:`TypeError` when a column has no
-        fixed-width buffer (see :func:`placeable`).
+        column values as read-only segment views.  Raises
+        :class:`TypeError` when a column has no fixed-width buffer (see
+        :func:`placeable`).
 
         ``headroom`` over-allocates every 1-D array's segment by that
         growth fraction (at least :data:`_MIN_HEADROOM` spare elements)
@@ -280,9 +279,7 @@ class ColumnStore:
             raise
         store = cls(segments, owner=True)
         store._descriptor = {"v": 1, "columns": spec}
-        store.database = ColumnarDatabase(
-            columns, records=getattr(db, "_records", None)
-        )
+        store.database = ColumnarDatabase(columns)
         store.database._store = store
         return store
 
@@ -465,12 +462,7 @@ class ColumnStore:
         # the RPC exclusive lock / the pool's append op).
         for shm, dtype, live, values in writes:
             _write_length(shm, live + len(values))
-        records = None
-        old_records = getattr(self.database, "_records", None)
-        chunk_records = getattr(chunk, "_records", None)
-        if old_records is not None and chunk_records is not None:
-            records = old_records + chunk_records
-        return self.refresh(records=records)
+        return self.refresh()
 
     def _plan_extend(self, seg: Mapping, values: np.ndarray):
         """(shm, dtype, live, values) when ``values`` fit, else None."""
@@ -487,7 +479,7 @@ class ColumnStore:
             return None
         return (shm, dtype, live, values)
 
-    def refresh(self, records=None):
+    def refresh(self):
         """Rebuild the database views from the live length headers.
 
         Attachers call this after the owner extended the columns in
@@ -502,7 +494,7 @@ class ColumnStore:
         columns = self._open_columns(
             self._descriptor["columns"], self._segments
         )
-        self.database = ColumnarDatabase(columns, records=records)
+        self.database = ColumnarDatabase(columns)
         self.database._store = self
         return self.database
 

@@ -22,19 +22,24 @@ controls directly:
    ``sensitive_aps`` spec: one ``any_in`` leaf over a trajectory's APs
    (the ``aps`` ragged column, or ``Trajectory.aps`` per record).
 
-Records are :class:`Trajectory` objects; one record = one user-day, the
-paper's privacy unit.
+One record = one user-day, the paper's privacy unit.  The generator
+writes the columnar layout (:func:`trajectory_columns`) directly; the
+:class:`Trajectory` rows are rebuilt from it (:func:`trajectory_records`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.policy import Policy
 from repro.core.policy_language import policy_from_spec
+
+if TYPE_CHECKING:
+    from repro.data.columnar import ColumnarDatabase
 
 SLOTS_PER_DAY = 144  # 10-minute intervals
 SLOTS_PER_HOUR = 6
@@ -148,20 +153,21 @@ class TippersDataset:
     """The generated trace plus ground truth and policy helpers."""
 
     config: TippersConfig
-    trajectories: list[Trajectory]
+    table: ColumnarDatabase = field(repr=False)
     resident_user_ids: frozenset[int]
     ap_roles: dict[str, tuple[int, ...]] = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.table)
+
+    @cached_property
+    def trajectories(self) -> list[Trajectory]:
+        """The trace's rows, rebuilt from its columns."""
+        return list(trajectory_records(self.table))
 
     def columnar(self):
         """The trace as a :class:`repro.data.columnar.ColumnarDatabase`."""
-        from repro.data.columnar import ColumnarDatabase
-
-        return ColumnarDatabase(
-            trajectory_columns(self.trajectories), records=self.trajectories
-        )
+        return self.table
 
     # ------------------------------------------------------------------
     # Labelling (the paper's heuristic, §6.2 "Classification")
@@ -355,12 +361,21 @@ def policy_for_fraction_columnar(
 # ----------------------------------------------------------------------
 
 
+#: The column names of :func:`trajectory_columns`, in order.
+TRAJECTORY_COLUMNS = (
+    "user_id", "day", "start_slot", "end_slot", "duration_slots", "aps"
+)
+
+
 def trajectory_columns(trajectories: Sequence[Trajectory]) -> dict:
     """Struct-of-arrays layout for trajectory records.
 
     Scalar attributes become plain columns; the per-slot AP sequence
     becomes an ``aps`` ragged column (flat APs + offsets), which is the
     layout :func:`SensitiveAPPolicy` evaluates with one ``np.isin``.
+    Slots must be contiguous (a :class:`Trajectory`'s contract; a
+    ``ValueError`` otherwise), so ``start_slot`` and ``aps`` hold the
+    whole record: :func:`trajectory_records` is the inverse.
     """
     from repro.data.columnar import RaggedColumn
 
@@ -369,10 +384,17 @@ def trajectory_columns(trajectories: Sequence[Trajectory]) -> dict:
         (t.duration_slots for t in trajectories), dtype=np.int64, count=n
     )
     offsets = np.concatenate([[0], np.cumsum(lengths)])
+    starts = np.fromiter((t.start_slot for t in trajectories), dtype=np.int64, count=n)
+    total = int(offsets[-1])
+    slots = np.fromiter(
+        (slot for t in trajectories for slot, _ in t.slots), dtype=np.int64, count=total
+    )
+    if not np.array_equal(
+        slots - np.repeat(starts - offsets[:-1], lengths), np.arange(total)
+    ):
+        raise ValueError("trajectory slots must be contiguous, counting up by one")
     flat = np.fromiter(
-        (ap for t in trajectories for _, ap in t.slots),
-        dtype=np.int64,
-        count=int(offsets[-1]),
+        (ap for t in trajectories for _, ap in t.slots), dtype=np.int64, count=total
     )
     return {
         "user_id": np.fromiter(
@@ -381,15 +403,21 @@ def trajectory_columns(trajectories: Sequence[Trajectory]) -> dict:
         "day": np.fromiter(
             (t.day for t in trajectories), dtype=np.int64, count=n
         ),
-        "start_slot": np.fromiter(
-            (t.start_slot for t in trajectories), dtype=np.int64, count=n
-        ),
-        "end_slot": np.fromiter(
-            (t.end_slot for t in trajectories), dtype=np.int64, count=n
-        ),
+        "start_slot": starts,
+        "end_slot": starts + lengths - 1,
         "duration_slots": lengths,
         "aps": RaggedColumn(flat=flat, offsets=offsets),
     }
+
+
+def trajectory_records(db) -> Iterator[Trajectory]:
+    """The :class:`Trajectory` rows of a :func:`trajectory_columns`
+    table: each row's slots count up from ``start_slot``, one per AP of
+    its ``aps`` segment."""
+    columns = ("user_id", "day", "start_slot", "aps")
+    for user_id, day, start, aps in zip(*(db[name].tolist() for name in columns)):
+        slots = tuple(zip(range(start, start + len(aps)), aps))
+        yield Trajectory(user_id=user_id, day=day, slots=slots)
 
 
 # ----------------------------------------------------------------------
@@ -410,21 +438,6 @@ def _assign_ap_roles(config: TippersConfig) -> dict[str, tuple[int, ...]]:
         roles[role] = tuple(aps[cursor : cursor + count])
         cursor += count
     return roles
-
-
-def _segments_to_slots(
-    segments: Sequence[tuple[int, int]], start_slot: int
-) -> tuple[tuple[int, int], ...]:
-    """Expand (ap, n_slots) segments into contiguous (slot, ap) pairs."""
-    slots: list[tuple[int, int]] = []
-    slot = start_slot
-    for ap, length in segments:
-        for _ in range(length):
-            if slot >= SLOTS_PER_DAY:
-                break
-            slots.append((slot, ap))
-            slot += 1
-    return tuple(slots)
 
 
 class _ResidentProfile:
@@ -449,9 +462,8 @@ class _ResidentProfile:
     ) -> tuple[int, list[tuple[int, int]]] | None:
         """``(arrival_slot, [(ap, n_slots), ...])`` for one day, or None.
 
-        The rng consumption order is the generator's contract: the row
-        and columnar generators replay identical streams through this
-        method, so both produce the same trace from the same seed.
+        The rng consumption order is the generator's contract: the same
+        seed gives the same trace.
         """
         weekend = day % 7 >= 5
         attend = self.attend_prob * (0.12 if weekend else 1.0)
@@ -493,17 +505,6 @@ class _ResidentProfile:
             segments.append((ap, length))
             remaining -= length
         return arrival, segments
-
-    def day_trajectory(
-        self, user_id: int, day: int, rng: np.random.Generator
-    ) -> Trajectory | None:
-        plan = self.day_segments(day, rng)
-        if plan is None:
-            return None
-        arrival, segments = plan
-        return Trajectory(
-            user_id=user_id, day=day, slots=_segments_to_slots(segments, arrival)
-        )
 
 
 class _VisitorProfile:
@@ -551,17 +552,6 @@ class _VisitorProfile:
             remaining -= length
         return arrival, segments
 
-    def day_trajectory(
-        self, user_id: int, day: int, rng: np.random.Generator
-    ) -> Trajectory | None:
-        plan = self.day_segments(day, rng)
-        if plan is None:
-            return None
-        arrival, segments = plan
-        return Trajectory(
-            user_id=user_id, day=day, slots=_segments_to_slots(segments, arrival)
-        )
-
 
 def _resident_ids(config: TippersConfig) -> frozenset[int]:
     return frozenset(
@@ -569,99 +559,61 @@ def _resident_ids(config: TippersConfig) -> frozenset[int]:
     )
 
 
-def _iter_day_plans(config: TippersConfig, rng: np.random.Generator):
-    """Yield ``(user_id, day, arrival, segments)`` in canonical rng order.
-
-    The single trace driver both generators consume: profile
-    construction and per-day draws happen here and nowhere else, so the
-    row and columnar generators *cannot* diverge in stream consumption
-    — their "same seed, same data" contract is structural, not merely
-    test-enforced.
-    """
-    roles = _assign_ap_roles(config)
-    resident_ids = _resident_ids(config)
-    for user_id in range(config.n_users):
-        if user_id in resident_ids:
-            profile: _ResidentProfile | _VisitorProfile = _ResidentProfile(
-                config, roles, rng
-            )
-        else:
-            profile = _VisitorProfile(config, roles, rng)
-        for day in range(config.n_days):
-            plan = profile.day_segments(day, rng)
-            if plan is not None:
-                arrival, segments = plan
-                yield user_id, day, arrival, segments
-
-
 def generate_tippers(config: TippersConfig | None = None) -> TippersDataset:
-    """Generate a synthetic TIPPERS-like trace (deterministic in the seed)."""
+    """Generate a synthetic TIPPERS-like trace (deterministic in the seed).
+
+    The trace is :func:`generate_tippers_columnar`'s table;
+    ``trajectories`` are its rows, rebuilt on first use.
+    """
     config = config or TippersConfig()
-    rng = np.random.default_rng(config.seed)
-
-    trajectories = [
-        Trajectory(
-            user_id=user_id,
-            day=day,
-            slots=_segments_to_slots(segments, arrival),
-        )
-        for user_id, day, arrival, segments in _iter_day_plans(config, rng)
-    ]
-
     return TippersDataset(
         config=config,
-        trajectories=trajectories,
+        table=generate_tippers_columnar(config),
         resident_user_ids=_resident_ids(config),
         ap_roles=_assign_ap_roles(config),
     )
 
 
 def generate_tippers_columnar(config: TippersConfig | None = None):
-    """Generate the trace straight into columnar arrays.
+    """Generate the trace straight into columnar arrays: the generator.
 
-    Stream-identical to :func:`generate_tippers` — both consume the
-    shared :func:`_iter_day_plans` driver, so identical draws in
-    identical order are structural — but the per-record ``Trajectory``
-    objects (and their tuple-of-tuples slot storage) are never
-    constructed: each day's ``(ap, n_slots)`` segments expand directly
-    into the flat AP array of the ``aps`` ragged column.  Same seed,
-    same arrays as ``generate_tippers(config).columnar()``; the scalar
-    attributes fall out of the expansion (``start_slot`` is the
-    arrival, ``end_slot`` is ``arrival + duration - 1`` by slot
-    contiguity).
+    Per user, a resident or visitor profile draws each day's
+    ``(ap, n_slots)`` segments (or no visit); a visit's segments expand
+    into the flat AP array of the ``aps`` ragged column (a profile caps
+    the stay before the end of the day).  ``start_slot`` is the arrival
+    and ``end_slot`` is ``arrival + duration - 1`` by slot contiguity.
 
     Returns a :class:`repro.data.columnar.ColumnarDatabase` with the
-    :func:`trajectory_columns` schema (no row records attached).
+    :func:`trajectory_columns` schema.
     """
     from repro.data.columnar import ColumnarDatabase, RaggedColumn
 
     config = config or TippersConfig()
     rng = np.random.default_rng(config.seed)
+    roles = _assign_ap_roles(config)
+    resident_ids = _resident_ids(config)
 
     user_ids: list[int] = []
     days: list[int] = []
     starts: list[int] = []
     lengths: list[int] = []
     flat_aps: list[np.ndarray] = []
-    for user_id, day, arrival, segments in _iter_day_plans(config, rng):
-        seg_aps = np.fromiter(
-            (ap for ap, _ in segments), dtype=np.int64, count=len(segments)
-        )
-        seg_lens = np.fromiter(
-            (length for _, length in segments),
-            dtype=np.int64,
-            count=len(segments),
-        )
-        # _segments_to_slots truncates at the end of the day; the
-        # columnar equivalent is clipping the expansion.
-        aps = np.repeat(seg_aps, seg_lens)[: SLOTS_PER_DAY - arrival]
-        if not len(aps):
-            continue
-        user_ids.append(user_id)
-        days.append(day)
-        starts.append(arrival)
-        lengths.append(len(aps))
-        flat_aps.append(aps)
+    for user_id in range(config.n_users):
+        profile = (
+            _ResidentProfile if user_id in resident_ids else _VisitorProfile
+        )(config, roles, rng)
+        for day in range(config.n_days):
+            plan = profile.day_segments(day, rng)
+            if plan is None:
+                continue
+            arrival, segments = plan
+            seg_aps, seg_lens = np.asarray(segments, dtype=np.int64).T
+            aps = np.repeat(seg_aps, seg_lens)
+            user_ids.append(user_id)
+            days.append(day)
+            starts.append(arrival)
+            lengths.append(len(aps))
+            flat_aps.append(aps)
 
     length_arr = np.asarray(lengths, dtype=np.int64)
     start_arr = np.asarray(starts, dtype=np.int64)

@@ -13,7 +13,7 @@ inverts the data flow:
   record count, and co-hosted pools over a shared database
   (``sharded.share()``) reference one physical copy.  A shard the
   segments cannot hold (:func:`shard_shm_eligible`: an object-dtype
-  column, attached row records, no POSIX shared memory) is refused
+  column, no POSIX shared memory) is refused
   with :class:`TypeError`; :class:`repro.api.backends.ShardedBackend`
   serves such a table from the parent instead.  Incremental updates
   (:meth:`append_shard_chunk`, :meth:`expire_shard_prefix`) ship **no
@@ -248,19 +248,17 @@ def shard_shm_eligible(shard: ColumnarDatabase) -> bool:
 
     The one eligibility rule: :class:`ShardWorkerPool` refuses a shard
     that fails it, and :class:`repro.api.backends.ShardedBackend` then
-    serves the table from the parent.  A shard already backed by an
-    open store is eligible; any other needs POSIX shared memory,
-    fixed-width columns **and** no attached row-record objects —
-    records have no segment form, and a spec'd policy may still count
-    by its per-record fallback (a registered kind with no batch form,
-    over ragged columns that cannot rebuild the records), which needs
-    them.
+    serves the table from the parent.  POSIX shared memory must be
+    available, and the shard either already backed by an open store or
+    :func:`~repro.data.store.placeable` (fixed-width or ragged columns,
+    no object dtype) — the columns are the whole shard, so every such
+    table, a ``from_records`` or trajectory one included, gets a pool.
     """
     if not shm_available():
         return False
     if shard.store is not None and not shard.store.closed:
         return True
-    return placeable(shard) and shard._records is None
+    return placeable(shard)
 
 
 class ShardWorkerPool:
@@ -286,8 +284,8 @@ class ShardWorkerPool:
             if not shard_shm_eligible(shard):
                 raise TypeError(
                     f"shard {i} cannot live in shared-memory segments "
-                    "(object-dtype columns, attached row records, or no "
-                    "POSIX shared memory); serve it without a worker pool"
+                    "(object-dtype columns or no POSIX shared memory); "
+                    "serve it without a worker pool"
                 )
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(

@@ -23,8 +23,8 @@ comparable to OsdpRR near the 50% policy; at eps = 0.01 LM is an order
 of magnitude worse everywhere.
 
 By default the experiment runs **columnar**: the trace comes from
-:func:`repro.data.tippers.generate_tippers_columnar` (stream-identical
-to the row generator, no ``Trajectory`` objects), policies from
+:func:`repro.data.tippers.generate_tippers_columnar` (the generator;
+the row path reads its rebuilt ``Trajectory`` rows), policies from
 :func:`repro.data.tippers.policy_for_fraction_columnar`, selections
 from vectorized masks, and n-gram counting from
 :meth:`repro.queries.ngram.NGramCounter.count_columnar`.  Both paths

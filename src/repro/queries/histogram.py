@@ -29,7 +29,6 @@ import numpy as np
 from repro.core.policy import NON_SENSITIVE, Policy, plain_value
 from repro.core.policy_language import PolicySpecError
 from repro.data.columnar import SUMMARY_MIN_ROWS
-from repro.data.database import Database
 
 HISTOGRAM_L1_SENSITIVITY = 2.0
 SINGLE_COUNT_SENSITIVITY = 1.0
@@ -382,7 +381,7 @@ class HistogramInput:
 
     @classmethod
     def from_database(
-        cls, db: Database, query: HistogramQuery, policy: Policy
+        cls, db, query: HistogramQuery, policy: Policy
     ) -> "HistogramInput":
         """Evaluate the query on the full and non-sensitive databases.
 

@@ -110,6 +110,27 @@ class TestComposedGuarantee:
         assert composed.policy(3) == 0
         assert composed.policy(2) == 1
 
+    def test_composed_epsilon_is_never_below_the_charges(self):
+        """Theorem 3.3's sum, stated from the ticks rendered upward: ten
+        charges of 0.1 sum to 1 + 5.6e-17 exactly, and a float fold
+        states 0.9999999999999999."""
+        acct = PrivacyAccountant(total_epsilon=2.0)
+        for _ in range(10):
+            acct.charge(ODD, 0.1)
+        exact = 10 * Fraction(0.1)
+        assert exact > 1
+        assert Fraction(acct.composed_guarantee().epsilon) >= exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=30))
+    def test_composed_epsilon_bounds_the_fraction_sum(self, charges):
+        acct = PrivacyAccountant(total_epsilon=64.0)
+        for epsilon in charges:
+            acct.charge(ODD, epsilon)
+        stated = acct.composed_guarantee().epsilon
+        assert Fraction(stated) >= sum(map(Fraction, charges))
+        assert acct.spent <= stated <= math.nextafter(acct.spent, math.inf)
+
     def test_composed_without_charges_raises(self):
         with pytest.raises(ValueError):
             PrivacyAccountant(total_epsilon=1.0).composed_guarantee()

@@ -308,9 +308,15 @@ class TestColumnarConstruction:
             )
 
     def test_roundtrip_to_database(self):
+        """The rows are rebuilt from the columns, as Python values."""
         records = random_tabular_records(8, n=20)
         cdb = ColumnarDatabase.from_records(records)
-        assert list(cdb.to_database()) == records
+        rows = list(Database(cdb.iter_records()))
+        assert rows == records
+        assert all(
+            type(row[name]) is type(record[name])
+            for row, record in zip(rows, records) for name in record
+        )
 
     def test_from_database_with_trajectories(self):
         dataset = generate_tippers(

@@ -296,7 +296,7 @@ def test_the_fixed_sequence_exercises_the_carry():
 )
 def test_fixed_sequence_on_a_worker_pool(shm):
     rows = list(FIXED_INITIAL)
-    # the columns alone: a pool refuses shards that carry row records
+    # the columns alone (a from_records table is its columns too)
     table = ColumnarDatabase.from_records(rows)
     sharded = ColumnarDatabase({n: table[n] for n in table.column_names}).shard(3)
     with ShardWorkerPool(sharded.shards) as pool:

@@ -334,12 +334,12 @@ class TestFallsBackToTheScan:
         db, _ = _tables(0)
         self._assert_scanned(db, HistogramQuery(Halves()), OptInPolicy())
 
-    def test_a_per_record_fallback_runs_over_the_real_records(self):
+    def test_a_per_value_fallback_reads_the_columns(self):
         """A NaN member makes np.isin diverge from set membership, so
-        that leaf is evaluated value by value, reading the records' own
-        values: exact on an integer column's distinct rows (the summary
-        answers), and on a float column only the records still hold the
-        NaN object the member matches by identity."""
+        that leaf is evaluated value by value over its column: exact on
+        an integer column's distinct rows (the summary answers), and on
+        a float column, whose NaN values the NaN member matches — the
+        column is the data, there are no records behind it."""
         nan = float("nan")
         records = [
             {"age": i % 20, "opt_in": bool(i % 3), "score": nan if i % 7 else 0.5}

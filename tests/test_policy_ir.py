@@ -230,9 +230,11 @@ def test_the_two_interpreters_agree_bit_for_bit(spec, table):
     records, columns = table
     policy = compile_policy(spec)
     oracle = _outcome(lambda: [policy(r) for r in records])
-    db = ColumnarDatabase(columns, records=records)
+    db = ColumnarDatabase(columns)
     assert _outcome(lambda: policy.evaluate_batch(db)) == oracle
-    # without records, only an object column keeps the NaN object
+    # the columns from_records infers (``aps`` an object column of tuples)
+    inferred = ColumnarDatabase.from_records(records)
+    assert _outcome(lambda: policy.evaluate_batch(inferred)) == oracle
     scores = np.array([r["score"] for r in records], dtype=object)
     bundle = {**columns, "score": scores}
     assert _outcome(lambda: policy.evaluate_batch(bundle)) == oracle

@@ -344,7 +344,7 @@ class TestIncrementalUpdates:
             Trajectory(user_id=i, day=0, slots=((0, i % 5), (1, (i + 1) % 5)))
             for i in range(30)
         ]
-        db = ColumnarDatabase(trajectory_columns(trajs), records=trajs)
+        db = ColumnarDatabase(trajectory_columns(trajs))
         sharded = db.shard(2)
         new = [Trajectory(user_id=99, day=1, slots=((4, 2),))]
         sharded.append_records(new)

@@ -166,7 +166,7 @@ def test_flat_mask_bit_identical(records, policy, k):
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(trajs=trajectories(), policy=ap_policies(), k=shard_counts)
 def test_ragged_mask_bit_identical(trajs, policy, k):
-    db = ColumnarDatabase(trajectory_columns(trajs), records=trajs)
+    db = ColumnarDatabase(trajectory_columns(trajs))
     sharded = db.shard(k)
     per_record = np.fromiter(
         (policy(t) for t in trajs), dtype=np.int8, count=len(trajs)

@@ -177,7 +177,7 @@ class TestColumnStore:
             )
             for i in range(17)
         ]
-        ragged = ColumnarDatabase(trajectory_columns(trajs), records=trajs)
+        ragged = ColumnarDatabase(trajectory_columns(trajs))
         empty = ragged.slice_records(0, 0)
         for db in (ragged, empty):
             store = ColumnStore.place(db)
@@ -385,7 +385,7 @@ class TestPoolLifecycle:
             [{"v": 5, "opt_in": True}, {"v": "NA", "opt_in": False}]
         )
         columns = ColumnarDatabase({n: db[n] for n in db.column_names})
-        for table in (db, columns):  # with and without row records
+        for table in (db, columns):  # built from records, or from columns
             with pytest.raises(TypeError, match="object-dtype"):
                 ShardWorkerPool(table.shard(2).shards)
 

@@ -203,7 +203,7 @@ def test_sensitive_ap_policy_round_trip(aps, lengths):
         )
         for i, length in enumerate(lengths)
     ]
-    db = ColumnarDatabase(trajectory_columns(trajs), records=trajs)
+    db = ColumnarDatabase(trajectory_columns(trajs))
     policy = SensitiveAPPolicy(aps)
     rebuilt = policy_from_spec(_json_round_trip(policy_to_spec(policy)))
     assert rebuilt.to_spec() == policy_to_spec(policy)

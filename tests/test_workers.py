@@ -32,7 +32,13 @@ from repro.core.policy import (
 from repro.core.policy_language import compile_policy
 from repro.data.columnar import ColumnarDatabase
 from repro.data.sharding import ShardedColumnarDatabase
-from repro.data.tippers import SensitiveAPPolicy, Trajectory, trajectory_columns
+from repro.data.tippers import (
+    SensitiveAPPolicy,
+    TippersConfig,
+    Trajectory,
+    generate_tippers,
+    trajectory_columns,
+)
 from repro.data.store import shm_available
 from repro.data.workers import ShardWorkerPool, WorkerError
 from repro.queries.histogram import (
@@ -73,11 +79,11 @@ BINNING = IntegerBinning("age", 0, 100, 10)
 
 def _long_trip(slots: int) -> LambdaPolicy:
     """Trajectories longer than ``slots`` are sensitive: a per-record
-    predicate, which needs the shard's ``Trajectory`` objects."""
+    predicate, read from the ``Trajectory`` rows the columns rebuild."""
     return LambdaPolicy(lambda r: r.duration_slots > slots, name="long-trip")
 
 
-def _trajectory_db(n: int, n_aps: int, records: bool = True) -> ColumnarDatabase:
+def _trajectory_db(n: int, n_aps: int) -> ColumnarDatabase:
     trajs = [
         Trajectory(
             user_id=i,
@@ -86,9 +92,7 @@ def _trajectory_db(n: int, n_aps: int, records: bool = True) -> ColumnarDatabase
         )
         for i in range(n)
     ]
-    return ColumnarDatabase(
-        trajectory_columns(trajs), records=trajs if records else None
-    )
+    return ColumnarDatabase(trajectory_columns(trajs))
 
 
 def _parent_pairs(sharded, binning, policy) -> list:
@@ -169,7 +173,7 @@ class TestEquivalence:
         assert np.array_equal(a.sensitive_bin_mask, b.sensitive_bin_mask)
 
     def test_ragged_trajectories_on_pool(self):
-        db = _trajectory_db(41, n_aps=7, records=False)
+        db = _trajectory_db(41, n_aps=7)
         sharded = db.shard(2)
         policy = SensitiveAPPolicy({1, 5})
         binning = IntegerBinning("day", 0, 5)
@@ -182,27 +186,39 @@ class TestEquivalence:
         assert got.x.tobytes() == reference.x.tobytes()
         assert got.x_ns.tobytes() == reference.x_ns.tobytes()
 
-    def test_record_carrying_shards_are_served_without_a_pool(self):
-        """Row records have no segment form, and a policy whose only
-        evaluation is per record needs them: the pool refuses such
-        a shard, and a backend asked for workers serves the table from
-        the parent instead — the same bytes as without workers."""
+    @pytest.mark.parametrize("table", ["from_records", "tippers"])
+    def test_record_built_tables_run_pooled(self, table):
+        """The columns are the whole table: a ``from_records`` table and
+        a TIPPERS trace get a pool (``store_mode == "shm"``), and serve
+        the bytes the heap serves — an opaque per-record policy (counted
+        in the parent over the rebuilt rows) and a spec'd one alike."""
         from repro.api.backends import ShardedBackend
 
-        db = _trajectory_db(30, n_aps=5)
-        with pytest.raises(TypeError, match="row records"):
-            ShardWorkerPool(db.shard(2).shards)
-        request = ReleaseRequest(
-            "osdp_rr", 0.5, IntegerBinning("day", 0, 5), _long_trip(2),
-            n_trials=3, seed=7,
-        )
+        if table == "tippers":
+            db = generate_tippers(TippersConfig(n_users=30, n_days=5, seed=4)).columnar()
+            binning, policies = IntegerBinning("day", 0, 5), [
+                _long_trip(20), SensitiveAPPolicy({1, 5, 60}),
+            ]
+        else:
+            rows = [
+                {"age": i % 90, "city": "abc"[i % 3], "opt_in": i % 4 == 0}
+                for i in range(300)
+            ]
+            db = ColumnarDatabase.from_records(rows)
+            binning, policies = IntegerBinning("age", 0, 100, 10), [
+                AttributePolicy("age", lambda a: a < 18), _policy(),
+            ]
         with ShardedBackend(db, n_shards=2, workers=True) as pooled:
-            assert pooled.pool is None
-            assert pooled.store_mode == "heap"
-            got = pooled.handle(request)
-        with ShardedBackend(db, n_shards=2) as plain:
-            want = plain.handle(request)
-        assert got.estimates.tobytes() == want.estimates.tobytes()
+            assert pooled.pool is not None
+            assert pooled.store_mode == "shm"
+            with ShardedBackend(db, n_shards=2) as heap:
+                assert heap.store_mode == "heap"
+                for policy in policies:
+                    request = ReleaseRequest(
+                        "osdp_rr", 0.5, binning, policy, n_trials=3, seed=7
+                    )
+                    got = pooled.handle(request).estimates
+                    assert got.tobytes() == heap.handle(request).estimates.tobytes()
 
 
 class TestWireDiscipline:
